@@ -20,7 +20,7 @@ import numpy as np
 
 from .closedform import effective_rate, ergodic_rate, outage_probability
 from .config import RisMode, SystemConfig, load_config_file, replace_config
-from .montecarlo import mc_ergodic_rate, mc_outage
+from .montecarlo import mc_rate_and_outage
 from .optimize import (
     effective_alpha_closed_form,
     optimize_alpha_effective,
@@ -126,50 +126,56 @@ def _point_config(cfg: SystemConfig, variable: str, value: float) -> SystemConfi
     return replace_config(cfg, **{variable: value})
 
 
-def _point_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+_MC_OUTPUTS = ("ergodic_mc", "outage_mc")
+
+# Columns of the non-MC outputs, each a function of the point's config.
+_POINT_OUTPUTS = {
+    "ergodic_cf": lambda point: [ergodic_rate(point, point.alpha)],
+    "outage_cf": lambda point: [outage_probability(point, point.alpha)],
+    "effective": lambda point: [effective_rate(point, point.alpha)],
+    "power": lambda point: [expected_power(point, point.alpha)],
+    "alpha_star": lambda point: [optimize_alpha_ergodic(point).alpha_opt],
+    "alpha_dagger": lambda point: [effective_alpha_closed_form(point.r_v)],
+}
 
 
 def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
     """Evaluate the requested outputs at each sweep value; returns CSV text.
 
-    Sweep points are independent (safe to parallelize); rows are emitted in
-    sweep order. Monte Carlo outputs get a per-point seed derived from
-    (spec.seed, point index).
+    Rows are emitted in sweep order. All Monte Carlo outputs come from one
+    mc_rate_and_outage call at the sweep's root seed: each point's MC columns
+    equal mc_ergodic_rate / mc_outage(point, point.alpha, seed=spec.seed) bit
+    for bit, and points whose draws do not depend on the swept value share
+    their samples (common random numbers).
     """
     header = [_SWEEP_HEADER_FIRST[spec.variable]]
     for output in spec.outputs:
         header.extend(_SWEEP_COLUMNS[output])
 
-    rows = []
-    for index, value in enumerate(spec.values):
+    points, cells = [], []
+    for value in spec.values:
         try:
             point = _point_config(cfg, spec.variable, value)
-            alpha = point.alpha
-            seed = _point_seed(spec.seed, index)
-            row = [int(value) if spec.variable in ("M", "b") else value]
-            for output in spec.outputs:
-                if output == "ergodic_cf":
-                    row.append(ergodic_rate(point, alpha))
-                elif output == "ergodic_mc":
-                    est = mc_ergodic_rate(point, alpha, seed=seed)
-                    row.extend([est.value, est.stderr])
-                elif output == "outage_cf":
-                    row.append(outage_probability(point, alpha))
-                elif output == "outage_mc":
-                    est = mc_outage(point, alpha, seed=seed)
-                    row.extend([est.value, est.stderr])
-                elif output == "effective":
-                    row.append(effective_rate(point, alpha))
-                elif output == "power":
-                    row.append(expected_power(point, alpha))
-                elif output == "alpha_star":
-                    row.append(optimize_alpha_ergodic(point).alpha_opt)
-                elif output == "alpha_dagger":
-                    row.append(effective_alpha_closed_form(point.r_v))
-            rows.append(row)
+            cells.append({o: _POINT_OUTPUTS[o](point) for o in spec.outputs if o not in _MC_OUTPUTS})
         except ValueError as exc:
             raise ValueError(f"sweep {spec.variable}={value:g}: {exc}") from exc
+        points.append(point)
+
+    if any(o in _MC_OUTPUTS for o in spec.outputs):
+        try:
+            estimates = mc_rate_and_outage([(p, p.alpha) for p in points], cfg.mc_samples, seed=spec.seed)
+        except ValueError as exc:
+            raise ValueError(f"sweep {spec.variable}={spec.values[0]:g}: {exc}") from exc
+        for point_cells, (rate, outage) in zip(cells, estimates):
+            point_cells["ergodic_mc"] = [rate.value, rate.stderr]
+            point_cells["outage_mc"] = [outage.value, outage.stderr]
+
+    rows = []
+    for value, point_cells in zip(spec.values, cells):
+        row = [int(value) if spec.variable in ("M", "b") else value]
+        for output in spec.outputs:
+            row.extend(point_cells[output])
+        rows.append(row)
     return _csv_table(header, rows)
 
 
@@ -429,8 +435,7 @@ def _cmd_compare(args) -> int:
 def _cmd_mc(args) -> int:
     cfg = _build_config(args)
     alpha = args.alpha if args.alpha is not None else cfg.alpha
-    rate = mc_ergodic_rate(cfg, alpha, seed=args.seed)
-    out = mc_outage(cfg, alpha, seed=args.seed)
+    [(rate, out)] = mc_rate_and_outage([(cfg, alpha)], cfg.mc_samples, seed=args.seed)
     header = [
         "alpha",
         "ergodic_cf_bits_per_s_hz",

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .channel import chunk_rngs, sample_batch
+from .channel import sample_batch
 from .config import SystemConfig, harvested_power_coefficient
+from .montecarlo import _gain_terms, _run_chunks
 from .ris import phase_error_stats
 
 __all__ = [
@@ -210,24 +211,13 @@ def approximation_diagnostics(
     nu1 = harvested_power_coefficient(cfg, alpha)
     if n is None:
         n = cfg.mc_samples
-    rho = cfg.rho_effective
-    sv2, sn2 = cfg.sigma_v2_mw, cfg.sigma_n2_mw
 
-    count = 0
-    s1_t = s2_t = 0.0  # running sums for x + y
-    s1_y = s2_y = 0.0
-    for rng, m in chunk_rngs(seed, n):
-        batch = sample_batch(cfg, rng, m)
-        re = batch.f_mag + np.sum(rho * batch.g_mag * batch.h_mag * np.cos(batch.phase_err), axis=1)
-        im = np.sum(rho * batch.g_mag * batch.h_mag * np.sin(batch.phase_err), axis=1)
-        x = nu1 * batch.h_p_mag**2 * (re**2 + im**2)
-        y = sv2 * np.sum(rho**2 * batch.g_mag**2, axis=1) + sn2
-        total = x + y
-        count += m
-        s1_t += float(total.sum())
-        s2_t += float((total**2).sum())
-        s1_y += float(y.sum())
-        s2_y += float((y**2).sum())
+    def one_chunk(rng, m):
+        hp2, amp, y = _gain_terms(cfg, sample_batch(cfg, rng, m))
+        total = nu1 * hp2 * amp + y  # numerator x plus noise y
+        return m, float(total.sum()), float((total**2).sum()), float(y.sum()), float((y**2).sum())
+
+    count, s1_t, s2_t, s1_y, s2_y = (sum(col) for col in zip(*_run_chunks(one_chunk, seed, n, 1)))
 
     def ratio(s1: float, s2: float) -> float:
         mean = s1 / count

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .ris import MAX_PHASE_BITS
+
 __all__ = [
     "ConfigError",
     "ConfigParseError",
@@ -83,6 +85,14 @@ def harvested_power_coefficient(cfg: "SystemConfig", alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return cfg.eta * alpha * cfg.p_p_mw / (1.0 - alpha)
+
+
+def _finite_in_mw(x_dbm: float) -> bool:
+    """True when x_dbm and its linear value 10^(x/10) mW are both finite."""
+    try:
+        return math.isfinite(x_dbm) and math.isfinite(dbm_to_linear(x_dbm))
+    except OverflowError:
+        return False
 
 
 def _as_tuple(value, M: int, default: float, name: str) -> tuple[float, ...]:
@@ -159,12 +169,12 @@ class SystemConfig:
                 raise ConfigValidationError(name, msg)
 
         for name in ("P_p_dbm", "sigma_v2_dbm", "sigma_n2_dbm", "P1_dbm", "P2_dbm"):
-            require(math.isfinite(getattr(self, name)), name, "must be finite")
+            require(_finite_in_mw(getattr(self, name)), name, "must be finite in dBm and in mW")
         require(0.0 < self.alpha < 1.0, "alpha", f"must lie in (0, 1), got {self.alpha}")
         require(0.0 < self.eta <= 1.0, "eta", f"must lie in (0, 1], got {self.eta}")
         require(self.tau_c > 0, "tau_c", "must be positive")
         require(self.epsilon > 0, "epsilon", "must be positive")
-        require(self.b >= 1, "b", "must be >= 1")
+        require(1 <= self.b <= MAX_PHASE_BITS, "b", f"must lie in [1, {MAX_PHASE_BITS}]")
         require(self.rho_max >= 0, "rho_max", "must be >= 0")
         require(self.d_p > 0, "d_p", "must be positive")
         require(self.d_f > 0, "d_f", "must be positive")
@@ -177,7 +187,7 @@ class SystemConfig:
         )
         require(self.r_v >= 0, "r_v", "must be >= 0")
         require(self.P_R_mw > 0, "P_R_mw", "must be positive")
-        require(self.quadrature_points >= 1, "quadrature_points", "must be >= 1")
+        require(self.quadrature_points >= 2, "quadrature_points", "must be >= 2")
         require(self.mc_samples >= 1, "mc_samples", "must be >= 1")
 
     # ---- unit conversions and derived coefficients -------------------------

@@ -4,12 +4,17 @@ Estimators stream over fixed-width chunks (see channel.CHUNK_SAMPLES);
 chunk i draws from SeedSequence((seed, i)) and per-chunk accumulators are
 merged in index order, so a given (cfg, alpha, n, seed) always produces the
 bit-identical estimate, with any number of workers.
+
+mc_rate_and_outage is the one rate/outage engine: it samples each chunk
+once for both estimates and for every requested point whose config draws
+alike. mc_ergodic_rate and mc_outage are single-point views of it.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +23,9 @@ from .config import SystemConfig, harvested_power_coefficient
 
 __all__ = [
     "Estimate",
+    "RateOutage",
     "simulate_sinr",
+    "mc_rate_and_outage",
     "mc_ergodic_rate",
     "mc_outage",
     "mc_moments_x",
@@ -35,13 +42,19 @@ class Estimate:
     seed: int
 
 
-def _sinr_batch(cfg: SystemConfig, batch: ChannelBatch, nu1: float) -> np.ndarray:
+def _gain_terms(cfg: SystemConfig, batch: ChannelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alpha-free SINR factors of a batch: (|h_p|^2, |received amplitude|^2, noise).
+
+    The SINR is nu1 * hp2 * amp / denom. Returning only these three vectors
+    lets the batch and its (n, M) intermediates be freed before the next
+    chunk is drawn.
+    """
     rho = cfg.rho_effective
     cascade = rho * batch.g_mag * batch.h_mag
     re = batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
     im = np.sum(cascade * np.sin(batch.phase_err), axis=1)
     denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
-    return nu1 * batch.h_p_mag**2 * (re**2 + im**2) / denom
+    return batch.h_p_mag**2, re**2 + im**2, denom
 
 
 def simulate_sinr(cfg: SystemConfig, draw: ChannelDraw, alpha: float) -> float:
@@ -57,7 +70,8 @@ def simulate_sinr(cfg: SystemConfig, draw: ChannelDraw, alpha: float) -> float:
         g_mag=np.atleast_2d(draw.g_mag),
         phase_err=np.atleast_2d(draw.phase_err),
     )
-    return float(_sinr_batch(cfg, batch, nu1)[0])
+    hp2, amp, denom = _gain_terms(cfg, batch)
+    return float((nu1 * hp2 * amp / denom)[0])
 
 
 def _run_chunks(chunk_fn, seed: int, n: int, workers: int) -> list:
@@ -82,6 +96,80 @@ def _merge_mean_var(parts: list[tuple[int, float, float]]) -> tuple[int, float, 
     return n, mean, m2
 
 
+class RateOutage(NamedTuple):
+    """Monte Carlo ergodic rate and outage probability at one (cfg, alpha) point."""
+
+    rate: Estimate
+    outage: Estimate
+
+
+def _draw_key(cfg: SystemConfig) -> tuple:
+    """Everything the sampler and _gain_terms read from a config.
+
+    Points with equal keys see identical draws and gain terms for a given
+    seed, so they share one pass. P_p_dbm, eta and alpha enter only through
+    nu1, and r_v only through the outage reducer; P_R_mw is not read at all.
+    """
+    return (
+        cfg.M,
+        cfg.b,
+        cfg.epsilon,
+        cfg.d_p,
+        cfg.d_f,
+        cfg.d_h,
+        cfg.d_g,
+        tuple(cfg.rho_effective),
+        cfg.sigma_v2_mw,
+        cfg.sigma_n2_mw,
+    )
+
+
+def mc_rate_and_outage(
+    points: Sequence[tuple[SystemConfig, float]],
+    n: int,
+    seed: int = 0,
+    workers: int = 1,
+) -> list[RateOutage]:
+    """Ergodic-rate and outage estimates at many (cfg, alpha) points in one pass.
+
+    Points whose configs draw alike (see _draw_key) share each chunk: it is
+    sampled once, its alpha-free gain terms are computed once, and every
+    point of the group then pays one SINR scaling and one log2. Each result
+    is bit-identical to mc_ergodic_rate / mc_outage at the same
+    (cfg, alpha, n, seed), whatever the grouping or worker count.
+    """
+    nu1s = [harvested_power_coefficient(cfg, alpha) for cfg, alpha in points]
+    if n < 100:
+        raise ValueError("n must be >= 100")
+    groups: dict[tuple, list[int]] = {}
+    for index, (cfg, _) in enumerate(points):
+        groups.setdefault(_draw_key(cfg), []).append(index)
+
+    results: list[RateOutage | None] = [None] * len(points)
+    for members in groups.values():
+        sampler_cfg = points[members[0]][0]
+
+        def one_chunk(rng, m, members=members, sampler_cfg=sampler_cfg):
+            hp2, amp, denom = _gain_terms(sampler_cfg, sample_batch(sampler_cfg, rng, m))
+            out = []
+            for i in members:
+                cfg, alpha = points[i]
+                rate = (1.0 - alpha) * np.log2(1.0 + nu1s[i] * hp2 * amp / denom)
+                mean = float(rate.mean())
+                m2 = float(((rate - mean) ** 2).sum())
+                out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
+            return out
+
+        chunks = _run_chunks(one_chunk, seed, n, workers)
+        for k, i in enumerate(members):
+            total, mean, m2 = _merge_mean_var([chunk[k][0] for chunk in chunks])
+            p = sum(chunk[k][1] for chunk in chunks) / n
+            rate = Estimate(value=mean, stderr=math.sqrt(m2 / (total - 1) / total), n=total, seed=seed)
+            outage = Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n, seed=seed)
+            results[i] = RateOutage(rate=rate, outage=outage)
+    return results
+
+
 def mc_ergodic_rate(
     cfg: SystemConfig,
     alpha: float,
@@ -90,19 +178,8 @@ def mc_ergodic_rate(
     workers: int = 1,
 ) -> Estimate:
     """Sample mean of (1-alpha) log2(1 + SINR) over n realizations."""
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    if n is None:
-        n = cfg.mc_samples
-    if n < 100:
-        raise ValueError("n must be >= 100")
-
-    def one_chunk(rng, m):
-        rate = (1.0 - alpha) * np.log2(1.0 + _sinr_batch(cfg, sample_batch(cfg, rng, m), nu1))
-        mean = float(rate.mean())
-        return m, mean, float(((rate - mean) ** 2).sum())
-
-    total, mean, m2 = _merge_mean_var(_run_chunks(one_chunk, seed, n, workers))
-    return Estimate(value=mean, stderr=math.sqrt(m2 / (total - 1) / total), n=total, seed=seed)
+    n = cfg.mc_samples if n is None else n
+    return mc_rate_and_outage([(cfg, alpha)], n, seed, workers)[0].rate
 
 
 def mc_outage(
@@ -113,19 +190,8 @@ def mc_outage(
     workers: int = 1,
 ) -> Estimate:
     """Fraction of realizations with (1-alpha) log2(1 + SINR) < r_v."""
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    if n is None:
-        n = cfg.mc_samples
-    if n < 100:
-        raise ValueError("n must be >= 100")
-
-    def one_chunk(rng, m):
-        rate = (1.0 - alpha) * np.log2(1.0 + _sinr_batch(cfg, sample_batch(cfg, rng, m), nu1))
-        return int(np.count_nonzero(rate < cfg.r_v))
-
-    outages = sum(_run_chunks(one_chunk, seed, n, workers))
-    p = outages / n
-    return Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n, seed=seed)
+    n = cfg.mc_samples if n is None else n
+    return mc_rate_and_outage([(cfg, alpha)], n, seed, workers)[0].outage
 
 
 def mc_moments_x(

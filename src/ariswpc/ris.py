@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
+    "MAX_PHASE_BITS",
     "PhaseErrorStats",
     "quantize_phase",
     "phase_error_stats",
@@ -15,6 +16,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+#: Largest supported phase resolution. From 28 bits on, the residual's
+#: moments equal those of ideal (continuous) phases to double precision, and
+#: far beyond it tau = pi*2^-b underflows to zero.
+MAX_PHASE_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -34,8 +40,8 @@ class PhaseErrorStats:
 
 
 def phase_error_stats(b: int) -> PhaseErrorStats:
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    if not 1 <= b <= MAX_PHASE_BITS:
+        raise ValueError(f"b must lie in [1, {MAX_PHASE_BITS}], got {b}")
     tau = math.pi * 2.0 ** (-b)
     e_cos = math.sin(tau) / tau
     e_cos2 = math.sin(2.0 * tau) / (4.0 * tau) + 0.5

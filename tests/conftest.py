@@ -1,8 +1,22 @@
 import pytest
 
-from ariswpc import SystemConfig
+from ariswpc import SystemConfig, montecarlo
 
 
 @pytest.fixture
 def default_cfg() -> SystemConfig:
     return SystemConfig()
+
+
+@pytest.fixture
+def sample_batch_sizes(monkeypatch) -> list[int]:
+    """Sizes of the sample_batch calls montecarlo makes during the test, in order."""
+    sizes = []
+    original = montecarlo.sample_batch
+
+    def counting(cfg, rng, n):
+        sizes.append(n)
+        return original(cfg, rng, n)
+
+    monkeypatch.setattr(montecarlo, "sample_batch", counting)
+    return sizes

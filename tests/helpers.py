@@ -3,15 +3,18 @@
 Everything here deliberately avoids the library's own evaluation paths:
 outage via scipy adaptive integration, Rayleigh moments via adaptive
 quadrature of the density, nearest-phase selection via plain enumeration,
-and derivatives via central finite differences.
+derivatives via central finite differences, and Monte Carlo rate and outage
+via a plain per-point chunk loop with the SINR written out in full.
 """
 import math
 
 import numpy as np
 from scipy import integrate, stats
 
-from ariswpc import SystemConfig, gamma_fit, harvested_power_coefficient
+from ariswpc import SystemConfig, gamma_fit, harvested_power_coefficient, sample_batch
+from ariswpc.channel import chunk_rngs
 from ariswpc.closedform import ergodic_terms
+from ariswpc.montecarlo import _merge_mean_var
 
 
 def adaptive_outage(cfg: SystemConfig, alpha: float) -> float:
@@ -57,3 +60,26 @@ def nearest_phase_enumerated(theta_star: float, b: int) -> float:
 
 def central_difference(f, x: float, h: float = 1e-6) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):
+    """(rate mean, rate stderr, outage probability) by one chunk loop per point.
+
+    Same chunk streams, arithmetic order and chunk merge as the library's
+    engine, so the results must agree bit for bit.
+    """
+    nu1 = harvested_power_coefficient(cfg, alpha)
+    rho = cfg.rho_effective
+    parts, outages = [], 0
+    for rng, m in chunk_rngs(seed, n):
+        batch = sample_batch(cfg, rng, m)
+        cascade = rho * batch.g_mag * batch.h_mag
+        re = batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
+        im = np.sum(cascade * np.sin(batch.phase_err), axis=1)
+        denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
+        rate = (1.0 - alpha) * np.log2(1.0 + nu1 * batch.h_p_mag**2 * (re**2 + im**2) / denom)
+        mean = float(rate.mean())
+        parts.append((m, mean, float(((rate - mean) ** 2).sum())))
+        outages += int(np.count_nonzero(rate < cfg.r_v))
+    total, mean, m2 = _merge_mean_var(parts)
+    return mean, math.sqrt(m2 / (total - 1) / total), outages / n

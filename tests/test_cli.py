@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from ariswpc import SystemConfig, replace_config
+from ariswpc import SystemConfig, mc_ergodic_rate, mc_outage, replace_config
 from ariswpc.cli import SweepSpec, compare_active_passive, main, reproduce_figure, run_sweep
 
 
@@ -214,3 +214,57 @@ class TestMainEntry:
         spec = SweepSpec(variable="M", values=(8.0, 12.5), outputs=("power",))
         with pytest.raises(ValueError, match="M=12.5"):
             run_sweep(SystemConfig(), spec)
+
+
+def _sci(x) -> str:
+    return f"{float(x):.8e}"
+
+
+class TestSharedDrawEngine:
+    def test_mc_command_equals_separate_estimators_and_draws_once(self, capsys, sample_batch_sizes):
+        argv = ["mc", "--samples", "40000", "--seed", "17", "--alpha", "0.3", "--set", "M=16"]
+        assert main(argv) == 0
+        header, rows = _parse(capsys.readouterr().out)
+        assert sample_batch_sizes == [16384, 16384, 7232]  # one draw per chunk for both estimators
+        cfg = replace_config(SystemConfig(), M=16)
+        rate = mc_ergodic_rate(cfg, 0.3, n=40_000, seed=17)
+        outage = mc_outage(cfg, 0.3, n=40_000, seed=17)
+        row = dict(zip(header, rows[0]))
+        assert row["ergodic_mc_bits_per_s_hz"] == _sci(rate.value)
+        assert row["ergodic_mc_stderr_bits_per_s_hz"] == _sci(rate.stderr)
+        assert row["outage_mc_prob"] == _sci(outage.value)
+        assert row["outage_mc_stderr_prob"] == _sci(outage.stderr)
+
+    @pytest.mark.parametrize(
+        "variable, values",
+        [
+            ("P_p_dbm", (0.0, 10.0, 20.0)),
+            ("alpha", (0.1, 0.419, 0.8)),
+            ("P_R_mw", (5.0, 10.0)),
+            ("M", (4.0, 16.0)),
+        ],
+    )
+    def test_sweep_mc_columns_equal_per_point_calls_at_root_seed(self, variable, values):
+        cfg = replace_config(SystemConfig(), mc_samples=20_000)
+        spec = SweepSpec(variable=variable, values=values, outputs=("ergodic_mc", "outage_mc"), seed=13)
+        header, rows = _parse(run_sweep(cfg, spec))
+        for value, row in zip(values, rows):
+            point = replace_config(cfg, **{variable: int(value) if variable == "M" else value})
+            rate = mc_ergodic_rate(point, point.alpha, n=20_000, seed=13)
+            outage = mc_outage(point, point.alpha, n=20_000, seed=13)
+            assert row[1:] == [_sci(rate.value), _sci(rate.stderr), _sci(outage.value), _sci(outage.stderr)]
+
+    def test_power_sweep_draws_each_chunk_once_for_all_points(self, sample_batch_sizes):
+        spec = SweepSpec(
+            variable="P_p_dbm",
+            values=(0, 5, 10, 15, 20, 25, 30),
+            outputs=("ergodic_cf", "ergodic_mc", "outage_cf", "outage_mc"),
+            seed=4,
+        )
+        run_sweep(replace_config(SystemConfig(), mc_samples=32_768), spec)
+        assert sample_batch_sizes == [16384, 16384]
+
+    def test_element_count_sweep_draws_once_per_point(self, sample_batch_sizes):
+        spec = SweepSpec(variable="M", values=(4, 8, 16), outputs=("ergodic_mc", "outage_mc"), seed=4)
+        run_sweep(replace_config(SystemConfig(), mc_samples=2000), spec)
+        assert sample_batch_sizes == [2000, 2000, 2000]

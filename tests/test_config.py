@@ -14,6 +14,7 @@ from ariswpc import (
     path_loss,
     replace_config,
 )
+from ariswpc.ris import MAX_PHASE_BITS
 
 
 class TestLoadConfig:
@@ -90,6 +91,14 @@ class TestValidation:
             ("tau_c", 0.0),
             ("r_v", -1.0),
             ("P_R_mw", 0.0),
+            ("quadrature_points", 1),
+            ("b", 1100),
+            ("b", MAX_PHASE_BITS + 1),
+            ("P_p_dbm", 1e6),
+            ("sigma_v2_dbm", 1e6),
+            ("sigma_n2_dbm", 1e6),
+            ("P1_dbm", 1e6),
+            ("P2_dbm", float("inf")),
         ],
     )
     def test_invariant_violations(self, field, value):
@@ -110,6 +119,10 @@ class TestValidation:
         cfg = SystemConfig(M=0)
         assert cfg.rho == ()
         assert cfg.zeta_h.shape == (0,)
+
+    @pytest.mark.parametrize("b", [16, MAX_PHASE_BITS])
+    def test_fine_phase_resolution_allowed(self, b):
+        assert SystemConfig(b=b).b == b
 
     def test_eta_one_allowed(self):
         assert SystemConfig(eta=1.0).eta == 1.0

@@ -12,9 +12,12 @@ from ariswpc import (
     mc_ergodic_rate,
     mc_moments_x,
     mc_outage,
+    mc_rate_and_outage,
     replace_config,
     simulate_sinr,
 )
+
+from helpers import mc_rate_outage_loop
 
 
 def _draw(M, h_p=1.0, f=1.0, h=1.0, g=1.0, phase=0.0):
@@ -111,6 +114,52 @@ class TestMcOutage:
         cfg = replace_config(default_cfg, M=16)
         est = mc_outage(cfg, 0.419, n=10**5, seed=5)
         assert abs(est.value - outage_probability(cfg, 0.419)) <= 0.03
+
+
+def _engine_points(cfg):
+    """Four points that draw alike (P_p, alpha, P_R, r_v vary) and two that do not."""
+    return [
+        (cfg, 0.419),
+        (replace_config(cfg, P_p_dbm=5.0), 0.419),
+        (cfg, 0.1),
+        (replace_config(cfg, P_R_mw=50.0, r_v=1.0), 0.6),
+        (replace_config(cfg, M=8), 0.419),
+        (replace_config(cfg, ris_mode=RisMode.PASSIVE), 0.419),
+    ]
+
+
+class TestMcRateAndOutage:
+    def test_each_point_equals_single_point_estimators(self, default_cfg):
+        points = _engine_points(default_cfg)
+        results = mc_rate_and_outage(points, n=40_000, seed=21)
+        assert len(results) == len(points)
+        for (cfg, alpha), (rate, outage) in zip(points, results):
+            assert rate == mc_ergodic_rate(cfg, alpha, n=40_000, seed=21)
+            assert outage == mc_outage(cfg, alpha, n=40_000, seed=21)
+
+    def test_matches_plain_chunk_loop(self, default_cfg):
+        points = _engine_points(default_cfg)
+        for (cfg, alpha), (rate, outage) in zip(points, mc_rate_and_outage(points, n=40_000, seed=26)):
+            assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, 40_000, 26)
+
+    def test_workers_do_not_change_result(self, default_cfg):
+        points = _engine_points(default_cfg)
+        solo = mc_rate_and_outage(points, n=60_000, seed=22, workers=1)
+        trio = mc_rate_and_outage(points, n=60_000, seed=22, workers=3)
+        assert solo == trio
+
+    def test_samples_each_chunk_once_per_draw_group(self, default_cfg, sample_batch_sizes):
+        mc_rate_and_outage(_engine_points(default_cfg), n=40_000, seed=23)
+        # 3 groups (shared, M=8, passive) x 3 chunks of 40000 samples
+        assert sample_batch_sizes == [16384, 16384, 7232] * 3
+
+    def test_rejects_tiny_n(self, default_cfg):
+        with pytest.raises(ValueError, match="n must be >= 100"):
+            mc_rate_and_outage([(default_cfg, 0.419)], n=10)
+
+    def test_rejects_bad_alpha(self, default_cfg):
+        with pytest.raises(ValueError, match="alpha"):
+            mc_rate_and_outage([(default_cfg, 0.419), (default_cfg, 1.0)], n=1000)
 
 
 class TestMcMomentsX:

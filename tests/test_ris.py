@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ariswpc import cascade_moment, phase_error_stats, quantize_phase
+from ariswpc.ris import MAX_PHASE_BITS
 
 from helpers import nearest_phase_enumerated, rayleigh_moment_quad
 
@@ -81,6 +82,12 @@ class TestPhaseErrorStats:
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):
             phase_error_stats(0)
+
+    def test_rejects_bits_beyond_cap(self):
+        # tau = pi*2^-b underflows to 0 near b = 1075; the cap keeps far clear of it
+        assert phase_error_stats(MAX_PHASE_BITS).e_cos == 1.0
+        with pytest.raises(ValueError, match="b must lie in"):
+            phase_error_stats(1100)
 
 
 class TestCascadeMoment:
