@@ -12,14 +12,14 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .closedform import effective_rate, ergodic_rate, outage_probability
-from .config import RisMode, SystemConfig, load_config_file, replace_config
+from .config import _KNOWN_KEYS, RisMode, SystemConfig, _coerce, load_config_file, replace_config
 from .montecarlo import mc_rate_and_outage
 from .optimize import (
     effective_alpha_closed_form,
@@ -45,17 +45,17 @@ SWEEP_OUTPUTS = (
 )
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
-_CONFIG_KEYS = {f.name for f in fields(SystemConfig)}
-
 _PP_GRID = tuple(range(0, 31, 2))       # dBm
 _RHO_GRID = tuple(np.arange(1.0, 6.01, 0.5))
 _M_GRID = tuple(range(4, 65, 4))
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return f"{float(value):.8e}"
 
@@ -182,36 +182,31 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
 # ---- figure data ------------------------------------------------------------
 
 
+def _pp_table(variants: dict[str, SystemConfig], metric, alpha: float) -> str:
+    """One column per variant: metric(variant at P_p, alpha) over the P_p grid."""
+    rows = [
+        [float(pp), *(metric(replace_config(v, P_p_dbm=float(pp)), alpha) for v in variants.values())]
+        for pp in _PP_GRID
+    ]
+    return _csv_table(["P_p_dbm", *variants], rows)
+
+
 def _fig2(cfg: SystemConfig) -> dict[str, str]:
-    alpha = cfg.alpha
     variants = {
         "ergodic_active_b1_bits_per_s_hz": replace_config(cfg, b=1, ris_mode=RisMode.ACTIVE),
         "ergodic_active_b4_bits_per_s_hz": replace_config(cfg, b=4, ris_mode=RisMode.ACTIVE),
         "ergodic_active_ideal_bits_per_s_hz": replace_config(cfg, b=16, ris_mode=RisMode.ACTIVE),
         "ergodic_passive_bits_per_s_hz": replace_config(cfg, ris_mode=RisMode.PASSIVE),
     }
-    rows = []
-    for pp in _PP_GRID:
-        row = [float(pp)]
-        for variant in variants.values():
-            row.append(ergodic_rate(replace_config(variant, P_p_dbm=float(pp)), alpha))
-        rows.append(row)
-    return {"fig2_ergodic_vs_pp.csv": _csv_table(["P_p_dbm", *variants], rows)}
+    return {"fig2_ergodic_vs_pp.csv": _pp_table(variants, ergodic_rate, cfg.alpha)}
 
 
 def _fig3(cfg: SystemConfig) -> dict[str, str]:
-    alpha = cfg.alpha
     variants = {}
     for m in (16, 32):
         variants[f"outage_active_m{m}_prob"] = replace_config(cfg, M=m, ris_mode=RisMode.ACTIVE)
         variants[f"outage_passive_m{m}_prob"] = replace_config(cfg, M=m, ris_mode=RisMode.PASSIVE)
-    rows = []
-    for pp in _PP_GRID:
-        row = [float(pp)]
-        for variant in variants.values():
-            row.append(outage_probability(replace_config(variant, P_p_dbm=float(pp)), alpha))
-        rows.append(row)
-    return {"fig3_outage_vs_pp.csv": _csv_table(["P_p_dbm", *variants], rows)}
+    return {"fig3_outage_vs_pp.csv": _pp_table(variants, outage_probability, cfg.alpha)}
 
 
 def _fig4(cfg: SystemConfig) -> dict[str, str]:
@@ -245,13 +240,9 @@ def _fig5(cfg: SystemConfig) -> dict[str, str]:
         [rho, expected_power(replace_config(cfg, rho=rho, rho_max=max(cfg.rho_max, rho)), alpha)]
         for rho in _RHO_GRID
     ]
-    pp_rows = [
-        [float(pp), expected_power(replace_config(cfg, P_p_dbm=float(pp)), alpha)]
-        for pp in _PP_GRID
-    ]
     return {
         "fig5_power_vs_rho.csv": _csv_table(["rho_gain", "expected_power_mw"], rho_rows),
-        "fig5_power_vs_pp.csv": _csv_table(["P_p_dbm", "expected_power_mw"], pp_rows),
+        "fig5_power_vs_pp.csv": _pp_table({"expected_power_mw": cfg}, expected_power, alpha),
     }
 
 
@@ -306,12 +297,7 @@ def compare_active_passive(cfg: SystemConfig) -> str:
         "effective_rate_bits_per_s_hz",
         "expected_power_mw",
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row[0], *[_fmt(v) for v in row[1:]]])
-    return buf.getvalue()
+    return _csv_table(header, rows)
 
 
 # ---- argument handling -------------------------------------------------------
@@ -325,17 +311,9 @@ def _build_config(args) -> SystemConfig:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        raw = raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KNOWN_KEYS:
             raise ValueError(f"unknown config key: {key!r}")
-        if key == "ris_mode":
-            overrides[key] = raw
-        elif key in ("M", "b", "quadrature_points", "mc_samples"):
-            overrides[key] = int(raw)
-        elif "," in raw:
-            overrides[key] = tuple(float(v) for v in raw.split(","))
-        else:
-            overrides[key] = float(raw)
+        overrides[key] = _coerce(key, raw)
     if args.samples is not None:
         overrides["mc_samples"] = args.samples
     if args.quadrature_points is not None:
@@ -377,25 +355,20 @@ def _fmt_opt_rows(cfg, args):
         "alpha_closed_form",
         "expected_power_mw",
     ]
-    rows = []
-    for name, res in runs:
-        rows.append(
-            [
-                name,
-                _fmt(res.alpha_opt),
-                _fmt(res.objective_value),
-                res.binding.value,
-                str(res.iterations),
-                _fmt(res.residual),
-                _fmt(res.alpha_closed_form) if res.alpha_closed_form is not None else "",
-                _fmt(expected_power(cfg, res.alpha_opt)),
-            ]
-        )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows = [
+        [
+            name,
+            res.alpha_opt,
+            res.objective_value,
+            res.binding.value,
+            res.iterations,
+            res.residual,
+            res.alpha_closed_form,
+            expected_power(cfg, res.alpha_opt),
+        ]
+        for name, res in runs
+    ]
+    return _csv_table(header, rows)
 
 
 def _cmd_sweep(args) -> int:

@@ -88,11 +88,15 @@ def harvested_power_coefficient(cfg: "SystemConfig", alpha: float) -> float:
 
 
 def _finite_in_mw(x_dbm: float) -> bool:
-    """True when x_dbm and its linear value 10^(x/10) mW are both finite."""
+    """True when x_dbm is finite and its linear value 10^(x/10) mW is finite and above 0."""
     try:
-        return math.isfinite(x_dbm) and math.isfinite(dbm_to_linear(x_dbm))
+        return math.isfinite(x_dbm) and 0.0 < dbm_to_linear(x_dbm) < math.inf
     except OverflowError:
         return False
+
+
+# Fields that must hold whole numbers, in the order they are validated.
+_INT_KEYS = ("M", "b", "quadrature_points", "mc_samples")
 
 
 def _as_tuple(value, M: int, default: float, name: str) -> tuple[float, ...]:
@@ -119,7 +123,6 @@ class SystemConfig:
 
     P_p_dbm: float = 20.0        # power hub transmit power
     eta: float = 0.8             # rectenna RF->DC efficiency, (0, 1]
-    tau_c: float = 1.0           # communication interval, s (normalized)
     alpha: float = 0.1           # time-switching factor, (0, 1)
     M: int = 36                  # number of RIS elements (0 = no RIS)
     rho: float | Sequence[float] | None = None   # per-element amplification
@@ -141,7 +144,7 @@ class SystemConfig:
     mc_samples: int = 10**5
 
     def __post_init__(self):
-        for name in ("M", "b", "quadrature_points", "mc_samples"):
+        for name in _INT_KEYS:
             v = getattr(self, name)
             if not float(v).is_integer():
                 raise ConfigValidationError(name, f"must be an integer, got {v}")
@@ -169,10 +172,11 @@ class SystemConfig:
                 raise ConfigValidationError(name, msg)
 
         for name in ("P_p_dbm", "sigma_v2_dbm", "sigma_n2_dbm", "P1_dbm", "P2_dbm"):
-            require(_finite_in_mw(getattr(self, name)), name, "must be finite in dBm and in mW")
+            require(
+                _finite_in_mw(getattr(self, name)), name, "must be finite in dBm, and finite and above 0 in mW"
+            )
         require(0.0 < self.alpha < 1.0, "alpha", f"must lie in (0, 1), got {self.alpha}")
         require(0.0 < self.eta <= 1.0, "eta", f"must lie in (0, 1], got {self.eta}")
-        require(self.tau_c > 0, "tau_c", "must be positive")
         require(self.epsilon > 0, "epsilon", "must be positive")
         require(1 <= self.b <= MAX_PHASE_BITS, "b", f"must lie in [1, {MAX_PHASE_BITS}]")
         require(self.rho_max >= 0, "rho_max", "must be >= 0")
@@ -248,7 +252,6 @@ class SystemConfig:
 
 # ---- config document parsing ------------------------------------------------
 
-_INT_KEYS = {"M", "b", "quadrature_points", "mc_samples"}
 _LIST_KEYS = {"rho", "d_h", "d_g"}
 _STR_KEYS = {"ris_mode"}
 _KNOWN_KEYS = {f.name for f in fields(SystemConfig)}

@@ -1,14 +1,14 @@
 """Time-switching-factor optimizers for the ergodic and effective rates.
 
-The ergodic rate is strictly unimodal in alpha (its derivative is a
-strictly decreasing function of the effective SNR), so the interior
-optimum is the unique root of the analytic derivative, found by
-bisection. The effective rate is maximized numerically (coarse grid plus
-golden-section refinement) and reported alongside its closed-form
-candidate 1/(ln 2 * r_v + 1). Power-constrained variants apply the KKT
-case split: keep the interior optimum when it is feasible, otherwise
-return the budget boundary inverse_power(P_R); a grid re-check warns if
-the restricted objective is not maximized at the returned point.
+The ergodic rate (1-alpha) log2(1 + K alpha/(1-alpha)) is the
+harvest-then-transmit objective of Ju & Zhang (IEEE TWC 2014), whose
+unique interior maximizer has a Lambert-W closed form. The effective rate
+is maximized numerically (coarse grid plus golden-section refinement) and
+reported alongside its closed-form candidate 1/(ln 2 * r_v + 1).
+Power-constrained variants apply the KKT case split: keep the interior
+optimum when it is feasible, otherwise return the budget boundary
+inverse_power(P_R); a grid re-check warns if the restricted objective is
+not maximized at the returned point.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import lambertw
 
 from .closedform import effective_rate, ergodic_rate, ergodic_terms
 from .config import SystemConfig
@@ -46,7 +47,7 @@ class Binding(str, Enum):
 
 
 class NoInteriorMaximumError(RuntimeError):
-    """The rate derivative has no sign change on (0, 1)."""
+    """The rate has no maximum strictly inside the search interval."""
 
 
 @dataclass(frozen=True)
@@ -69,40 +70,41 @@ class OptResult:
 
 
 def ergodic_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
-    """d/d alpha of the closed-form ergodic rate, bits/s/Hz per unit alpha."""
+    """d/d alpha of the closed-form ergodic rate, bits/s/Hz per unit alpha.
+
+    With K = t7/t6 and z = K alpha/(1-alpha) it is
+    (K/((1-alpha)(1+z)) - ln(1+z)) / ln 2.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     t = ergodic_terms(cfg)
-    z = t.t7 * alpha / (t.t6 * (1.0 - alpha))
-    slope = (1.0 - alpha) * (
-        t.t7 * alpha / (t.t6 * (1.0 - alpha) ** 2) + t.t7 / (t.t6 * (1.0 - alpha))
-    )
-    return (slope / (z + 1.0) - math.log(z + 1.0)) / math.log(2.0)
+    k = t.t7 / t.t6
+    z = k * alpha / (1.0 - alpha)
+    return (k / ((1.0 - alpha) * (1.0 + z)) - math.log1p(z)) / math.log(2.0)
 
 
-def optimize_alpha_ergodic(cfg: SystemConfig, tol: float = 1e-9) -> OptResult:
-    """Interior maximizer of the ergodic rate via bisection on the derivative."""
-    lo, hi = _ALPHA_LO, _ALPHA_HI
-    d_lo, d_hi = ergodic_rate_derivative(cfg, lo), ergodic_rate_derivative(cfg, hi)
-    if not (d_lo > 0.0 > d_hi):
+def optimize_alpha_ergodic(cfg: SystemConfig) -> OptResult:
+    """Interior maximizer of the ergodic rate in closed form.
+
+    With K = t7/t6, the root of the derivative is alpha* = (z-1)/(K+z-1)
+    where z = exp(1 + W((K-1)/e)) and W is the principal Lambert-W branch;
+    at K = 1 this is 1 - 1/e. iterations is 0 and residual is the
+    derivative at alpha*.
+    """
+    t = ergodic_terms(cfg)
+    k = t.t7 / t.t6
+    z = math.exp(1.0 + lambertw((k - 1.0) / math.e).real)
+    alpha = (z - 1.0) / (k + z - 1.0)
+    if not _ALPHA_LO < alpha < _ALPHA_HI:
         raise NoInteriorMaximumError(
-            f"derivative does not change sign on ({lo}, {hi}): "
-            f"d({lo})={d_lo:.3e}, d({hi})={d_hi:.3e}"
+            f"the ergodic rate has no interior maximum on ({_ALPHA_LO}, {_ALPHA_HI}): "
+            f"the stationary point is alpha={alpha:.3e} (K={k:.3e})"
         )
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ergodic_rate_derivative(cfg, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    alpha = 0.5 * (lo + hi)
     return OptResult(
         alpha_opt=alpha,
         objective_value=ergodic_rate(cfg, alpha),
         binding=Binding.INTERIOR,
-        iterations=iterations,
+        iterations=0,
         residual=abs(ergodic_rate_derivative(cfg, alpha)),
     )
 
@@ -138,6 +140,8 @@ def optimize_alpha_effective(cfg: SystemConfig, tol: float = 1e-7) -> OptResult:
 
     The two are reported side by side and deliberately not reconciled: the
     closed form comes from a single-term surrogate of the outage integral.
+    Raises NoInteriorMaximumError when the coarse grid peaks at either end,
+    which includes an objective that is flat (all zero) over the grid.
     """
     closed = effective_alpha_closed_form(cfg.r_v)
 
@@ -147,8 +151,12 @@ def optimize_alpha_effective(cfg: SystemConfig, tol: float = 1e-7) -> OptResult:
     grid = np.linspace(_ALPHA_LO, _ALPHA_HI, 401)
     values = [objective(a) for a in grid]
     i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    if i in (0, len(grid) - 1):
+        raise NoInteriorMaximumError(
+            f"the effective rate peaks at the end alpha={grid[i]:.6g} of the search grid "
+            f"(value {values[i]:.3e}); it has no interior maximum"
+        )
+    lo, hi = grid[i - 1], grid[i + 1]
     alpha, iterations = _golden_max(objective, lo, hi, tol)
     return OptResult(
         alpha_opt=float(alpha),

@@ -75,19 +75,20 @@ def expected_power(cfg: SystemConfig, alpha: float, mode: str = "nominal") -> fl
 def instantaneous_power(
     cfg: SystemConfig, draw: ChannelDraw, alpha: float, mode: str = "nominal"
 ) -> float:
-    """Consumption for one channel realization, mW."""
-    _check_mode(mode)
+    """Consumption for one channel realization, mW.
+
+    The expected model with its amplified-signal term taken per draw:
+    |h_m|^2 in place of zeta_h, and |h_p|^2 in place of zeta_p in physical mode.
+    """
+    model = power_model(cfg, mode)
     if len(draw.h_mag) != cfg.M:
         raise ValueError(f"draw.h_mag has length {len(draw.h_mag)}, expected M={cfg.M}")
     nu1 = harvested_power_coefficient(cfg, alpha)
-    static = cfg.M * (cfg.p1_mw + cfg.p2_mw)
-    if cfg.ris_mode is RisMode.PASSIVE:
-        return static
-    rho = cfg.rho_effective
-    scale = draw.h_p_mag**2 if mode == "physical" else 1.0
-    amp_signal = nu1 * scale * float(np.sum(rho**2 * draw.h_mag**2))
-    amp_noise = cfg.sigma_v2_mw * float(np.sum(rho**2))
-    return amp_signal + amp_noise + static
+    amp_signal = 0.0
+    if cfg.ris_mode is RisMode.ACTIVE:
+        scale = draw.h_p_mag**2 if mode == "physical" else 1.0
+        amp_signal = nu1 * scale * float(np.sum(cfg.rho_effective**2 * draw.h_mag**2))
+    return amp_signal + model.amp_noise_term + model.static_term
 
 
 def inverse_power(cfg: SystemConfig, P_R: float, mode: str = "nominal") -> float:

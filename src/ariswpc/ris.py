@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
@@ -51,17 +50,21 @@ def phase_error_stats(b: int) -> PhaseErrorStats:
 def quantize_phase(theta_star: float, b: int) -> float:
     """Nearest b-bit phase to theta_star in circular distance.
 
-    The grid is {0, 2pi/2^b, ..., (2^b-1)*2pi/2^b}. Distance ties (exact to
-    within fp tolerance) are broken toward the smaller phase value.
+    The grid is {0, 2pi/2^b, ..., (2^b-1)*2pi/2^b}; only the two grid
+    neighbours of theta_star mod 2pi are compared, so the cost does not grow
+    with b. Distance ties (exact to within fp tolerance) are broken toward
+    the smaller phase value.
     """
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    if not 1 <= b <= MAX_PHASE_BITS:
+        raise ValueError(f"b must lie in [1, {MAX_PHASE_BITS}], got {b}")
     levels = 1 << b
-    grid = _TWO_PI * np.arange(levels) / levels
-    diff = np.mod(theta_star - grid + math.pi, _TWO_PI) - math.pi
-    dist = np.abs(diff)
-    winners = np.flatnonzero(dist <= dist.min() + 1e-12)
-    return float(grid[winners[0]])
+    k = math.floor((theta_star % _TWO_PI) / (_TWO_PI / levels))
+    low, high = sorted((k % levels, (k + 1) % levels))
+
+    def dist(i: int) -> float:
+        return abs((theta_star - _TWO_PI * i / levels + math.pi) % _TWO_PI - math.pi)
+
+    return _TWO_PI * (high if dist(low) > dist(high) + 1e-12 else low) / levels
 
 
 def cascade_moment(n: int, rho_m: float, zeta_g: float, zeta_h: float) -> float:

@@ -3,13 +3,14 @@
 Everything here deliberately avoids the library's own evaluation paths:
 outage via scipy adaptive integration, Rayleigh moments via adaptive
 quadrature of the density, nearest-phase selection via plain enumeration,
-derivatives via central finite differences, and Monte Carlo rate and outage
-via a plain per-point chunk loop with the SINR written out in full.
+derivatives via central finite differences, the ergodic optimum via a
+bracketing root-finder, and Monte Carlo rate and outage via a plain
+per-point chunk loop with the SINR written out in full.
 """
 import math
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from ariswpc import SystemConfig, gamma_fit, harvested_power_coefficient, sample_batch
 from ariswpc.channel import chunk_rngs
@@ -60,6 +61,21 @@ def nearest_phase_enumerated(theta_star: float, b: int) -> float:
 
 def central_difference(f, x: float, h: float = 1e-6) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def ergodic_alpha_brentq(cfg: SystemConfig) -> float:
+    """Root of d/d alpha [(1-alpha) ln(1 + K alpha/(1-alpha))] by scipy brentq.
+
+    K = eta P_p (t1 + t2 t3 + t4 + t5) / t6, and the derivative is written
+    as K/(1 - alpha + K alpha) - ln(1 + K alpha/(1-alpha)).
+    """
+    t = ergodic_terms(cfg)
+    k = cfg.eta * cfg.p_p_mw * (t.t1 + t.t2 * t.t3 + t.t4 + t.t5) / t.t6
+
+    def slope(alpha):
+        return k / (1.0 - alpha + k * alpha) - math.log1p(k * alpha / (1.0 - alpha))
+
+    return optimize.brentq(slope, 1e-6, 1.0 - 1e-6, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
 def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):

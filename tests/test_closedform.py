@@ -11,7 +11,6 @@ from ariswpc import (
     ergodic_rate,
     ergodic_terms,
     gamma_fit,
-    harvested_power_coefficient,
     mc_outage,
     outage_probability,
     replace_config,
@@ -58,12 +57,6 @@ class TestErgodicTerms:
         se_den = math.sqrt((s_den2 / n - mean_den**2) / n)
         assert abs(mean_num - (t.t1 + t.t2 * t.t3 + t.t4 + t.t5)) <= 3 * se_num
         assert abs(mean_den - t.t6) <= 3 * se_den
-
-    def test_nu1_uses_config_alpha(self, default_cfg):
-        t = ergodic_terms(default_cfg)
-        assert t.nu1 == pytest.approx(
-            harvested_power_coefficient(default_cfg, default_cfg.alpha), rel=1e-14
-        )
 
     def test_positive_for_nondegenerate_config(self, default_cfg):
         t = ergodic_terms(default_cfg)

@@ -88,7 +88,6 @@ class TestValidation:
             ("b", 0),
             ("mc_samples", 0),
             ("quadrature_points", 0),
-            ("tau_c", 0.0),
             ("r_v", -1.0),
             ("P_R_mw", 0.0),
             ("quadrature_points", 1),
@@ -97,6 +96,8 @@ class TestValidation:
             ("P_p_dbm", 1e6),
             ("sigma_v2_dbm", 1e6),
             ("sigma_n2_dbm", 1e6),
+            ("sigma_n2_dbm", -4000.0),
+            ("P_p_dbm", -4000.0),
             ("P1_dbm", 1e6),
             ("P2_dbm", float("inf")),
         ],

@@ -23,7 +23,7 @@ from ariswpc import (
 from ariswpc.closedform import ergodic_terms
 from ariswpc.optimize import _golden_max
 
-from helpers import central_difference
+from helpers import central_difference, ergodic_alpha_brentq
 
 
 class TestErgodicDerivative:
@@ -77,6 +77,24 @@ class TestOptimizeErgodic:
         cfg = replace_config(default_cfg, P_p_dbm=-300.0)
         with pytest.raises(NoInteriorMaximumError):
             optimize_alpha_ergodic(cfg)
+
+    @pytest.mark.parametrize("ris_mode", ["active", "passive"])
+    @pytest.mark.parametrize("p_p_dbm", np.arange(-100.0, 81.0, 5.0))
+    def test_closed_form_is_the_derivative_root(self, default_cfg, ris_mode, p_p_dbm):
+        cfg = replace_config(default_cfg, P_p_dbm=float(p_p_dbm), ris_mode=ris_mode)
+        res = optimize_alpha_ergodic(cfg)
+        assert res.iterations == 0
+        assert res.residual == abs(ergodic_rate_derivative(cfg, res.alpha_opt))
+        assert res.residual <= 1e-10
+        assert abs(res.alpha_opt - ergodic_alpha_brentq(cfg)) <= 1e-9
+
+    def test_unit_snr_ratio_gives_one_minus_inverse_e(self, default_cfg):
+        # at K = t7/t6 = 1 the equivalent form z = (K-1)/W((K-1)/e) would be 0/0
+        t = ergodic_terms(default_cfg)
+        cfg = replace_config(default_cfg, P_p_dbm=default_cfg.P_p_dbm - 10.0 * math.log10(t.t7 / t.t6))
+        t = ergodic_terms(cfg)
+        assert t.t7 / t.t6 == pytest.approx(1.0, rel=1e-12)
+        assert optimize_alpha_ergodic(cfg).alpha_opt == pytest.approx(1.0 - 1.0 / math.e, abs=1e-10)
 
 
 class TestOptimizeErgodicConstrained:
@@ -142,6 +160,15 @@ class TestOptimizeEffective:
         res = optimize_alpha_effective(default_cfg)
         assert res.alpha_closed_form is not None
         assert 0.0 < res.alpha_opt < 1.0
+
+    @pytest.mark.parametrize("changes", [{"r_v": 50.0}, {"P_p_dbm": -60.0}])
+    def test_degenerate_objective_raises(self, default_cfg, changes):
+        # the effective rate is 0 on the whole grid: no alpha is better than another
+        cfg = replace_config(default_cfg, **changes)
+        with pytest.raises(NoInteriorMaximumError):
+            optimize_alpha_effective(cfg)
+        with pytest.raises(NoInteriorMaximumError):
+            optimize_alpha_effective_constrained(cfg, 1e6)
 
     def test_numeric_maximizer_matches_dense_grid(self, default_cfg):
         res = optimize_alpha_effective(default_cfg)

@@ -43,6 +43,20 @@ class TestQuantizePhase:
         with pytest.raises(ValueError):
             quantize_phase(0.3, 0)
 
+    def test_finest_resolution(self):
+        # 2^32 levels: the cost must not grow with the grid size
+        levels = 2**MAX_PHASE_BITS
+        step = 2.0 * math.pi / levels
+        assert quantize_phase(0.3, MAX_PHASE_BITS) == 2.0 * math.pi * round(0.3 / step) / levels
+        rng = np.random.default_rng(40)
+        for theta in rng.uniform(-10.0, 10.0, 300):
+            delta = (theta - quantize_phase(theta, MAX_PHASE_BITS)) % (2.0 * math.pi)
+            assert min(delta, 2.0 * math.pi - delta) <= step / 2.0 + 1e-12
+
+    def test_rejects_bits_beyond_cap(self):
+        with pytest.raises(ValueError, match="b must lie in"):
+            quantize_phase(0.3, MAX_PHASE_BITS + 1)
+
 
 class TestPhaseErrorStats:
     def test_one_bit(self):
