@@ -81,9 +81,15 @@ def chunk_rngs(seed: int, n: int, chunk: int = CHUNK_SAMPLES):
 
 
 def rayleigh_magnitudes(rng: np.random.Generator, zeta, size) -> np.ndarray:
-    """Draw |h| with E{|h|^2} = zeta (zeta may broadcast over the last axis)."""
-    scale = np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
-    return rng.rayleigh(scale=scale, size=size)
+    """Draw |h| with E{|h|^2} = zeta (zeta may broadcast over the last axis).
+
+    A unit Rayleigh draw scaled in place by sqrt(zeta/2) is bit-identical to
+    rng.rayleigh(scale=sqrt(zeta/2), size=size) and skips numpy's per-element
+    broadcast of the scale.
+    """
+    magnitudes = rng.rayleigh(size=size)
+    magnitudes *= np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
+    return magnitudes
 
 
 def sample_batch(cfg: SystemConfig, rng: np.random.Generator, n: int) -> ChannelBatch:

@@ -4,7 +4,8 @@ Subcommands: sweep, figure, optimize, compare, mc. All output is CSV with
 unit-carrying headers and fixed scientific formatting (9 significant
 digits), so identical seeds and flags reproduce byte-identical files.
 Precedence of settings: built-in defaults < --config file < --set KEY=VALUE
-< dedicated flags (--samples, --quadrature-points).
+< dedicated flags (--samples, --quadrature-points). Monte Carlo chunks run
+on one thread per usable CPU (fewer at large M); that never changes the output.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .closedform import effective_rate, ergodic_rate, outage_probability
 from .config import _KNOWN_KEYS, RisMode, SystemConfig, _coerce, load_config_file, replace_config
-from .montecarlo import mc_rate_and_outage
+from .montecarlo import _default_workers, mc_rate_and_outage
 from .optimize import (
     effective_alpha_closed_form,
     optimize_alpha_effective,
@@ -146,7 +147,9 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
     mc_rate_and_outage call at the sweep's root seed: each point's MC columns
     equal mc_ergodic_rate / mc_outage(point, point.alpha, seed=spec.seed) bit
     for bit, and points whose draws do not depend on the swept value share
-    their samples (common random numbers).
+    their samples (common random numbers). Chunks run on as many threads as
+    montecarlo._default_workers allows for the largest M; that does not
+    change the result.
     """
     header = [_SWEEP_HEADER_FIRST[spec.variable]]
     for output in spec.outputs:
@@ -163,7 +166,12 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
 
     if any(o in _MC_OUTPUTS for o in spec.outputs):
         try:
-            estimates = mc_rate_and_outage([(p, p.alpha) for p in points], cfg.mc_samples, seed=spec.seed)
+            estimates = mc_rate_and_outage(
+                [(p, p.alpha) for p in points],
+                cfg.mc_samples,
+                seed=spec.seed,
+                workers=_default_workers(max(p.M for p in points)),
+            )
         except ValueError as exc:
             raise ValueError(f"sweep {spec.variable}={spec.values[0]:g}: {exc}") from exc
         for point_cells, (rate, outage) in zip(cells, estimates):
@@ -212,7 +220,8 @@ def _fig3(cfg: SystemConfig) -> dict[str, str]:
 def _fig4(cfg: SystemConfig) -> dict[str, str]:
     alpha_star = optimize_alpha_ergodic(cfg).alpha_opt
     alpha_dagger = effective_alpha_closed_form(cfg.r_v)
-    grid = sorted(set(np.linspace(0.01, 0.99, 99)) | {alpha_star, alpha_dagger})
+    marked = {alpha_star} if alpha_dagger is None else {alpha_star, alpha_dagger}
+    grid = sorted(set(np.linspace(0.01, 0.99, 99)) | marked)
     rows = []
     for a in grid:
         rows.append(
@@ -408,7 +417,9 @@ def _cmd_compare(args) -> int:
 def _cmd_mc(args) -> int:
     cfg = _build_config(args)
     alpha = args.alpha if args.alpha is not None else cfg.alpha
-    [(rate, out)] = mc_rate_and_outage([(cfg, alpha)], cfg.mc_samples, seed=args.seed)
+    [(rate, out)] = mc_rate_and_outage(
+        [(cfg, alpha)], cfg.mc_samples, seed=args.seed, workers=_default_workers(cfg.M)
+    )
     header = [
         "alpha",
         "ergodic_cf_bits_per_s_hz",

@@ -182,12 +182,12 @@ def outage_probability(
     # of the Jacobian is folded into t^s below
     log_weights = np.log((np.pi**2 / (2.0 * U * root_s)) * np.sqrt(1.0 - x**2) / np.cos(ang) ** 2)
 
-    # the outermost nodes overflow t or c / t^2 to inf; their terms are exp(-inf) = 0
+    # the outermost nodes overflow t, t / r or c / t^2 to inf; their terms are exp(-inf) = 0
     with np.errstate(over="ignore"):
-        t = np.exp(log_t)
+        t_over_r = np.exp(log_t) / fit.r
         suppression = np.exp(log_c - 2.0 * log_t)  # c / t^2
     log_terms = (
-        log_weights + fit.s * log_t - t / fit.r - fit.s * math.log(fit.r) - gammaln(fit.s)
+        log_weights + fit.s * log_t - t_over_r - fit.s * math.log(fit.r) - gammaln(fit.s)
         - suppression
     )
     integral = float(np.sum(np.exp(log_terms)))

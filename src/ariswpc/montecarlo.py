@@ -12,13 +12,15 @@ alike. mc_ergodic_rate and mc_outage are single-point views of it.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelBatch, ChannelDraw, chunk_rng, chunk_sizes, sample_batch
+from .channel import CHUNK_SAMPLES, ChannelBatch, ChannelDraw, chunk_rng, chunk_sizes, sample_batch
 from .config import SystemConfig, harvested_power_coefficient
 
 __all__ = [
@@ -42,18 +44,50 @@ class Estimate:
     seed: int
 
 
+#: Rows of a chunk the SINR kernel processes at a time. Each (rows, M)
+#: temporary is then about 147 KB at M=36, so the kernel's working set stays
+#: in a core's L2 cache. Each row is summed on its own, so estimates do not
+#: depend on the tile size.
+_TILE_ROWS = 512
+
+
+def _row_sums(cfg: SystemConfig, batch: ChannelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-draw sums over the RIS elements, walked in tiles of _TILE_ROWS rows.
+
+    Returns the in-phase amplitude X = |f| + sum rho|g||h| cos(phase error),
+    the quadrature sum sum rho|g||h| sin(phase error) and sum rho^2 |g|^2.
+    The batch is only read.
+    """
+    rho = cfg.rho_effective
+    rho2 = rho**2
+    n = len(batch.f_mag)
+    in_phase, quadrature, gain2 = np.empty(n), np.empty(n), np.empty(n)
+    for start in range(0, n, _TILE_ROWS):
+        rows = slice(start, start + _TILE_ROWS)
+        g, phase = batch.g_mag[rows], batch.phase_err[rows]
+        cascade = rho * g
+        cascade *= batch.h_mag[rows]
+        term = np.cos(phase)
+        term *= cascade
+        np.sum(term, axis=1, out=in_phase[rows])
+        in_phase[rows] += batch.f_mag[rows]
+        np.sin(phase, out=term)
+        term *= cascade
+        np.sum(term, axis=1, out=quadrature[rows])
+        np.square(g, out=term)
+        term *= rho2
+        np.sum(term, axis=1, out=gain2[rows])
+    return in_phase, quadrature, gain2
+
+
 def _gain_terms(cfg: SystemConfig, batch: ChannelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alpha-free SINR factors of a batch: (|h_p|^2, |received amplitude|^2, noise).
 
     The SINR is nu1 * hp2 * amp / denom. Returning only these three vectors
-    lets the batch and its (n, M) intermediates be freed before the next
-    chunk is drawn.
+    lets the batch be freed before the next chunk is drawn.
     """
-    rho = cfg.rho_effective
-    cascade = rho * batch.g_mag * batch.h_mag
-    re = batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
-    im = np.sum(cascade * np.sin(batch.phase_err), axis=1)
-    denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
+    re, im, gain2 = _row_sums(cfg, batch)
+    denom = cfg.sigma_v2_mw * gain2 + cfg.sigma_n2_mw
     return batch.h_p_mag**2, re**2 + im**2, denom
 
 
@@ -74,14 +108,71 @@ def simulate_sinr(cfg: SystemConfig, draw: ChannelDraw, alpha: float) -> float:
     return float((nu1 * hp2 * amp / denom)[0])
 
 
+# Thread pools by thread count, created on first use and kept for the life of
+# the process. A pool per call would start new threads each time; glibc gives
+# a thread that starts while another is still exiting a new malloc arena, and
+# each arena keeps the pages of the chunk batches it served, so peak memory
+# grew by a batch (14 MB at M=36) every few hundred calls.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _forget_pools() -> None:
+    """After fork: the child has none of the pools' threads, so it starts its own."""
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    # A pool starts a thread only when no idle one can take the task, so a
+    # run with fewer chunks than threads starts no more threads than chunks.
+    with _POOLS_LOCK:
+        if threads not in _POOLS:
+            _POOLS[threads] = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="ariswpc-mc")
+        return _POOLS[threads]
+
+
 def _run_chunks(chunk_fn, seed: int, n: int, workers: int) -> list:
-    """Evaluate chunk_fn(rng, size) per chunk; results in chunk order."""
+    """Evaluate chunk_fn(rng, size) per chunk; results in chunk order.
+
+    At most `workers` chunks are in flight, on threads: the sampler and the
+    kernel spend their time in numpy calls that release the GIL.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = chunk_sizes(n)
-    if workers <= 1 or len(sizes) == 1:
+    if workers == 1 or len(sizes) == 1:
         return [chunk_fn(chunk_rng(seed, i), m) for i, m in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(chunk_fn, chunk_rng(seed, i), m) for i, m in enumerate(sizes)]
-        return [f.result() for f in futures]
+    pool = _pool(workers)
+    futures = [pool.submit(chunk_fn, chunk_rng(seed, i), m) for i, m in enumerate(sizes)]
+    return [f.result() for f in futures]
+
+
+#: Bytes of chunk batches that _default_workers lets be alive at once. A
+#: batch holds three (CHUNK_SAMPLES, M) float64 arrays: 14 MB at M=36, so
+#: up to 9 chunks run at once there, and 400 MB at M=1024, which therefore
+#: runs one chunk at a time.
+_INFLIGHT_BYTES = 128 * 2**20
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _default_workers(m: int) -> int:
+    """Chunks to run at once for M elements: one per usable CPU, but no more
+    chunk batches than fit in _INFLIGHT_BYTES, and at least one."""
+    batch_bytes = 3 * CHUNK_SAMPLES * max(m, 1) * 8
+    return max(1, min(_available_cpus(), _INFLIGHT_BYTES // batch_bytes))
 
 
 def _merge_mean_var(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -209,11 +300,9 @@ def mc_moments_x(
         n = cfg.mc_samples
     if n < 1000:
         raise ValueError("n must be >= 1000")
-    rho = cfg.rho_effective
 
     def one_chunk(rng, m):
-        batch = sample_batch(cfg, rng, m)
-        x = batch.f_mag + np.sum(rho * batch.g_mag * batch.h_mag * np.cos(batch.phase_err), axis=1)
+        x = _row_sums(cfg, sample_batch(cfg, rng, m))[0]
         return np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
 
     sums = np.sum(_run_chunks(one_chunk, seed, n, workers), axis=0)

@@ -128,10 +128,16 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
     return 0.5 * (lo + hi), iterations
 
 
-def effective_alpha_closed_form(r_v: float) -> float:
-    """Analytic effective-rate candidate 1/(ln 2 * r_v + 1); depends on r_v only."""
-    if r_v <= 0.0:
-        raise ValueError("r_v must be positive")
+def effective_alpha_closed_form(r_v: float) -> float | None:
+    """Analytic effective-rate candidate 1/(ln 2 * r_v + 1); depends on r_v only.
+
+    Returns None at r_v = 0: the outage is then 0 at every alpha, the
+    effective rate is identically 0, and the candidate 1 lies outside (0, 1).
+    """
+    if r_v < 0.0:
+        raise ValueError("r_v must be >= 0")
+    if r_v == 0.0:
+        return None
     return 1.0 / (math.log(2.0) * r_v + 1.0)
 
 

@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own evaluation paths:
 outage via scipy adaptive integration, Rayleigh moments via adaptive
 quadrature of the density, nearest-phase selection via plain enumeration,
 derivatives via central finite differences, the ergodic optimum via a
-bracketing root-finder, and Monte Carlo rate and outage via a plain
-per-point chunk loop with the SINR written out in full.
+bracketing root-finder, and Monte Carlo rate, outage and moments of X via
+plain per-point chunk loops with the SINR and X written out in full.
 """
 import math
 
@@ -78,6 +78,22 @@ def ergodic_alpha_brentq(cfg: SystemConfig) -> float:
     return optimize.brentq(slope, 1e-6, 1.0 - 1e-6, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
+def in_phase_amplitude(cfg: SystemConfig, batch) -> np.ndarray:
+    """X = |f| + sum rho|g||h| cos(phase error), one full-width expression per batch."""
+    cascade = cfg.rho_effective * batch.g_mag * batch.h_mag
+    return batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
+
+
+def sinr_full_width(cfg: SystemConfig, batch, nu1: float) -> np.ndarray:
+    """Instantaneous SINR of every draw of a batch, written out in full."""
+    rho = cfg.rho_effective
+    cascade = rho * batch.g_mag * batch.h_mag
+    re = batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
+    im = np.sum(cascade * np.sin(batch.phase_err), axis=1)
+    denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
+    return nu1 * batch.h_p_mag**2 * (re**2 + im**2) / denom
+
+
 def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):
     """(rate mean, rate stderr, outage probability) by one chunk loop per point.
 
@@ -85,17 +101,21 @@ def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):
     engine, so the results must agree bit for bit.
     """
     nu1 = harvested_power_coefficient(cfg, alpha)
-    rho = cfg.rho_effective
     parts, outages = [], 0
     for rng, m in chunk_rngs(seed, n):
-        batch = sample_batch(cfg, rng, m)
-        cascade = rho * batch.g_mag * batch.h_mag
-        re = batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
-        im = np.sum(cascade * np.sin(batch.phase_err), axis=1)
-        denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
-        rate = (1.0 - alpha) * np.log2(1.0 + nu1 * batch.h_p_mag**2 * (re**2 + im**2) / denom)
+        rate = (1.0 - alpha) * np.log2(1.0 + sinr_full_width(cfg, sample_batch(cfg, rng, m), nu1))
         mean = float(rate.mean())
         parts.append((m, mean, float(((rate - mean) ** 2).sum())))
         outages += int(np.count_nonzero(rate < cfg.r_v))
     total, mean, m2 = _merge_mean_var(parts)
     return mean, math.sqrt(m2 / (total - 1) / total), outages / n
+
+
+def mc_moments_x_loop(cfg: SystemConfig, n: int, seed: int) -> tuple[float, float]:
+    """(mean, unbiased variance) of X over the engine's chunk streams, summed per chunk."""
+    sums = np.zeros(4)
+    for rng, m in chunk_rngs(seed, n):
+        x = in_phase_amplitude(cfg, sample_batch(cfg, rng, m))
+        sums += np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
+    mean = float(sums[0] / n)
+    return mean, float(sums[1] / n - mean**2) * n / (n - 1)

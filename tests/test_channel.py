@@ -29,6 +29,15 @@ class TestSampling:
         tau = math.pi * 2.0**-default_cfg.b
         assert np.all(draw.phase_err >= -tau) and np.all(draw.phase_err < tau)
 
+    @pytest.mark.parametrize(
+        ("zeta", "size"),
+        [(0.37, 1000), (2.5e-7, (300, 4)), (np.array([1e-3, 0.5, 4.0]), (200, 3)), (1.0, (50, 0))],
+    )
+    def test_matches_numpy_scaled_rayleigh(self, zeta, size):
+        scale = np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
+        expected = np.random.default_rng(8).rayleigh(scale=scale, size=size)
+        assert np.array_equal(rayleigh_magnitudes(np.random.default_rng(8), zeta, size), expected)
+
     def test_zero_scale_is_identically_zero(self):
         rng = np.random.default_rng(1)
         assert np.all(rayleigh_magnitudes(rng, 0.0, 1000) == 0.0)

@@ -1,10 +1,11 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from ariswpc import SystemConfig, mc_ergodic_rate, mc_outage, replace_config
+from ariswpc import SystemConfig, mc_ergodic_rate, mc_outage, montecarlo, replace_config
 from ariswpc.cli import SweepSpec, compare_active_passive, main, reproduce_figure, run_sweep
 
 
@@ -222,7 +223,9 @@ def _sci(x) -> str:
 
 
 class TestSharedDrawEngine:
-    def test_mc_command_equals_separate_estimators_and_draws_once(self, capsys, sample_batch_sizes):
+    def test_mc_command_equals_separate_estimators_and_draws_once(self, capsys, monkeypatch, sample_batch_sizes):
+        # one CPU: with more, the chunks' sample_batch calls may interleave in any order
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
         argv = ["mc", "--samples", "40000", "--seed", "17", "--alpha", "0.3", "--set", "M=16"]
         assert main(argv) == 0
         header, rows = _parse(capsys.readouterr().out)
@@ -269,3 +272,91 @@ class TestSharedDrawEngine:
         spec = SweepSpec(variable="M", values=(4, 8, 16), outputs=("ergodic_mc", "outage_mc"), seed=4)
         run_sweep(replace_config(SystemConfig(), mc_samples=2000), spec)
         assert sample_batch_sizes == [2000, 2000, 2000]
+
+
+_MC_ARGV = ["mc", "--samples", "40000", "--seed", "5", "--set", "M=16"]
+_SWEEP_ARGV = [
+    "sweep", "--variable", "P_p_dbm", "--values", "0,5,10,15,20,25,30", "--samples", "40000",
+    "--outputs", "ergodic_cf,ergodic_mc,outage_cf,outage_mc,effective", "--seed", "6",
+]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("argv", [_MC_ARGV, _SWEEP_ARGV], ids=["mc", "sweep"])
+    def test_csv_bytes_do_not_depend_on_cpus(self, argv, capsys, monkeypatch):
+        outputs = []
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda cpus=cpus: cpus)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1:] == outputs[:1] * 3
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["mc", "--samples", "1000", "--set", "M=36"], [9]),
+            (["mc", "--samples", "1000", "--set", "M=1024"], [1]),
+            (["sweep", "--variable", "M", "--values", "4,1024", "--samples", "1000",
+              "--outputs", "ergodic_mc"], [1, 1]),
+            (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--samples", "1000",
+              "--outputs", "outage_mc", "--set", "M=64"], [5]),
+        ],
+        ids=["mc-M36", "mc-M1024", "sweep-M-to-1024", "sweep-M64"],
+    )
+    def test_chunks_in_flight_fit_the_memory_budget(self, argv, expected, capsys, monkeypatch):
+        # a 16-CPU host: one chunk per CPU at most, and no more 3*16384*M*8-byte batches than 128 MiB holds
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 16)
+        seen = []
+        run_chunks = montecarlo._run_chunks
+
+        def recording(chunk_fn, seed, n, workers):
+            seen.append(workers)
+            return run_chunks(chunk_fn, seed, n, workers)
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", recording)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert seen == expected
+
+
+class TestZeroTargetRate:
+    """At r_v = 0 the effective rate is identically 0 and alpha-dagger does not exist."""
+
+    def test_fig4_marks_no_alpha_dagger_row(self):
+        files = reproduce_figure("fig4", replace_config(SystemConfig(), r_v=0.0))
+        header, rows = _parse(files["fig4_rates_vs_alpha.csv"])
+        assert len(rows) == 99 + 1  # the alpha grid plus the alpha-star row
+        assert all(r[header.index("is_alpha_dagger")] == "0" for r in rows)
+        assert sum(r[header.index("is_alpha_star")] == "1" for r in rows) == 1
+        assert all(r[header.index("effective_rate_bits_per_s_hz")] == _sci(0.0) for r in rows)
+
+    def test_sweep_alpha_dagger_cell_is_empty(self):
+        spec = SweepSpec(variable="P_p_dbm", values=(0.0, 10.0), outputs=("alpha_dagger", "alpha_star"))
+        header, rows = _parse(run_sweep(replace_config(SystemConfig(), r_v=0.0), spec))
+        assert [r[1] for r in rows] == ["", ""]
+        assert all(r[2] for r in rows)
+
+    def test_optimize_fails_as_one_no_interior_maximum_line(self, capsys):
+        assert main(["optimize", "--set", "r_v=0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: NoInteriorMaximumError: ")
+
+
+def test_compare_far_narrow_density_warns_nothing(capsys):
+    # cf-scan seed 7, design point 3: the outermost quadrature node overflows t / r
+    argv = ["compare", "--set", "M=48", "--set", "b=2", "--set", "P_p_dbm=26.7554947",
+            "--set", "r_v=3.9757723", "--set", "d_f=35.3495514", "--set", "d_h=16.1349041",
+            "--set", "d_g=24.7060143", "--set", "rho=4.09377951", "--set", "ris_mode=passive"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "ris_mode,ergodic_rate_bits_per_s_hz,outage_prob,effective_rate_bits_per_s_hz,expected_power_mw\n"
+        "active,7.12360702e+00,8.75096664e-02,3.62785379e+00,1.76647025e+01\n"
+        "passive,4.84129804e+00,4.54053020e-01,2.17056088e+00,9.60000000e+00\n"
+    )

@@ -1,4 +1,10 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,11 +19,15 @@ from ariswpc import (
     mc_moments_x,
     mc_outage,
     mc_rate_and_outage,
+    montecarlo,
     replace_config,
+    sample_realization,
     simulate_sinr,
 )
+from ariswpc.channel import CHUNK_SAMPLES, ChannelBatch
+from ariswpc.montecarlo import _TILE_ROWS, _default_workers, _run_chunks
 
-from helpers import mc_rate_outage_loop
+from helpers import mc_moments_x_loop, mc_rate_outage_loop, sinr_full_width
 
 
 def _draw(M, h_p=1.0, f=1.0, h=1.0, g=1.0, phase=0.0):
@@ -52,6 +62,14 @@ class TestSimulateSinr:
     def test_dimension_mismatch(self, default_cfg):
         with pytest.raises(ValueError, match="expected M=36"):
             simulate_sinr(default_cfg, _draw(8), 0.419)
+
+    def test_leaves_the_draw_unchanged(self, default_cfg):
+        draw = sample_realization(default_cfg, np.random.default_rng(3))
+        before = [draw.h_mag.copy(), draw.g_mag.copy(), draw.phase_err.copy()]
+        for array in (draw.h_mag, draw.g_mag, draw.phase_err):
+            array.setflags(write=False)  # any write into the caller's arrays raises
+        simulate_sinr(default_cfg, draw, 0.419)
+        assert all(np.array_equal(a, b) for a, b in zip((draw.h_mag, draw.g_mag, draw.phase_err), before))
 
 
 class TestMcErgodicRate:
@@ -128,6 +146,10 @@ def _engine_points(cfg):
     ]
 
 
+def _put_rate(queue, cfg):
+    queue.put(mc_ergodic_rate(cfg, 0.419, n=40_000, seed=28, workers=2))
+
+
 class TestMcRateAndOutage:
     def test_each_point_equals_single_point_estimators(self, default_cfg):
         points = _engine_points(default_cfg)
@@ -147,6 +169,56 @@ class TestMcRateAndOutage:
         solo = mc_rate_and_outage(points, n=60_000, seed=22, workers=1)
         trio = mc_rate_and_outage(points, n=60_000, seed=22, workers=3)
         assert solo == trio
+
+    def test_at_most_workers_chunks_in_flight(self):
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def chunk(rng, m):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.01)
+            with lock:
+                in_flight[0] -= 1
+            return m
+
+        assert _run_chunks(chunk, 0, 8 * CHUNK_SAMPLES + 5, 3) == [CHUNK_SAMPLES] * 8 + [5]
+        assert 1 < peak[0] <= 3
+
+    @pytest.mark.parametrize("cpus, m, expected", [(16, 0, 16), (16, 36, 9), (16, 64, 5), (16, 1024, 1), (2, 36, 2), (1, 4, 1)])
+    def test_default_workers_fit_cpus_and_memory_budget(self, monkeypatch, cpus, m, expected):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        assert _default_workers(m) == expected
+
+    def test_concurrent_callers_get_serial_results(self, default_cfg):
+        # more worker threads than cores, shared thread pools, frequent GIL switches
+        points = _engine_points(default_cfg)[:2]
+        expected = mc_rate_and_outage(points, n=40_000, seed=27, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                futures = [callers.submit(mc_rate_and_outage, points, 40_000, 27, w) for w in (2, 3, 4) * 2]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 6
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_its_own_workers(self, default_cfg):
+        expected = mc_ergodic_rate(default_cfg, 0.419, n=40_000, seed=28, workers=2)  # parent's pool exists
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_put_rate, args=(queue, default_cfg))
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive
+        assert queue.get(timeout=10) == expected
 
     def test_samples_each_chunk_once_per_draw_group(self, default_cfg, sample_batch_sizes):
         mc_rate_and_outage(_engine_points(default_cfg), n=40_000, seed=23)
@@ -189,3 +261,69 @@ class TestMcMomentsX:
     def test_rejects_tiny_n(self, default_cfg):
         with pytest.raises(ValueError):
             mc_moments_x(default_cfg, n=100)
+
+
+def _kernel_cases():
+    """(cfg, alpha, n): edge cases of the tiled kernel, then random geometries."""
+    base = SystemConfig()
+    cases = [
+        pytest.param(replace_config(base, M=0), 0.419, 4096, id="M0"),
+        pytest.param(replace_config(base, M=1), 0.3, 4096, id="M1"),
+        pytest.param(replace_config(base, ris_mode=RisMode.PASSIVE), 0.6, 4096, id="passive"),
+        pytest.param(replace_config(base, b=1), 0.2, 4096, id="b1"),
+        pytest.param(base, 0.419, _TILE_ROWS // 2 + 45, id="under-one-tile"),
+        pytest.param(base, 0.419, CHUNK_SAMPLES + 7232, id="ragged-last-tile"),
+        pytest.param(
+            replace_config(base, M=3, rho=(1.5, 0.0, 4.0), d_h=(2.0, 9.0, 30.0)), 0.5, 3000, id="per-element"
+        ),
+    ]
+    rng = np.random.default_rng(2024)
+    for i in range(8):
+        cfg = replace_config(
+            base,
+            M=int(rng.integers(0, 80)),
+            b=int(rng.integers(1, 9)),
+            d_f=float(rng.uniform(2.0, 80.0)),
+            d_h=float(rng.uniform(2.0, 80.0)),
+            d_g=float(rng.uniform(2.0, 80.0)),
+            epsilon=float(rng.uniform(2.0, 4.0)),
+            rho=float(rng.uniform(0.0, 6.0)),
+            P_p_dbm=float(rng.uniform(-20.0, 60.0)),
+            ris_mode=RisMode.PASSIVE if rng.random() < 0.3 else RisMode.ACTIVE,
+        )
+        alpha, n = float(rng.uniform(0.05, 0.95)), int(rng.integers(1000, 2 * CHUNK_SAMPLES))
+        cases.append(pytest.param(cfg, alpha, n, id=f"random{i}"))
+    return cases
+
+
+_CASES = _kernel_cases()
+
+
+class TestTiledKernel:
+    """The tiled kernel against the full-width formulas of tests/helpers.py, bit for bit."""
+
+    @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
+    def test_rate_and_outage_match_plain_loop(self, cfg, alpha, n):
+        [(rate, outage)] = mc_rate_and_outage([(cfg, alpha)], n, seed=31)
+        assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, n, 31)
+
+    @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
+    def test_moments_x_match_plain_loop(self, cfg, alpha, n):
+        n = max(n, 1000)
+        mean_est, var_est = mc_moments_x(cfg, n=n, seed=32)
+        assert (mean_est.value, var_est.value) == mc_moments_x_loop(cfg, n, 32)
+
+    @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
+    def test_simulate_sinr_matches_formula(self, cfg, alpha, n):
+        nu1 = harvested_power_coefficient(cfg, alpha)
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            draw = sample_realization(cfg, rng)
+            batch = ChannelBatch(
+                h_p_mag=np.array([draw.h_p_mag]),
+                f_mag=np.array([draw.f_mag]),
+                h_mag=draw.h_mag[None, :],
+                g_mag=draw.g_mag[None, :],
+                phase_err=draw.phase_err[None, :],
+            )
+            assert simulate_sinr(cfg, draw, alpha) == sinr_full_width(cfg, batch, nu1)[0]

@@ -139,9 +139,11 @@ class TestOptimizeEffective:
     def test_closed_form_limit_small_target(self):
         assert effective_alpha_closed_form(1e-9) > 1.0 - 1e-8
 
-    def test_closed_form_rejects_zero_target(self):
+    def test_closed_form_is_none_at_zero_target(self):
+        # the candidate 1/(ln 2 * 0 + 1) = 1 lies outside (0, 1)
+        assert effective_alpha_closed_form(0.0) is None
         with pytest.raises(ValueError):
-            effective_alpha_closed_form(0.0)
+            effective_alpha_closed_form(-1.0)
 
     def test_closed_form_invariant_to_everything_but_target(self, default_cfg):
         base = optimize_alpha_effective(default_cfg).alpha_closed_form
