@@ -3,127 +3,21 @@
 Closed-form evaluators for the ergodic rate, outage probability, and RIS
 power consumption; time-switching-factor optimizers; and a seedable Monte
 Carlo channel simulator that cross-validates every closed form.
+
+The package exports exactly the public names of its seven library modules
+(each module's ``__all__``) plus ``__version__``.
 """
-from .channel import (
-    CHUNK_SAMPLES,
-    ChannelBatch,
-    ChannelDraw,
-    rayleigh_moments,
-    sample_batch,
-    sample_realization,
-)
-from .closedform import (
-    ApproximationDiagnostics,
-    ErgodicTerms,
-    GammaFit,
-    approximation_diagnostics,
-    effective_rate,
-    ergodic_rate,
-    ergodic_terms,
-    gamma_fit,
-    outage_probability,
-)
-from .config import (
-    ConfigError,
-    ConfigParseError,
-    ConfigValidationError,
-    RisMode,
-    SystemConfig,
-    dbm_to_linear,
-    harvested_power_coefficient,
-    linear_to_dbm,
-    load_config,
-    load_config_file,
-    path_loss,
-    replace_config,
-)
-from .montecarlo import (
-    Estimate,
-    RateOutage,
-    mc_ergodic_rate,
-    mc_moments_x,
-    mc_outage,
-    mc_rate_and_outage,
-    simulate_sinr,
-)
-from .optimize import (
-    Binding,
-    NoInteriorMaximumError,
-    OptResult,
-    effective_alpha_closed_form,
-    ergodic_rate_derivative,
-    optimize_alpha_effective,
-    optimize_alpha_effective_constrained,
-    optimize_alpha_ergodic,
-    optimize_alpha_ergodic_constrained,
-)
-from .power import (
-    PowerBudgetInactiveError,
-    PowerBudgetInfeasibleError,
-    PowerModel,
-    expected_power,
-    instantaneous_power,
-    inverse_power,
-    power_model,
-)
-from .ris import PhaseErrorStats, cascade_moment, phase_error_stats, quantize_phase
+from . import channel, closedform, config, montecarlo, optimize, power, ris
+from .channel import *  # noqa: F401,F403
+from .closedform import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
+from .power import *  # noqa: F401,F403
+from .ris import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHUNK_SAMPLES",
-    "ApproximationDiagnostics",
-    "Binding",
-    "ChannelBatch",
-    "ChannelDraw",
-    "ConfigError",
-    "ConfigParseError",
-    "ConfigValidationError",
-    "ErgodicTerms",
-    "Estimate",
-    "GammaFit",
-    "NoInteriorMaximumError",
-    "OptResult",
-    "PhaseErrorStats",
-    "PowerBudgetInactiveError",
-    "PowerBudgetInfeasibleError",
-    "PowerModel",
-    "RateOutage",
-    "RisMode",
-    "SystemConfig",
-    "approximation_diagnostics",
-    "cascade_moment",
-    "dbm_to_linear",
-    "effective_alpha_closed_form",
-    "effective_rate",
-    "ergodic_rate",
-    "ergodic_rate_derivative",
-    "ergodic_terms",
-    "expected_power",
-    "gamma_fit",
-    "harvested_power_coefficient",
-    "instantaneous_power",
-    "inverse_power",
-    "linear_to_dbm",
-    "load_config",
-    "load_config_file",
-    "mc_ergodic_rate",
-    "mc_moments_x",
-    "mc_outage",
-    "mc_rate_and_outage",
-    "optimize_alpha_effective",
-    "optimize_alpha_effective_constrained",
-    "optimize_alpha_ergodic",
-    "optimize_alpha_ergodic_constrained",
-    "outage_probability",
-    "path_loss",
-    "phase_error_stats",
-    "power_model",
-    "quantize_phase",
-    "rayleigh_moments",
-    "replace_config",
-    "sample_batch",
-    "sample_realization",
-    "simulate_sinr",
-    "__version__",
-]
+_LIBRARY_MODULES = (channel, closedform, config, montecarlo, optimize, power, ris)
+
+__all__ = [name for module in _LIBRARY_MODULES for name in module.__all__] + ["__version__"]

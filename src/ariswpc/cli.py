@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,18 +34,32 @@ from .power import expected_power
 
 __all__ = ["SweepSpec", "run_sweep", "reproduce_figure", "compare_active_passive", "main"]
 
-SWEEP_VARIABLES = ("P_p_dbm", "M", "alpha", "b", "rho", "P_R_mw")
-SWEEP_OUTPUTS = (
-    "ergodic_cf",
-    "ergodic_mc",
-    "outage_cf",
-    "outage_mc",
-    "effective",
-    "power",
-    "alpha_star",
-    "alpha_dagger",
-)
-FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
+# Every per-point output: its CSV columns and the function of the point's
+# config that gives its cells. The lambdas look the library functions up when
+# called. The two Monte Carlo outputs have no cell function: one
+# mc_rate_and_outage call fills both of them for every point (_evaluate).
+_OUTPUTS = {
+    "ergodic_cf": (("ergodic_cf_bits_per_s_hz",), lambda p: [ergodic_rate(p, p.alpha)]),
+    "ergodic_mc": (("ergodic_mc_bits_per_s_hz", "ergodic_mc_stderr_bits_per_s_hz"), None),
+    "outage_cf": (("outage_cf_prob",), lambda p: [outage_probability(p, p.alpha)]),
+    "outage_mc": (("outage_mc_prob", "outage_mc_stderr_prob"), None),
+    "effective": (("effective_rate_bits_per_s_hz",), lambda p: [effective_rate(p, p.alpha)]),
+    "power": (("expected_power_mw",), lambda p: [expected_power(p, p.alpha)]),
+    "alpha_star": (("alpha_star",), lambda p: [optimize_alpha_ergodic(p).alpha_opt]),
+    "alpha_dagger": (("alpha_dagger",), lambda p: [effective_alpha_closed_form(p.r_v)]),
+}
+SWEEP_OUTPUTS = tuple(_OUTPUTS)
+
+# Sweep variable -> header of the sweep's first column.
+_SWEEP_HEADER_FIRST = {
+    "P_p_dbm": "P_p_dbm",
+    "M": "M_elements",
+    "alpha": "alpha",
+    "b": "b_bits",
+    "rho": "rho_gain",
+    "P_R_mw": "P_R_mw",
+}
+SWEEP_VARIABLES = tuple(_SWEEP_HEADER_FIRST)
 
 _PP_GRID = tuple(range(0, 31, 2))       # dBm
 _RHO_GRID = tuple(np.arange(1.0, 6.01, 0.5))
@@ -68,6 +83,52 @@ def _csv_table(header: Sequence[str], rows) -> str:
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
+
+
+@contextmanager
+def _labelled(label: str | None):
+    """Re-raise a ValueError with ``label: `` in front of its message."""
+    try:
+        yield
+    except ValueError as exc:
+        if label is None:
+            raise
+        raise ValueError(f"{label}: {exc}") from exc
+
+
+def _evaluate(points: Sequence[SystemConfig], outputs: Sequence[str], seed: int, labels=None) -> list[list]:
+    """The cells of `outputs` at each point config, one row per point.
+
+    Each point is evaluated at its own alpha. All Monte Carlo cells come from
+    one mc_rate_and_outage call over every point at the root seed `seed`, so
+    they equal mc_ergodic_rate / mc_outage(point, point.alpha, seed=seed) bit
+    for bit, and points whose draws do not depend on how they differ share
+    their samples. Chunks run on as many threads as
+    montecarlo._default_workers allows for the largest M; that does not
+    change the result. A ValueError is labelled with labels[i] for a failure
+    at point i, and with labels[0] for a failure of the MC call.
+    """
+    labels = labels or [None] * len(points)
+    cells = []
+    for label, point in zip(labels, points):
+        with _labelled(label):
+            cells.append({o: _OUTPUTS[o][1](point) for o in outputs if _OUTPUTS[o][1] is not None})
+    if any(_OUTPUTS[o][1] is None for o in outputs):
+        with _labelled(labels[0]):
+            estimates = mc_rate_and_outage(
+                [(p, p.alpha) for p in points],
+                points[0].mc_samples,
+                seed=seed,
+                workers=_default_workers(max(p.M for p in points)),
+            )
+        for point_cells, (rate, outage) in zip(cells, estimates):
+            point_cells["ergodic_mc"] = [rate.value, rate.stderr]
+            point_cells["outage_mc"] = [outage.value, outage.stderr]
+    return [[c for o in outputs for c in point_cells[o]] for point_cells in cells]
+
+
+def _columns(outputs: Sequence[str]) -> list[str]:
+    return [column for o in outputs for column in _OUTPUTS[o][0]]
 
 
 @dataclass(frozen=True)
@@ -98,93 +159,25 @@ class SweepSpec:
             raise ValueError("seed must be non-negative")
 
 
-_SWEEP_COLUMNS = {
-    "ergodic_cf": ("ergodic_cf_bits_per_s_hz",),
-    "ergodic_mc": ("ergodic_mc_bits_per_s_hz", "ergodic_mc_stderr_bits_per_s_hz"),
-    "outage_cf": ("outage_cf_prob",),
-    "outage_mc": ("outage_mc_prob", "outage_mc_stderr_prob"),
-    "effective": ("effective_rate_bits_per_s_hz",),
-    "power": ("expected_power_mw",),
-    "alpha_star": ("alpha_star",),
-    "alpha_dagger": ("alpha_dagger",),
-}
-
-_SWEEP_HEADER_FIRST = {
-    "P_p_dbm": "P_p_dbm",
-    "M": "M_elements",
-    "alpha": "alpha",
-    "b": "b_bits",
-    "rho": "rho_gain",
-    "P_R_mw": "P_R_mw",
-}
-
-
-def _point_config(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
-    if variable in ("M", "b"):
-        if not float(value).is_integer():
-            raise ValueError(f"{variable} must be an integer, got {value}")
-        return replace_config(cfg, **{variable: int(value)})
-    return replace_config(cfg, **{variable: value})
-
-
-_MC_OUTPUTS = ("ergodic_mc", "outage_mc")
-
-# Columns of the non-MC outputs, each a function of the point's config.
-_POINT_OUTPUTS = {
-    "ergodic_cf": lambda point: [ergodic_rate(point, point.alpha)],
-    "outage_cf": lambda point: [outage_probability(point, point.alpha)],
-    "effective": lambda point: [effective_rate(point, point.alpha)],
-    "power": lambda point: [expected_power(point, point.alpha)],
-    "alpha_star": lambda point: [optimize_alpha_ergodic(point).alpha_opt],
-    "alpha_dagger": lambda point: [effective_alpha_closed_form(point.r_v)],
-}
-
-
 def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
     """Evaluate the requested outputs at each sweep value; returns CSV text.
 
-    Rows are emitted in sweep order. All Monte Carlo outputs come from one
-    mc_rate_and_outage call at the sweep's root seed: each point's MC columns
-    equal mc_ergodic_rate / mc_outage(point, point.alpha, seed=spec.seed) bit
-    for bit, and points whose draws do not depend on the swept value share
-    their samples (common random numbers). Chunks run on as many threads as
-    montecarlo._default_workers allows for the largest M; that does not
-    change the result.
+    Rows are emitted in sweep order; each point is ``cfg`` with the swept
+    field set to the value, at the point's alpha. All Monte Carlo outputs use
+    the sweep's root seed (common random numbers, see _evaluate). A failure
+    names the sweep value it happened at.
     """
-    header = [_SWEEP_HEADER_FIRST[spec.variable]]
-    for output in spec.outputs:
-        header.extend(_SWEEP_COLUMNS[output])
-
-    points, cells = [], []
-    for value in spec.values:
-        try:
-            point = _point_config(cfg, spec.variable, value)
-            cells.append({o: _POINT_OUTPUTS[o](point) for o in spec.outputs if o not in _MC_OUTPUTS})
-        except ValueError as exc:
-            raise ValueError(f"sweep {spec.variable}={value:g}: {exc}") from exc
-        points.append(point)
-
-    if any(o in _MC_OUTPUTS for o in spec.outputs):
-        try:
-            estimates = mc_rate_and_outage(
-                [(p, p.alpha) for p in points],
-                cfg.mc_samples,
-                seed=spec.seed,
-                workers=_default_workers(max(p.M for p in points)),
-            )
-        except ValueError as exc:
-            raise ValueError(f"sweep {spec.variable}={spec.values[0]:g}: {exc}") from exc
-        for point_cells, (rate, outage) in zip(cells, estimates):
-            point_cells["ergodic_mc"] = [rate.value, rate.stderr]
-            point_cells["outage_mc"] = [outage.value, outage.stderr]
-
-    rows = []
-    for value, point_cells in zip(spec.values, cells):
-        row = [int(value) if spec.variable in ("M", "b") else value]
-        for output in spec.outputs:
-            row.extend(point_cells[output])
-        rows.append(row)
-    return _csv_table(header, rows)
+    labels = [f"sweep {spec.variable}={value:g}" for value in spec.values]
+    points = []
+    for label, value in zip(labels, spec.values):
+        with _labelled(label):
+            points.append(replace_config(cfg, **{spec.variable: value}))
+    rows = _evaluate(points, spec.outputs, spec.seed, labels)
+    integral = spec.variable in ("M", "b")
+    return _csv_table(
+        [_SWEEP_HEADER_FIRST[spec.variable], *_columns(spec.outputs)],
+        ([int(value) if integral else value, *row] for value, row in zip(spec.values, rows)),
+    )
 
 
 # ---- figure data ------------------------------------------------------------
@@ -275,38 +268,31 @@ def _fig6(cfg: SystemConfig) -> dict[str, str]:
     }
 
 
+_FIGURE_BUILDERS = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
+FIGURES = tuple(_FIGURE_BUILDERS)
+
+
 def reproduce_figure(fig: str, cfg: SystemConfig | None = None) -> dict[str, str]:
     """CSV data series behind one of the summary figures (fig2..fig6)."""
     if cfg is None:
         cfg = SystemConfig()
-    builders = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
-    if fig not in builders:
+    if fig not in _FIGURE_BUILDERS:
         raise ValueError(f"unknown figure {fig!r}; expected one of {FIGURES}")
-    return builders[fig](cfg)
+    return _FIGURE_BUILDERS[fig](cfg)
 
 
 def compare_active_passive(cfg: SystemConfig) -> str:
     """Side-by-side closed-form summary at identical M and alpha."""
-    rows = []
-    for mode in (RisMode.ACTIVE, RisMode.PASSIVE):
-        variant = replace_config(cfg, ris_mode=mode)
-        rows.append(
-            [
-                mode.value,
-                ergodic_rate(variant, cfg.alpha),
-                outage_probability(variant, cfg.alpha),
-                effective_rate(variant, cfg.alpha),
-                expected_power(variant, cfg.alpha),
-            ]
-        )
+    modes = (RisMode.ACTIVE, RisMode.PASSIVE)
+    rows = _evaluate(
+        [replace_config(cfg, ris_mode=mode) for mode in modes],
+        ("ergodic_cf", "outage_cf", "effective", "power"),
+        seed=0,
+    )
     header = [
-        "ris_mode",
-        "ergodic_rate_bits_per_s_hz",
-        "outage_prob",
-        "effective_rate_bits_per_s_hz",
-        "expected_power_mw",
+        "ris_mode", "ergodic_rate_bits_per_s_hz", "outage_prob", "effective_rate_bits_per_s_hz", "expected_power_mw"
     ]
-    return _csv_table(header, rows)
+    return _csv_table(header, ([mode.value, *row] for mode, row in zip(modes, rows)))
 
 
 # ---- argument handling -------------------------------------------------------
@@ -346,7 +332,27 @@ def _emit(files: dict[str, str], out_dir: str | None) -> None:
             print(f"wrote {directory / name}", file=sys.stderr)
 
 
-def _fmt_opt_rows(cfg, args):
+# ---- commands: each maps (config, parsed flags) to {file name: CSV text} -----
+
+
+def _sweep(cfg: SystemConfig, args) -> dict[str, str]:
+    spec = SweepSpec(
+        variable=args.variable,
+        values=tuple(float(v) for v in args.values.split(",")),
+        outputs=tuple(args.outputs.split(",")),
+        seed=args.seed,
+    )
+    return {"sweep.csv": run_sweep(cfg, spec)}
+
+
+def _figure(cfg: SystemConfig, args) -> dict[str, str]:
+    files: dict[str, str] = {}
+    for fig in FIGURES if args.figure == "all" else (args.figure,):
+        files.update(reproduce_figure(fig, cfg))
+    return files
+
+
+def _optimize(cfg: SystemConfig, args) -> dict[str, str]:
     budget = args.power_budget if args.power_budget is not None else cfg.P_R_mw
     runs = [
         ("ergodic", optimize_alpha_ergodic(cfg)),
@@ -355,95 +361,24 @@ def _fmt_opt_rows(cfg, args):
         ("effective_constrained", optimize_alpha_effective_constrained(cfg, budget)),
     ]
     header = [
-        "objective",
-        "alpha_opt",
-        "objective_value_bits_per_s_hz",
-        "binding",
-        "iterations",
-        "residual",
-        "alpha_closed_form",
-        "expected_power_mw",
+        "objective", "alpha_opt", "objective_value_bits_per_s_hz", "binding",
+        "iterations", "residual", "alpha_closed_form", "expected_power_mw",
     ]
     rows = [
-        [
-            name,
-            res.alpha_opt,
-            res.objective_value,
-            res.binding.value,
-            res.iterations,
-            res.residual,
-            res.alpha_closed_form,
-            expected_power(cfg, res.alpha_opt),
-        ]
+        [name, res.alpha_opt, res.objective_value, res.binding.value, res.iterations,
+         res.residual, res.alpha_closed_form, expected_power(cfg, res.alpha_opt)]
         for name, res in runs
     ]
-    return _csv_table(header, rows)
+    return {"optimize.csv": _csv_table(header, rows)}
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    spec = SweepSpec(
-        variable=args.variable,
-        values=tuple(float(v) for v in args.values.split(",")),
-        outputs=tuple(args.outputs.split(",")),
-        seed=args.seed,
-    )
-    _emit({"sweep.csv": run_sweep(cfg, spec)}, args.out_dir)
-    return 0
-
-
-def _cmd_figure(args) -> int:
-    cfg = _build_config(args)
-    figs = FIGURES if args.figure == "all" else (args.figure,)
-    files: dict[str, str] = {}
-    for fig in figs:
-        files.update(reproduce_figure(fig, cfg))
-    _emit(files, args.out_dir)
-    return 0
-
-
-def _cmd_optimize(args) -> int:
-    cfg = _build_config(args)
-    _emit({"optimize.csv": _fmt_opt_rows(cfg, args)}, args.out_dir)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    cfg = _build_config(args)
-    _emit({"compare.csv": compare_active_passive(cfg)}, args.out_dir)
-    return 0
-
-
-def _cmd_mc(args) -> int:
-    cfg = _build_config(args)
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
-    [(rate, out)] = mc_rate_and_outage(
-        [(cfg, alpha)], cfg.mc_samples, seed=args.seed, workers=_default_workers(cfg.M)
-    )
-    header = [
-        "alpha",
-        "ergodic_cf_bits_per_s_hz",
-        "ergodic_mc_bits_per_s_hz",
-        "ergodic_mc_stderr_bits_per_s_hz",
-        "outage_cf_prob",
-        "outage_mc_prob",
-        "outage_mc_stderr_prob",
-        "n_samples",
-        "seed",
-    ]
-    row = [
-        alpha,
-        ergodic_rate(cfg, alpha),
-        rate.value,
-        rate.stderr,
-        outage_probability(cfg, alpha),
-        out.value,
-        out.stderr,
-        rate.n,
-        args.seed,
-    ]
-    _emit({"mc.csv": _csv_table(header, [row])}, args.out_dir)
-    return 0
+def _mc(cfg: SystemConfig, args) -> dict[str, str]:
+    """The sweep's ergodic and outage columns at one alpha, plus n and seed."""
+    point = replace_config(cfg, alpha=cfg.alpha if args.alpha is None else args.alpha)
+    outputs = ("ergodic_cf", "ergodic_mc", "outage_cf", "outage_mc")
+    [row] = _evaluate([point], outputs, args.seed)
+    header = ["alpha", *_columns(outputs), "n_samples", "seed"]
+    return {"mc.csv": _csv_table(header, [[point.alpha, *row, point.mc_samples, args.seed]])}
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -475,7 +410,7 @@ def _make_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"comma-separated subset of {','.join(SWEEP_OUTPUTS)}",
     )
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_sweep)
 
     p = sub.add_parser(
         "figure",
@@ -485,29 +420,29 @@ def _make_parser() -> argparse.ArgumentParser:
         "[0,30] dBm; fig6: power vs M in [4,64] and vs alpha)",
     )
     p.add_argument("figure", choices=(*FIGURES, "all"))
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=_figure)
 
     p = sub.add_parser("optimize", parents=[common], help="run all four alpha optimizers")
     p.add_argument("--power-budget", type=float, help="budget in mW (default: config P_R_mw)")
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(func=_optimize)
 
     p = sub.add_parser("compare", parents=[common], help="active vs passive summary")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=lambda cfg, args: {"compare.csv": compare_active_passive(cfg)})
 
     p = sub.add_parser("mc", parents=[common], help="Monte Carlo vs closed form at one alpha")
     p.add_argument("--alpha", type=float, help="time-switching factor (default: config alpha)")
-    p.set_defaults(func=_cmd_mc)
+    p.set_defaults(func=_mc)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(_build_config(args), args), args.out_dir)
     except Exception as exc:  # single-line machine-parsable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -48,7 +48,6 @@ class ErgodicTerms:
     t5:  squared mean of the hub-weighted cascade amplitude
     t6:  effective noise floor sigma_v^2 * sum rho^2 zeta_g + sigma_n^2
     t7:  eta * P_p * (t1 + t2*t3 + t4 + t5), the alpha-free rate numerator
-    tau: quantization half-width pi * 2^-b
     """
 
     t1: float
@@ -58,7 +57,6 @@ class ErgodicTerms:
     t5: float
     t6: float
     t7: float
-    tau: float
 
 
 def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
@@ -75,7 +73,7 @@ def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
     t5 = float(np.sum(c1 * rho * np.sqrt(zp * zg * zh))) ** 2
     t6 = cfg.sigma_v2_mw * float(np.sum(rho**2 * zg)) + cfg.sigma_n2_mw
     t7 = cfg.eta * cfg.p_p_mw * (t1 + t2 * t3 + t4 + t5)
-    return ErgodicTerms(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=t7, tau=stats.tau)
+    return ErgodicTerms(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=t7)
 
 
 def ergodic_rate(cfg: SystemConfig, alpha: float) -> float:

@@ -55,8 +55,9 @@ class OptResult:
     """Optimizer outcome.
 
     residual is |d rate/d alpha| at the optimum for interior derivative
-    roots, |expected_power - P_R| for budget-bound solutions, and the final
-    search-interval width for golden-section maximizers.
+    roots, |expected_power - P_R| for budget-bound solutions, and for
+    golden-section maximizers the tolerance tol, the width the search
+    bracket was narrowed to (the final bracket is at most that wide).
     alpha_closed_form carries the analytic effective-rate candidate where
     one exists (None otherwise).
     """

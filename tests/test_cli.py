@@ -213,9 +213,18 @@ class TestMainEntry:
         assert _parse(coarse)[1][0][i] != _parse(fine)[1][0][i]
 
     def test_sweep_rejects_fractional_element_count(self):
-        spec = SweepSpec(variable="M", values=(8.0, 12.5), outputs=("power",))
-        with pytest.raises(ValueError, match="M=12.5"):
-            run_sweep(SystemConfig(), spec)
+        for variable, values in (("M", (8.0, 12.5)), ("b", (1.0, 2.5))):
+            spec = SweepSpec(variable=variable, values=values, outputs=("power",))
+            bad = f"{values[1]:g}"
+            message = f"^sweep {variable}={bad}: {variable}: must be an integer, got {bad}$"
+            with pytest.raises(ValueError, match=message):
+                run_sweep(SystemConfig(), spec)
+
+    def test_mc_rejects_alpha_outside_unit_interval_as_config_error(self, capsys):
+        assert main(["mc", "--alpha", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigValidationError: alpha: must lie in (0, 1), got 1.5\n"
 
 
 def _sci(x) -> str:
@@ -279,6 +288,26 @@ _SWEEP_ARGV = [
     "sweep", "--variable", "P_p_dbm", "--values", "0,5,10,15,20,25,30", "--samples", "40000",
     "--outputs", "ergodic_cf,ergodic_mc,outage_cf,outage_mc,effective", "--seed", "6",
 ]
+
+
+class TestOneOutputTable:
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["all-cpus", "one-cpu"])
+    def test_mc_columns_are_the_sweep_columns(self, cpus, capsys, monkeypatch):
+        # mc's first seven columns, header and row, are the sweep's CSV at the same point and flags
+        if cpus is not None:
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        flags = ["--seed", "7", "--set", "M=4", "--samples", "20000"]
+        assert main(["mc", "--alpha", "0.419", *flags]) == 0
+        mc_lines = capsys.readouterr().out.splitlines()
+        argv = ["sweep", "--variable", "alpha", "--values", "0.419",
+                "--outputs", "ergodic_cf,ergodic_mc,outage_cf,outage_mc", *flags]
+        assert main(argv) == 0
+        sweep_lines = capsys.readouterr().out.splitlines()
+        assert len(mc_lines) == len(sweep_lines) == 2
+        for mc_line, sweep_line in zip(mc_lines, sweep_lines):
+            assert ",".join(mc_line.split(",")[:7]) == sweep_line
+        assert mc_lines[0].split(",")[7:] == ["n_samples", "seed"]
+        assert mc_lines[1].split(",")[7:] == ["20000", "7"]
 
 
 class TestWorkers:
