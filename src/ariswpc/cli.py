@@ -155,6 +155,9 @@ class SweepSpec:
         unknown = set(self.outputs) - set(SWEEP_OUTPUTS)
         if unknown:
             raise ValueError(f"unknown outputs: {sorted(unknown)}; allowed: {SWEEP_OUTPUTS}")
+        repeated = sorted({o for o in self.outputs if self.outputs.count(o) > 1})
+        if repeated:
+            raise ValueError(f"repeated outputs: {repeated}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .channel import sample_batch
 from .config import SystemConfig, harvested_power_coefficient
@@ -94,7 +93,13 @@ class GammaFit:
     var_x: float
 
     def cdf(self, x):
-        """Regularized lower incomplete gamma at x/r; 0 for x < 0."""
+        """Regularized lower incomplete gamma at x/r; 0 for x < 0.
+
+        The one library use of scipy, imported here so that importing the
+        package loads numpy only.
+        """
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
         out = np.where(x > 0, gammainc(self.s, np.maximum(x, 0.0) / self.r), 0.0)
         return float(out) if out.ndim == 0 else out
@@ -106,7 +111,7 @@ class GammaFit:
                 (self.s - 1.0) * np.log(x)
                 - x / self.r
                 - self.s * math.log(self.r)
-                - gammaln(self.s)
+                - math.lgamma(self.s)
             )
         out = np.where(x > 0, np.exp(logp), 0.0)
         return float(out) if out.ndim == 0 else out
@@ -185,7 +190,7 @@ def outage_probability(
         t_over_r = np.exp(log_t) / fit.r
         suppression = np.exp(log_c - 2.0 * log_t)  # c / t^2
     log_terms = (
-        log_weights + fit.s * log_t - t_over_r - fit.s * math.log(fit.r) - gammaln(fit.s)
+        log_weights + fit.s * log_t - t_over_r - fit.s * math.log(fit.r) - math.lgamma(fit.s)
         - suppression
     )
     integral = float(np.sum(np.exp(log_terms)))

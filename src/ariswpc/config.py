@@ -192,7 +192,8 @@ class SystemConfig:
         require(self.r_v >= 0, "r_v", "must be >= 0")
         require(self.P_R_mw > 0, "P_R_mw", "must be positive")
         require(self.quadrature_points >= 2, "quadrature_points", "must be >= 2")
-        require(self.mc_samples >= 1, "mc_samples", "must be >= 1")
+        # mc_rate_and_outage's floor, checked here so that MC commands fail on the config
+        require(self.mc_samples >= 100, "mc_samples", f"must be >= 100, got {self.mc_samples}")
 
     # ---- unit conversions and derived coefficients -------------------------
 

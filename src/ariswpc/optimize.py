@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import lambertw
 
 from .closedform import effective_rate, ergodic_rate, ergodic_terms
 from .config import SystemConfig
@@ -39,6 +38,10 @@ __all__ = [
 _ALPHA_LO = 1e-6
 _ALPHA_HI = 1.0 - 1e-6
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# 1/e split as the nearest double plus its remainder, so that x + 1/e keeps
+# its leading digits near the Lambert-W branch point x = -1/e
+_INV_E = math.exp(-1.0)
+_INV_E_LO = -1.2428753672788363e-17
 
 
 class Binding(str, Enum):
@@ -84,17 +87,48 @@ def ergodic_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
     return (k / ((1.0 - alpha) * (1.0 + z)) - math.log1p(z)) / math.log(2.0)
 
 
+def _lambertw0(x: float) -> float:
+    """Principal real branch of the Lambert W function: w e^w = x, w >= -1.
+
+    NaN for x at or below the branch point -1/e (the double nearest -1/e
+    lies just below it). Halley's iteration (Corless et al., "On the Lambert
+    W function", 1996) from the branch-point series p = sqrt(2(e x + 1)),
+    w ~ -1 + p - p^2/3 + 11p^3/72, for x < -1/4, from log1p(x) up to x = 3
+    and from log x - log log x beyond.
+    """
+    if not x > -_INV_E:
+        return math.nan
+    if x < -0.25:
+        p = math.sqrt(2.0 * math.e * ((x + _INV_E) + _INV_E_LO))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    elif x < 3.0:
+        w = math.log1p(x)
+    else:
+        log_x = math.log(x)
+        w = log_x - math.log(log_x)
+    for _ in range(32):
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 4e-16 * abs(w):
+            break
+    return w
+
+
 def optimize_alpha_ergodic(cfg: SystemConfig) -> OptResult:
     """Interior maximizer of the ergodic rate in closed form.
 
     With K = t7/t6, the root of the derivative is alpha* = (z-1)/(K+z-1)
     where z = exp(1 + W((K-1)/e)) and W is the principal Lambert-W branch;
     at K = 1 this is 1 - 1/e. iterations is 0 and residual is the
-    derivative at alpha*.
+    derivative at alpha*. As K -> 0, alpha* -> 1; once (K-1)/e rounds to
+    the branch point, W is NaN and so is alpha*, which is reported as
+    NoInteriorMaximumError.
     """
     t = ergodic_terms(cfg)
     k = t.t7 / t.t6
-    z = math.exp(1.0 + lambertw((k - 1.0) / math.e).real)
+    z = math.exp(1.0 + _lambertw0((k - 1.0) / math.e))
     alpha = (z - 1.0) / (k + z - 1.0)
     if not _ALPHA_LO < alpha < _ALPHA_HI:
         raise NoInteriorMaximumError(

@@ -4,8 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gamma as gamma_fn
-
 __all__ = [
     "MAX_PHASE_BITS",
     "PhaseErrorStats",
@@ -75,6 +73,6 @@ def cascade_moment(n: int, rho_m: float, zeta_g: float, zeta_h: float) -> float:
     """
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    return float(
-        rho_m**n * (zeta_g * zeta_h) ** (n / 2.0) * gamma_fn(n / 2.0 + 1.0) ** 2
-    )
+    # Gamma(n/2 + 1) overflows a double from n = 342 on
+    g = math.gamma(n / 2.0 + 1.0) if n < 342 else math.inf
+    return float(rho_m**n * (zeta_g * zeta_h) ** (n / 2.0) * (g * g))

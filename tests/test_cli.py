@@ -36,6 +36,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown outputs"):
             SweepSpec(variable="M", values=(1,), outputs=("bogus",))
 
+    def test_repeated_output_rejected(self):
+        with pytest.raises(ValueError, match=r"^repeated outputs: \['power'\]$"):
+            SweepSpec(variable="M", values=(8, 4), outputs=("power", "ergodic_cf", "power"))
+
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError, match="variable"):
             SweepSpec(variable="spam", values=(1,), outputs=("power",))
@@ -225,6 +229,23 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ConfigValidationError: alpha: must lie in (0, 1), got 1.5\n"
+
+    @pytest.mark.parametrize("command", [
+        ["mc"],
+        ["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "outage_mc"],
+    ])
+    def test_too_few_samples_is_a_config_error(self, capsys, command):
+        assert main([*command, "--samples", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigValidationError: mc_samples: must be >= 100, got 50\n"
+
+    def test_repeated_sweep_output_is_one_error_line(self, capsys):
+        argv = ["sweep", "--variable", "M", "--values", "8,4", "--outputs", "power,ergodic_cf,power"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: repeated outputs: ['power']\n"
 
 
 def _sci(x) -> str:

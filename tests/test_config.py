@@ -87,6 +87,7 @@ class TestValidation:
             ("M", -1),
             ("b", 0),
             ("mc_samples", 0),
+            ("mc_samples", 99),
             ("quadrature_points", 0),
             ("r_v", -1.0),
             ("P_R_mw", 0.0),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from ariswpc import (
     Binding,
@@ -21,7 +22,7 @@ from ariswpc import (
     replace_config,
 )
 from ariswpc.closedform import ergodic_terms
-from ariswpc.optimize import _golden_max
+from ariswpc.optimize import _golden_max, _lambertw0
 
 from helpers import central_difference, ergodic_alpha_brentq
 
@@ -95,6 +96,51 @@ class TestOptimizeErgodic:
         t = ergodic_terms(cfg)
         assert t.t7 / t.t6 == pytest.approx(1.0, rel=1e-12)
         assert optimize_alpha_ergodic(cfg).alpha_opt == pytest.approx(1.0 - 1.0 / math.e, abs=1e-10)
+
+
+def _alpha_star(k: float, w) -> float:
+    """The ergodic optimum (z-1)/(K+z-1), z = exp(1 + W((K-1)/e)), for a given W."""
+    z = math.exp(1.0 + w((k - 1.0) / math.e))
+    return (z - 1.0) / (k + z - 1.0)
+
+
+class TestLambertW:
+    """The in-house principal-branch W against scipy.special.lambertw(x).real."""
+
+    @staticmethod
+    def _scipy_w(x: float) -> float:
+        return float(lambertw(x).real)
+
+    def test_alpha_star_matches_scipy_over_k(self):
+        rng = np.random.default_rng(8)
+        ks = np.concatenate([10.0 ** rng.uniform(-12.0, 14.0, 4000), [1e-12, 1e-6, 1.0, 1e14]])
+        for k in map(float, ks):
+            ours, ref = _alpha_star(k, _lambertw0), _alpha_star(k, self._scipy_w)
+            # below K = 1e-6 both evaluate W within sqrt(eps) of its branch point
+            tol = 1e-12 if k >= 1e-6 else 1e-9
+            assert abs(ours - ref) <= tol * abs(ref), k
+
+    def test_unit_k_is_one_minus_inverse_e(self):
+        assert _lambertw0(0.0) == 0.0
+        assert _alpha_star(1.0, _lambertw0) == _alpha_star(1.0, self._scipy_w)
+        assert _alpha_star(1.0, _lambertw0) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-15)
+
+    def test_branch_point(self):
+        # the double nearest -1/e lies below the branch point: no real W, as in scipy
+        x = -1.0 / math.e
+        assert math.isnan(_lambertw0(x)) and math.isnan(self._scipy_w(x))
+        assert math.isnan(_lambertw0(math.nextafter(x, -1.0)))
+        above = math.nextafter(x, 0.0)
+        assert -1.0 < _lambertw0(above) == pytest.approx(self._scipy_w(above), abs=1e-8)
+        # K so small that (K-1)/e rounds to the branch point
+        assert (1e-30 - 1.0) / math.e == x
+        assert math.isnan(_alpha_star(1e-30, _lambertw0))
+
+    @pytest.mark.parametrize("x", [-0.36, -0.3, -0.25, -1e-3, 1e-300, 1e-3, 0.5, 2.9, 3.0, 1e3, 1e300])
+    def test_solves_w_exp_w(self, x):
+        w = _lambertw0(x)
+        assert w * math.exp(w) == pytest.approx(x, rel=1e-14)
+        assert w == pytest.approx(self._scipy_w(x), rel=1e-14)
 
 
 class TestOptimizeErgodicConstrained:
