@@ -26,7 +26,6 @@ def test_every_exported_name_resolves_to_its_module_object():
     assert isinstance(ariswpc.__version__, str)
 
 
-
 _FRESH_IMPORT = """
 import sys
 import ariswpc.cli
