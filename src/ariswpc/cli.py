@@ -2,16 +2,20 @@
 
 Subcommands: sweep, figure, optimize, compare, mc. All output is CSV with
 unit-carrying headers and fixed scientific formatting (9 significant
-digits), so identical seeds and flags reproduce byte-identical files.
-Precedence of settings: built-in defaults < --config file < --set KEY=VALUE
-< dedicated flags (--samples, --quadrature-points). Monte Carlo chunks run
-on one thread per usable CPU (fewer at large M); that never changes the output.
+digits), so identical seeds and flags reproduce byte-identical files; a
+non-finite cell fails the command. Each per-config number, in a sweep, mc or
+compare row or a figure column, is an _OUTPUTS cell; only optimize's rows
+call the optimizers directly. Precedence of settings: built-in defaults <
+--config file < --set KEY=VALUE < dedicated flags (--samples,
+--quadrature-points, --power-budget). Monte Carlo chunks run on one thread
+per usable CPU (fewer at large M); that never changes the output.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,7 +65,7 @@ _SWEEP_HEADER_FIRST = {
 }
 SWEEP_VARIABLES = tuple(_SWEEP_HEADER_FIRST)
 
-_PP_GRID = tuple(range(0, 31, 2))       # dBm
+_PP_GRID = tuple(float(pp) for pp in range(0, 31, 2))  # dBm
 _RHO_GRID = tuple(np.arange(1.0, 6.01, 0.5))
 _M_GRID = tuple(range(4, 65, 4))
 
@@ -73,6 +77,8 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {float(value)} in a CSV cell")
     return f"{float(value):.8e}"
 
 
@@ -186,13 +192,20 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
 # ---- figure data ------------------------------------------------------------
 
 
-def _pp_table(variants: dict[str, SystemConfig], metric, alpha: float) -> str:
-    """One column per variant: metric(variant at P_p, alpha) over the P_p grid."""
-    rows = [
-        [float(pp), *(metric(replace_config(v, P_p_dbm=float(pp)), alpha) for v in variants.values())]
-        for pp in _PP_GRID
-    ]
-    return _csv_table(["P_p_dbm", *variants], rows)
+def _grid_table(first: str, grid: Sequence, columns, flags=()) -> str:
+    """One row per grid value x: x, each column's cell at x, then each flag (header, function of x).
+
+    A column is (header, _OUTPUTS name, function of x giving the point config), evaluated by
+    _evaluate; columns with the same point function share its configs.
+    """
+    points = {point: [point(x) for x in grid] for point in dict.fromkeys(column[2] for column in columns)}
+    cells = [[cell for [cell] in _evaluate(points[point], (output,), seed=0)] for _, output, point in columns]
+    header = [first, *(header for header, _, _ in columns), *(header for header, _ in flags)]
+    return _csv_table(header, ([x, *row, *(flag(x) for _, flag in flags)] for x, row in zip(grid, zip(*cells))))
+
+
+def _pp_columns(variants: dict[str, SystemConfig], output: str) -> list:
+    return [(header, output, lambda pp, v=v: replace_config(v, P_p_dbm=pp)) for header, v in variants.items()]
 
 
 def _fig2(cfg: SystemConfig) -> dict[str, str]:
@@ -202,7 +215,7 @@ def _fig2(cfg: SystemConfig) -> dict[str, str]:
         "ergodic_active_ideal_bits_per_s_hz": replace_config(cfg, b=16, ris_mode=RisMode.ACTIVE),
         "ergodic_passive_bits_per_s_hz": replace_config(cfg, ris_mode=RisMode.PASSIVE),
     }
-    return {"fig2_ergodic_vs_pp.csv": _pp_table(variants, ergodic_rate, cfg.alpha)}
+    return {"fig2_ergodic_vs_pp.csv": _grid_table("P_p_dbm", _PP_GRID, _pp_columns(variants, "ergodic_cf"))}
 
 
 def _fig3(cfg: SystemConfig) -> dict[str, str]:
@@ -210,64 +223,40 @@ def _fig3(cfg: SystemConfig) -> dict[str, str]:
     for m in (16, 32):
         variants[f"outage_active_m{m}_prob"] = replace_config(cfg, M=m, ris_mode=RisMode.ACTIVE)
         variants[f"outage_passive_m{m}_prob"] = replace_config(cfg, M=m, ris_mode=RisMode.PASSIVE)
-    return {"fig3_outage_vs_pp.csv": _pp_table(variants, outage_probability, cfg.alpha)}
+    return {"fig3_outage_vs_pp.csv": _grid_table("P_p_dbm", _PP_GRID, _pp_columns(variants, "outage_cf"))}
 
 
 def _fig4(cfg: SystemConfig) -> dict[str, str]:
-    alpha_star = optimize_alpha_ergodic(cfg).alpha_opt
-    alpha_dagger = effective_alpha_closed_form(cfg.r_v)
+    [[alpha_star, alpha_dagger]] = _evaluate([cfg], ("alpha_star", "alpha_dagger"), seed=0)
     marked = {alpha_star} if alpha_dagger is None else {alpha_star, alpha_dagger}
     grid = sorted(set(np.linspace(0.01, 0.99, 99)) | marked)
-    rows = []
-    for a in grid:
-        rows.append(
-            [
-                a,
-                ergodic_rate(cfg, a),
-                effective_rate(cfg, a),
-                a == alpha_star,
-                a == alpha_dagger,
-            ]
-        )
-    header = [
-        "alpha",
-        "ergodic_rate_bits_per_s_hz",
-        "effective_rate_bits_per_s_hz",
-        "is_alpha_star",
-        "is_alpha_dagger",
-    ]
-    return {"fig4_rates_vs_alpha.csv": _csv_table(header, rows)}
+    outputs = {"ergodic_rate_bits_per_s_hz": "ergodic_cf", "effective_rate_bits_per_s_hz": "effective"}
+
+    def at(a):  # one point function, so both columns share the configs
+        return replace_config(cfg, alpha=a)
+
+    columns = [(header, output, at) for header, output in outputs.items()]
+    flags = [("is_alpha_star", lambda a: a == alpha_star), ("is_alpha_dagger", lambda a: a == alpha_dagger)]
+    return {"fig4_rates_vs_alpha.csv": _grid_table("alpha", grid, columns, flags)}
 
 
 def _fig5(cfg: SystemConfig) -> dict[str, str]:
-    alpha = cfg.alpha
-    rho_rows = [
-        [rho, expected_power(replace_config(cfg, rho=rho, rho_max=max(cfg.rho_max, rho)), alpha)]
-        for rho in _RHO_GRID
-    ]
+    rho_column = ("expected_power_mw", "power", lambda r: replace_config(cfg, rho=r, rho_max=max(cfg.rho_max, r)))
     return {
-        "fig5_power_vs_rho.csv": _csv_table(["rho_gain", "expected_power_mw"], rho_rows),
-        "fig5_power_vs_pp.csv": _pp_table({"expected_power_mw": cfg}, expected_power, alpha),
+        "fig5_power_vs_rho.csv": _grid_table("rho_gain", _RHO_GRID, [rho_column]),
+        "fig5_power_vs_pp.csv": _grid_table("P_p_dbm", _PP_GRID, _pp_columns({"expected_power_mw": cfg}, "power")),
     }
 
 
 def _fig6(cfg: SystemConfig) -> dict[str, str]:
-    m_rows = [
-        [
-            m,
-            expected_power(replace_config(cfg, M=m), 0.1),
-            expected_power(replace_config(cfg, M=m), 0.9),
-        ]
-        for m in _M_GRID
+    m_columns = [
+        (f"expected_power_alpha_{label}_mw", "power", lambda m, a=a: replace_config(cfg, M=m, alpha=a))
+        for label, a in (("0p1", 0.1), ("0p9", 0.9))
     ]
-    alpha_rows = [
-        [a, expected_power(cfg, a)] for a in np.linspace(0.1, 0.9, 17)
-    ]
+    alpha_column = ("expected_power_mw", "power", lambda a: replace_config(cfg, alpha=a))
     return {
-        "fig6_power_vs_m.csv": _csv_table(
-            ["M_elements", "expected_power_alpha_0p1_mw", "expected_power_alpha_0p9_mw"], m_rows
-        ),
-        "fig6_power_vs_alpha.csv": _csv_table(["alpha", "expected_power_mw"], alpha_rows),
+        "fig6_power_vs_m.csv": _grid_table("M_elements", _M_GRID, m_columns),
+        "fig6_power_vs_alpha.csv": _grid_table("alpha", np.linspace(0.1, 0.9, 17), [alpha_column]),
     }
 
 
@@ -312,10 +301,9 @@ def _build_config(args) -> SystemConfig:
         if key not in _KNOWN_KEYS:
             raise ValueError(f"unknown config key: {key!r}")
         overrides[key] = _coerce(key, raw)
-    if args.samples is not None:
-        overrides["mc_samples"] = args.samples
-    if args.quadrature_points is not None:
-        overrides["quadrature_points"] = args.quadrature_points
+    dedicated = {"mc_samples": args.samples, "quadrature_points": args.quadrature_points,
+                 "P_R_mw": getattr(args, "power_budget", None)}  # only optimize has --power-budget
+    overrides.update((key, value) for key, value in dedicated.items() if value is not None)
     return replace_config(cfg, **overrides) if overrides else cfg
 
 
@@ -356,12 +344,11 @@ def _figure(cfg: SystemConfig, args) -> dict[str, str]:
 
 
 def _optimize(cfg: SystemConfig, args) -> dict[str, str]:
-    budget = args.power_budget if args.power_budget is not None else cfg.P_R_mw
     runs = [
         ("ergodic", optimize_alpha_ergodic(cfg)),
-        ("ergodic_constrained", optimize_alpha_ergodic_constrained(cfg, budget)),
+        ("ergodic_constrained", optimize_alpha_ergodic_constrained(cfg)),
         ("effective", optimize_alpha_effective(cfg)),
-        ("effective_constrained", optimize_alpha_effective_constrained(cfg, budget)),
+        ("effective_constrained", optimize_alpha_effective_constrained(cfg)),
     ]
     header = [
         "objective", "alpha_opt", "objective_value_bits_per_s_hz", "binding",
@@ -426,7 +413,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_figure)
 
     p = sub.add_parser("optimize", parents=[common], help="run all four alpha optimizers")
-    p.add_argument("--power-budget", type=float, help="budget in mW (default: config P_R_mw)")
+    p.add_argument("--power-budget", type=float, help="override P_R_mw, the RIS power budget in mW")
     p.set_defaults(func=_optimize)
 
     p = sub.add_parser("compare", parents=[common], help="active vs passive summary")

@@ -184,13 +184,22 @@ class SystemConfig:
         require(self.d_f > 0, "d_f", "must be positive")
         require(all(d > 0 for d in self.d_h), "d_h", "all distances must be positive")
         require(all(d > 0 for d in self.d_g), "d_g", "all distances must be positive")
+        # d^-epsilon peaks at the nearest distance; an infinite d_f, d_h or d_g is a blocked link (zeta = 0)
+        nearest = {"d_p": self.d_p, "d_f": self.d_f, "d_h": min(self.d_h, default=1), "d_g": min(self.d_g, default=1)}
+        for name, d in nearest.items():
+            try:
+                math.pow(d, -self.epsilon)  # raises where numpy would warn and return inf
+            except OverflowError:
+                raise ConfigValidationError(name, "path loss d^-epsilon must be finite") from None
+        require(math.pow(self.d_p, -self.epsilon) > 0.0, "d_p", "path loss d^-epsilon must be above 0")
         require(
             all(0.0 <= r <= self.rho_max for r in self.rho),
             "rho",
             f"each element must lie in [0, rho_max={self.rho_max}]",
         )
         require(self.r_v >= 0, "r_v", "must be >= 0")
-        require(self.P_R_mw > 0, "P_R_mw", "must be positive")
+        # With M = 0 the RIS draws nothing, so a budget of exactly 0 mW is met
+        require(self.P_R_mw > 0 or (self.P_R_mw == 0 and self.M == 0), "P_R_mw", "must be positive")
         require(self.quadrature_points >= 2, "quadrature_points", "must be >= 2")
         # mc_rate_and_outage's floor, checked here so that MC commands fail on the config
         require(self.mc_samples >= 100, "mc_samples", f"must be >= 100, got {self.mc_samples}")

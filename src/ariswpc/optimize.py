@@ -62,7 +62,10 @@ class OptResult:
     residual is |d rate/d alpha| at the optimum for interior derivative
     roots, |expected_power - P_R| for budget-bound solutions, and for
     golden-section maximizers the tolerance tol, the width the search
-    bracket was narrowed to (the final bracket is at most that wide).
+    bracket was narrowed to (the final bracket is at most that wide). That
+    bounds the bracket, not the error in alpha_opt: near the peak the
+    objective's rounding noise exceeds its fall-off over tol, so a
+    golden-section alpha_opt is good to a few 1e-7.
     alpha_closed_form carries the analytic effective-rate candidate where
     one exists (None otherwise).
     """

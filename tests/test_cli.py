@@ -5,7 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
-from ariswpc import SystemConfig, mc_ergodic_rate, mc_outage, montecarlo, replace_config
+from ariswpc import (
+    SystemConfig,
+    effective_alpha_closed_form,
+    effective_rate,
+    ergodic_rate,
+    expected_power,
+    mc_ergodic_rate,
+    mc_outage,
+    montecarlo,
+    optimize_alpha_ergodic,
+    outage_probability,
+    replace_config,
+)
 from ariswpc.cli import SweepSpec, compare_active_passive, main, reproduce_figure, run_sweep
 
 
@@ -240,6 +252,52 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == "error: ConfigValidationError: mc_samples: must be >= 100, got 50\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--set", "d_g=1e-300"], "ConfigValidationError: d_g: path loss d^-epsilon must be finite"),
+            (["mc", "--set", "d_p=inf"], "ConfigValidationError: d_p: path loss d^-epsilon must be above 0"),
+            (["compare", "--set", "d_p=inf"], "ConfigValidationError: d_p: path loss d^-epsilon must be above 0"),
+            (["figure", "all", "--set", "d_p=1e-300"],
+             "ConfigValidationError: d_p: path loss d^-epsilon must be finite"),
+            (["optimize", "--power-budget", "0"], "ConfigValidationError: P_R_mw: must be positive"),
+            (["optimize", "--power-budget", "-1"], "ConfigValidationError: P_R_mw: must be positive"),
+            (["optimize", "--power-budget", "nan"], "ConfigValidationError: P_R_mw: must be positive"),
+        ],
+    )
+    def test_invalid_link_or_budget_is_one_config_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_non_finite_cell_fails_instead_of_printing(self, capsys):
+        # each path loss is finite, but zeta_h * zeta_g overflows in the closed forms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["compare", "--set", "d_g=1e-100", "--set", "d_h=1e-100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: non-finite value inf in a CSV cell\n"
+
+    @pytest.mark.parametrize("field", ["d_f", "d_h", "d_g"])
+    def test_blocked_link_is_valid(self, capsys, field):
+        assert main(["compare", "--set", f"{field}=inf"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_power_budget_flag_overrides_set(self, capsys):
+        assert main(["optimize", "--set", "P_R_mw=5", "--power-budget", "20"]) == 0
+        flagged = capsys.readouterr().out
+        assert main(["optimize", "--set", "P_R_mw=20"]) == 0
+        assert capsys.readouterr().out == flagged
+
+    def test_zero_power_budget_without_elements(self, capsys):
+        # with M = 0 nothing draws power, so a 0 mW budget never binds
+        assert main(["optimize", "--set", "M=0", "--power-budget", "0"]) == 0
+        zero = capsys.readouterr().out
+        assert main(["optimize", "--set", "M=0"]) == 0
+        assert capsys.readouterr().out == zero
+
     def test_repeated_sweep_output_is_one_error_line(self, capsys):
         argv = ["sweep", "--variable", "M", "--values", "8,4", "--outputs", "power,ergodic_cf,power"]
         assert main(argv) == 1
@@ -410,3 +468,68 @@ def test_compare_far_narrow_density_warns_nothing(capsys):
         "active,7.12360702e+00,8.75096664e-02,3.62785379e+00,1.76647025e+01\n"
         "passive,4.84129804e+00,4.54053020e-01,2.17056088e+00,9.60000000e+00\n"
     )
+
+
+def _reference_csv(header, rows) -> str:
+    def cell(v):
+        return str(int(v)) if isinstance(v, (bool, int, np.bool_, np.integer)) else _sci(v)
+
+    return "".join(",".join(row) + "\n" for row in [header, *([cell(v) for v in row] for row in rows)])
+
+
+def _reference_figures(cfg) -> dict[str, str]:
+    """fig2-fig6 from direct library calls: the per-figure loops the CLI once had."""
+    alpha = cfg.alpha
+    pp_grid = [float(pp) for pp in range(0, 31, 2)]
+    fig2 = [replace_config(cfg, b=b, ris_mode="active") for b in (1, 4, 16)] + [replace_config(cfg, ris_mode="passive")]
+    fig3 = [replace_config(cfg, M=m, ris_mode=mode) for m in (16, 32) for mode in ("active", "passive")]
+    star = optimize_alpha_ergodic(cfg).alpha_opt
+    dagger = effective_alpha_closed_form(cfg.r_v)
+    alphas = sorted(set(np.linspace(0.01, 0.99, 99)) | {star} | ({dagger} - {None}))
+    return {
+        "fig2_ergodic_vs_pp.csv": _reference_csv(
+            ["P_p_dbm", "ergodic_active_b1_bits_per_s_hz", "ergodic_active_b4_bits_per_s_hz",
+             "ergodic_active_ideal_bits_per_s_hz", "ergodic_passive_bits_per_s_hz"],
+            [[pp, *(ergodic_rate(replace_config(v, P_p_dbm=pp), alpha) for v in fig2)] for pp in pp_grid],
+        ),
+        "fig3_outage_vs_pp.csv": _reference_csv(
+            ["P_p_dbm", "outage_active_m16_prob", "outage_passive_m16_prob",
+             "outage_active_m32_prob", "outage_passive_m32_prob"],
+            [[pp, *(outage_probability(replace_config(v, P_p_dbm=pp), alpha) for v in fig3)] for pp in pp_grid],
+        ),
+        "fig4_rates_vs_alpha.csv": _reference_csv(
+            ["alpha", "ergodic_rate_bits_per_s_hz", "effective_rate_bits_per_s_hz", "is_alpha_star", "is_alpha_dagger"],
+            [[a, ergodic_rate(cfg, a), effective_rate(cfg, a), a == star, a == dagger] for a in alphas],
+        ),
+        "fig5_power_vs_rho.csv": _reference_csv(
+            ["rho_gain", "expected_power_mw"],
+            [[rho, expected_power(replace_config(cfg, rho=rho, rho_max=max(cfg.rho_max, rho)), alpha)]
+             for rho in np.arange(1.0, 6.01, 0.5)],
+        ),
+        "fig5_power_vs_pp.csv": _reference_csv(
+            ["P_p_dbm", "expected_power_mw"],
+            [[pp, expected_power(replace_config(cfg, P_p_dbm=pp), alpha)] for pp in pp_grid],
+        ),
+        "fig6_power_vs_m.csv": _reference_csv(
+            ["M_elements", "expected_power_alpha_0p1_mw", "expected_power_alpha_0p9_mw"],
+            [[m, expected_power(replace_config(cfg, M=m), 0.1), expected_power(replace_config(cfg, M=m), 0.9)]
+             for m in range(4, 65, 4)],
+        ),
+        "fig6_power_vs_alpha.csv": _reference_csv(
+            ["alpha", "expected_power_mw"], [[a, expected_power(cfg, a)] for a in np.linspace(0.1, 0.9, 17)]
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "sets", [(), ("rho_max=3", "rho=2", "r_v=0")], ids=["defaults", "rho-above-ceiling-zero-rate"]
+)
+def test_figure_files_equal_direct_library_calls(tmp_path, capsys, sets):
+    # every figure column goes through the CLI's one row evaluator; the text must not move
+    assert main(["figure", "all", "--out-dir", str(tmp_path), *(a for s in sets for a in ("--set", s))]) == 0
+    capsys.readouterr()
+    cfg = replace_config(SystemConfig(), **{k: float(v) for k, v in (s.split("=") for s in sets)})
+    expected = _reference_figures(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text, name

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,12 +102,37 @@ class TestValidation:
             ("P_p_dbm", -4000.0),
             ("P1_dbm", 1e6),
             ("P2_dbm", float("inf")),
+            ("P_R_mw", -1.0),
+            ("P_R_mw", float("nan")),
+            # path loss d^-epsilon that overflows, and a hub link that carries no power
+            ("d_p", 1e-300),
+            ("d_f", 1e-300),
+            ("d_h", 1e-300),
+            ("d_g", 1e-300),
+            ("d_p", float("inf")),
+            ("d_p", 1e200),
         ],
     )
     def test_invariant_violations(self, field, value):
-        with pytest.raises(ConfigValidationError) as err:
-            SystemConfig(**{field: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected without numpy's overflow warning
+            with pytest.raises(ConfigValidationError) as err:
+                SystemConfig(**{field: value})
         assert err.value.field == field
+
+    def test_epsilon_that_zeroes_the_hub_link_names_d_p(self):
+        with pytest.raises(ConfigValidationError, match=r"^d_p: path loss d\^-epsilon must be above 0$"):
+            SystemConfig(epsilon=1000.0)
+
+    @pytest.mark.parametrize("field", ["d_f", "d_h", "d_g"])
+    def test_infinite_distance_is_a_blocked_link(self, field):
+        cfg = SystemConfig(**{field: math.inf})
+        assert np.all(getattr(cfg, "zeta" + field[1:]) == 0.0)
+
+    def test_zero_budget_only_without_elements(self):
+        assert SystemConfig(M=0, P_R_mw=0.0).P_R_mw == 0.0
+        with pytest.raises(ConfigValidationError, match="^P_R_mw: must be positive$"):
+            SystemConfig(M=1, P_R_mw=0.0)
 
     def test_rho_above_ceiling(self):
         with pytest.raises(ConfigValidationError) as err:
