@@ -105,7 +105,7 @@ def _as_tuple(value, M: int, default: float, name: str) -> tuple[float, ...]:
         return (float(default),) * M
     if isinstance(value, (int, float)):
         return (float(value),) * M
-    vals = tuple(float(v) for v in value)
+    vals = tuple(map(float, value))
     if len(vals) == 1:
         return vals * M
     if len(vals) != M:
@@ -316,7 +316,8 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
     """Functional update that revalidates and rebroadcasts per-element fields.
 
     When M changes, uniform rho / d_h / d_g are rebroadcast to the new length;
-    non-uniform vectors cannot be resized implicitly.
+    non-uniform vectors cannot be resized implicitly. The new config shares
+    cfg's read-only per-element arrays whose inputs are not in `changes`.
     """
     if "M" in changes and changes["M"] != cfg.M:
         for name in ("rho", "d_h", "d_g"):
@@ -329,4 +330,9 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
                     name, "cannot change M with a non-uniform per-element vector"
                 )
             changes[name] = uniq.pop() if uniq else None
-    return replace(cfg, **changes)
+    new = replace(cfg, **changes)
+    for name, inputs in (("rho_effective", {"M", "rho", "ris_mode"}), ("zeta_h", {"M", "d_h", "epsilon"}),
+                         ("zeta_g", {"M", "d_g", "epsilon"})):
+        if inputs.isdisjoint(changes):
+            new.__dict__[name] = getattr(cfg, name)
+    return new
