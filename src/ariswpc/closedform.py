@@ -30,6 +30,7 @@ __all__ = [
     "gamma_fit",
     "outage_probability",
     "effective_rate",
+    "effective_rate_derivative",
     "approximation_diagnostics",
 ]
 
@@ -142,26 +143,13 @@ def _log_outage_threshold(r_v: float, alpha: float, literal: bool) -> float | No
     if r_v == 0.0:
         return None
     x = expo * _LN2
-    return x + math.log1p(-math.exp(-x))  # log(2^expo - 1)
+    # log(2^expo - 1) = x + log(1 - e^-x); log(1 - e^-x) takes expm1 up to x = ln 2 and
+    # log1p above (Maechler 2012), so it holds where e^-x rounds to 1 (x < 1.1e-16)
+    return x + (math.log(-math.expm1(-x)) if x <= _LN2 else math.log1p(-math.exp(-x)))
 
 
-def outage_probability(
-    cfg: SystemConfig, alpha: float, *, kappa_literal: bool = False
-) -> float:
-    """Probability that the instantaneous rate falls below the target r_v.
-
-    Gauss-Chebyshev evaluation with cfg.quadrature_points nodes under
-    log t = log(mean_x) + tan((pi/2) x) / sqrt(s), with Jacobian
-    t (pi/2) / (sqrt(s) cos^2((pi/2) x)): the log of a Gamma(s, r) variable
-    spreads about 1/sqrt(s) around log(mean_x), so the nodes sit on the
-    density however narrow it is or wherever it lies. Nodes whose t
-    overflows contribute 0. The result is clamped to [0, 1]. At the default
-    100 nodes it stays within 1e-8 of adaptive quadrature for M up to 1024
-    (and 4096 at the default geometry), passive and active surfaces,
-    distances of 2-80 m and hub powers of -20 to 80 dBm. kappa_literal switches the threshold to the
-    compatibility variant 2^(r_v/(1-alpha) - 1) in place of
-    2^(r_v/(1-alpha)) - 1.
-    """
+def _outage_terms(cfg: SystemConfig, alpha: float, kappa_literal: bool = False):
+    """Terms exp(... - c/t_u^2) of the integral 1 - outage, and their c/t_u^2; None if kappa == 0."""
     nu1 = harvested_power_coefficient(cfg, alpha)
     U = cfg.quadrature_points
     if U < 2:
@@ -169,7 +157,7 @@ def outage_probability(
 
     log_kappa = _log_outage_threshold(cfg.r_v, alpha, kappa_literal)
     if log_kappa is None:
-        return 0.0
+        return None
 
     fit = gamma_fit(cfg)
     t6 = ergodic_terms(cfg).t6
@@ -193,13 +181,53 @@ def outage_probability(
         log_weights + fit.s * log_t - t_over_r - fit.s * math.log(fit.r) - math.lgamma(fit.s)
         - suppression
     )
-    integral = float(np.sum(np.exp(log_terms)))
+    return np.exp(log_terms), suppression
+
+
+def outage_probability(
+    cfg: SystemConfig, alpha: float, *, kappa_literal: bool = False
+) -> float:
+    """Probability that the instantaneous rate falls below the target r_v.
+
+    Gauss-Chebyshev evaluation with cfg.quadrature_points nodes under
+    log t = log(mean_x) + tan((pi/2) x) / sqrt(s), with Jacobian
+    t (pi/2) / (sqrt(s) cos^2((pi/2) x)): the log of a Gamma(s, r) variable
+    spreads about 1/sqrt(s) around log(mean_x), so the nodes sit on the
+    density however narrow it is or wherever it lies. Nodes whose t
+    overflows contribute 0. The result is clamped to [0, 1]. At the default
+    100 nodes it stays within 1e-8 of adaptive quadrature for M up to 1024
+    (and 4096 at the default geometry), passive and active surfaces,
+    distances of 2-80 m and hub powers of -20 to 80 dBm. kappa_literal switches the threshold to the
+    compatibility variant 2^(r_v/(1-alpha) - 1) in place of
+    2^(r_v/(1-alpha)) - 1.
+    """
+    quadrature = _outage_terms(cfg, alpha, kappa_literal)
+    if quadrature is None:
+        return 0.0
+    integral = float(np.sum(quadrature[0]))
     return float(np.clip(1.0 - integral, 0.0, 1.0))
 
 
 def effective_rate(cfg: SystemConfig, alpha: float) -> float:
     """Throughput achieved without outage: (1 - P_O) * r_v, bits/s/Hz."""
     return (1.0 - outage_probability(cfg, alpha)) * cfg.r_v
+
+
+def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
+    """d/d alpha of the effective rate r_v I, bits/s/Hz per unit alpha.
+
+    I = sum_u I_u is the outage quadrature's sum, whose terms fall as c/t_u^2
+    grows. With c = kappa/nu1 up to alpha-free factors and x = r_v ln 2/(1-alpha),
+    it is -r_v sum_u I_u c/t_u^2 times d ln c/d alpha = (x/(1 - e^-x) - 1/alpha)/(1-alpha).
+    """
+    quadrature = _outage_terms(cfg, alpha)
+    if quadrature is None:
+        return 0.0
+    terms, exponents = quadrature
+    x = cfg.r_v * _LN2 / (1.0 - alpha)
+    d_log_c = (x / -math.expm1(-x) - 1.0 / alpha) / (1.0 - alpha)
+    # a node whose exponent overflowed to inf has a term of 0, and adds 0
+    return -cfg.r_v * float(terms @ np.where(terms > 0.0, exponents, 0.0)) * d_log_c
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Time-switching-factor optimizers for the ergodic and effective rates.
 
-The ergodic rate (1-alpha) log2(1 + K alpha/(1-alpha)) is the
-harvest-then-transmit objective of Ju & Zhang (IEEE TWC 2014), whose
-unique interior maximizer has a Lambert-W closed form. The effective rate
-is maximized numerically (coarse grid plus golden-section refinement) and
-reported alongside its closed-form candidate 1/(ln 2 * r_v + 1).
-Power-constrained variants apply the KKT case split: keep the interior
-optimum when it is feasible, otherwise return the budget boundary
-inverse_power(P_R); a grid re-check warns if the restricted objective is
-not maximized at the returned point.
+Both unconstrained maximizers are Lambert-W closed forms: for the ergodic
+rate (1-alpha) log2(1 + K alpha/(1-alpha)), Ju & Zhang (IEEE TWC 2014); for
+the effective rate (1 - P_O) r_v, the minimizer of c(alpha) = kappa/nu1,
+since the SINR is nu1(alpha) times an alpha-free gain. That point depends
+on r_v alone and is reported alongside the paper's candidate
+1/(ln 2 * r_v + 1). Power-constrained variants apply the KKT case split:
+keep the interior optimum when it is feasible, otherwise return the budget
+boundary inverse_power(P_R). The effective rate is unimodal in alpha, as c
+is; for the ergodic rate a grid re-check warns if the restricted objective
+is not maximized at the returned point.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closedform import effective_rate, ergodic_rate, ergodic_terms
+from .closedform import _LN2, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
 from .config import SystemConfig
 from .power import PowerBudgetInactiveError, expected_power, inverse_power
 
@@ -37,7 +38,6 @@ __all__ = [
 
 _ALPHA_LO = 1e-6
 _ALPHA_HI = 1.0 - 1e-6
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # 1/e split as the nearest double plus its remainder, so that x + 1/e keeps
 # its leading digits near the Lambert-W branch point x = -1/e
 _INV_E = math.exp(-1.0)
@@ -59,13 +59,9 @@ class NoInteriorMaximumError(RuntimeError):
 class OptResult:
     """Optimizer outcome.
 
-    residual is |d rate/d alpha| at the optimum for interior derivative
-    roots, |expected_power - P_R| for budget-bound solutions, and for
-    golden-section maximizers the tolerance tol, the width the search
-    bracket was narrowed to (the final bracket is at most that wide). That
-    bounds the bracket, not the error in alpha_opt: near the peak the
-    objective's rounding noise exceeds its fall-off over tol, so a
-    golden-section alpha_opt is good to a few 1e-7.
+    residual is |d rate/d alpha| at interior optima, which are closed
+    forms (iterations is 0), and |expected_power - P_R| for budget-bound
+    solutions.
     alpha_closed_form carries the analytic effective-rate candidate where
     one exists (None otherwise).
     """
@@ -92,6 +88,14 @@ def ergodic_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
     return (k / ((1.0 - alpha) * (1.0 + z)) - math.log1p(z)) / math.log(2.0)
 
 
+def _branch_series(p: float) -> float:
+    """W + 1 as a series in p = sqrt(2(e x + 1)); its error is below 1e-19 for p < 3e-3."""
+    s = 0.0
+    for c in reversed(_BRANCH_SERIES):
+        s = s * p + c
+    return p * s
+
+
 def _lambertw0(x: float) -> float:
     """Principal real branch of the Lambert W function: w e^w = x, w >= -1.
 
@@ -106,10 +110,7 @@ def _lambertw0(x: float) -> float:
         return math.nan
     if x < -0.25:
         p = math.sqrt(2.0 * math.e * ((x + _INV_E) + _INV_E_LO))
-        w = 0.0
-        for c in reversed(_BRANCH_SERIES):
-            w = w * p + c
-        w = -1.0 + p * w
+        w = _branch_series(p) - 1.0
         if p < 3e-3:
             return w
     elif x < 3.0:
@@ -154,68 +155,63 @@ def optimize_alpha_ergodic(cfg: SystemConfig) -> OptResult:
     )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
-    """Golden-section maximizer of a unimodal f on [lo, hi]."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    iterations = 0
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        iterations += 1
-    return 0.5 * (lo + hi), iterations
-
-
 def effective_alpha_closed_form(r_v: float) -> float | None:
     """Analytic effective-rate candidate 1/(ln 2 * r_v + 1); depends on r_v only.
 
-    Returns None at r_v = 0: the outage is then 0 at every alpha, the
-    effective rate is identically 0, and the candidate 1 lies outside (0, 1).
+    Returns None where the candidate rounds to 1, outside (0, 1): at r_v = 0,
+    where the effective rate is identically 0, and for r_v below about 1.6e-16.
     """
     if r_v < 0.0:
         raise ValueError("r_v must be >= 0")
-    if r_v == 0.0:
-        return None
-    return 1.0 / (math.log(2.0) * r_v + 1.0)
+    alpha = 1.0 / (math.log(2.0) * r_v + 1.0)
+    return alpha if alpha < 1.0 else None
 
 
-def optimize_alpha_effective(cfg: SystemConfig, tol: float = 1e-7) -> OptResult:
-    """Numeric maximizer of (1 - P_O(alpha)) r_v, plus the closed-form candidate.
+def _effective_alpha(r_v: float) -> float:
+    """The minimizer y/(L + y) of c(alpha) for r_v > 0, with L = r_v ln 2 and y = 1 + W0(-e^(-1-L)).
 
-    The two are reported side by side and deliberately not reconciled: the
-    closed form comes from a single-term surrogate of the outage integral.
-    Raises NoInteriorMaximumError when the coarse grid peaks at either end,
-    which includes an objective that is flat (all zero) over the grid.
+    In x = L/(1-alpha), c is proportional to (e^x - 1)/(x - L), least at x = L + y.
+    W enters through d = 1 - e^-L, the branch offset e x + 1 of its argument, from L
+    directly: from the rounded x it would lose its leading digits, and 1 - alpha with
+    them, as r_v -> 0. The Halley step is _lambertw0's, its residual written in y and d.
     """
-    closed = effective_alpha_closed_form(cfg.r_v)
+    L = r_v * _LN2
+    d = -math.expm1(-L)
+    p = math.sqrt(2.0 * d)
+    y = _branch_series(p)
+    if p >= 3e-3:
+        for _ in range(32):
+            f = y + math.expm1(-y) - d * math.exp(-y)
+            step = f / (y - (y + 1.0) * f / (2.0 * y))
+            y -= step
+            if abs(step) <= 4e-16 * y:
+                break
+    return y / (L + y)
 
-    def objective(a: float) -> float:
-        return effective_rate(cfg, a)
 
-    grid = np.linspace(_ALPHA_LO, _ALPHA_HI, 401)
-    values = [objective(a) for a in grid]
-    i = int(np.argmax(values))
-    if i in (0, len(grid) - 1):
+def optimize_alpha_effective(cfg: SystemConfig) -> OptResult:
+    """Maximizer of (1 - P_O(alpha)) r_v in closed form, plus the paper's candidate.
+
+    The outage rises with c(alpha) = kappa/nu1 at any gain law, so the
+    maximizer is c's minimizer (_effective_alpha); iterations is 0. Raises
+    NoInteriorMaximumError when r_v = 0, when that point lies outside
+    (1e-6, 1 - 1e-6), or when the rate is exactly 0 there, hence everywhere.
+    """
+    alpha = _effective_alpha(cfg.r_v) if cfg.r_v > 0.0 else 1.0  # its limit as r_v -> 0
+    inside = _ALPHA_LO < alpha < _ALPHA_HI
+    value = effective_rate(cfg, alpha) if inside else 0.0
+    if value == 0.0:
+        reason = "and is 0 there, so at every alpha" if inside else f"outside ({_ALPHA_LO}, {_ALPHA_HI})"
         raise NoInteriorMaximumError(
-            f"the effective rate peaks at the end alpha={grid[i]:.6g} of the search grid "
-            f"(value {values[i]:.3e}); it has no interior maximum"
+            f"the effective rate has no interior maximum: it peaks at alpha={alpha:.9g} {reason}"
         )
-    lo, hi = grid[i - 1], grid[i + 1]
-    alpha, iterations = _golden_max(objective, lo, hi, tol)
     return OptResult(
-        alpha_opt=float(alpha),
-        objective_value=objective(alpha),
+        alpha_opt=alpha,
+        objective_value=value,
         binding=Binding.INTERIOR,
-        iterations=iterations,
-        residual=tol,
-        alpha_closed_form=closed,
+        iterations=0,
+        residual=abs(effective_rate_derivative(cfg, alpha)),
+        alpha_closed_form=effective_alpha_closed_form(cfg.r_v),
     )
 
 
@@ -243,7 +239,7 @@ def _apply_power_constraint(cfg, unconstrained: OptResult, objective, P_R, mode)
         alpha = inverse_power(cfg, P_R, mode)
     except PowerBudgetInactiveError:
         return unconstrained
-    result = OptResult(
+    return OptResult(
         alpha_opt=alpha,
         objective_value=objective(alpha),
         binding=Binding.POWER_CONSTRAINED,
@@ -251,8 +247,6 @@ def _apply_power_constraint(cfg, unconstrained: OptResult, objective, P_R, mode)
         residual=abs(expected_power(cfg, alpha, mode) - P_R),
         alpha_closed_form=unconstrained.alpha_closed_form,
     )
-    _recheck_constrained(cfg, objective, result, P_R, mode)
-    return result
 
 
 def optimize_alpha_ergodic_constrained(
@@ -261,10 +255,11 @@ def optimize_alpha_ergodic_constrained(
     """Ergodic-rate maximizer subject to expected_power(alpha) <= P_R."""
     if P_R is None:
         P_R = cfg.P_R_mw
-    unconstrained = optimize_alpha_ergodic(cfg)
-    return _apply_power_constraint(
-        cfg, unconstrained, lambda a: ergodic_rate(cfg, a), P_R, mode
-    )
+    objective = lambda a: ergodic_rate(cfg, a)  # noqa: E731
+    result = _apply_power_constraint(cfg, optimize_alpha_ergodic(cfg), objective, P_R, mode)
+    if result.binding is Binding.POWER_CONSTRAINED:
+        _recheck_constrained(cfg, objective, result, P_R, mode)
+    return result
 
 
 def optimize_alpha_effective_constrained(

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own evaluation paths:
 outage via scipy adaptive integration, Rayleigh moments via adaptive
 quadrature of the density, nearest-phase selection via plain enumeration,
 derivatives via central finite differences, the ergodic optimum via a
-bracketing root-finder, and Monte Carlo rate, outage and moments of X via
+bracketing root-finder or a golden-section search, the effective-rate
+optimum via bisection on its stationarity condition, and Monte Carlo rate, outage and moments of X via
 plain per-point chunk loops with the SINR and X written out in full.
 """
 import math
@@ -76,6 +77,46 @@ def ergodic_alpha_brentq(cfg: SystemConfig) -> float:
         return k / (1.0 - alpha + k * alpha) - math.log1p(k * alpha / (1.0 - alpha))
 
     return optimize.brentq(slope, 1e-6, 1.0 - 1e-6, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
+    """Golden-section maximizer of a unimodal f on [lo, hi]: (argmax, iterations)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    iterations = 0
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = f(x1)
+        iterations += 1
+    return 0.5 * (lo + hi), iterations
+
+
+def effective_alpha_bisection(r_v: float) -> float:
+    """Effective-rate optimum y/(L + y), L = r_v ln 2, with y found by bisection on (0, 1).
+
+    With x = L/(1-alpha) the outage threshold over nu1 is proportional to
+    (e^x - 1)/(x - L); its minimum at x = L + y solves (1-y) e^y = e^-L, that
+    is -(y + log1p(-y)) = L. Below y = 1/2, where that difference cancels,
+    the left side is its series sum_{k>=2} y^k/k instead. Bisection runs
+    until the bracket is two adjacent doubles.
+    """
+    L = r_v * math.log(2.0)
+
+    def lhs(y):
+        return -(y + math.log1p(-y)) if y >= 0.5 else sum(y**k / k for k in range(2, 60))
+
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if lhs(mid) < L else (lo, mid)
+    return lo / (L + lo)
 
 
 def in_phase_amplitude(cfg: SystemConfig, batch) -> np.ndarray:

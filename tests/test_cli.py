@@ -453,6 +453,29 @@ class TestZeroTargetRate:
         assert err.startswith("error: NoInteriorMaximumError: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare"],
+        ["mc", "--samples", "1000"],
+        ["optimize"],
+        ["figure", "all"],
+        ["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--samples", "1000",
+         "--outputs", "ergodic_cf,outage_cf,outage_mc,effective,alpha_star,alpha_dagger"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tiny_target_rate_runs_or_fails_as_one_line(capsys, argv):
+    # below r_v of about 1.6e-16, e^-x in the outage threshold once rounded to 1: math domain error
+    rc = main([*argv, "--set", "r_v=1e-17"])
+    err = capsys.readouterr().err
+    if argv[0] == "optimize":
+        # the effective optimum lies within 2e-9 of alpha = 1
+        assert rc == 1 and err.startswith("error: NoInteriorMaximumError: ")
+    assert (rc, err) == (0, "") or (rc == 1 and err.count("\n") == 1 and err.startswith("error: "))
+    assert "math domain error" not in err
+
+
 def test_compare_far_narrow_density_warns_nothing(capsys):
     # cf-scan seed 7, design point 3: the outermost quadrature node overflows t / r
     argv = ["compare", "--set", "M=48", "--set", "b=2", "--set", "P_p_dbm=26.7554947",

@@ -16,6 +16,7 @@ from ariswpc import (
     replace_config,
     sample_batch,
 )
+from ariswpc.closedform import _log_outage_threshold
 
 from helpers import adaptive_outage
 
@@ -182,6 +183,14 @@ class TestOutage:
         literal = outage_probability(cfg, 0.419, kappa_literal=True)
         assert literal != corrected
         assert abs(corrected - mc) < abs(literal - mc)
+
+    def test_threshold_log_holds_for_every_positive_rate(self):
+        # log(2^(r_v/(1-alpha)) - 1) = log(expm1(x)), x = r_v ln 2/(1-alpha), which is exact
+        # until expm1 overflows; the threshold must match it where e^-x rounds to 1 as well
+        for x in 10.0 ** np.linspace(-20.0, 2.5, 400):
+            got = _log_outage_threshold(x / math.log(2.0) * 0.5, 0.5, False)
+            assert got == pytest.approx(math.log(math.expm1(x)), rel=1e-15, abs=1e-15)
+        assert 0.0 <= outage_probability(SystemConfig(r_v=1e-17), 0.419) < 1e-12
 
     def test_compat_variant_nonzero_at_zero_rate(self):
         cfg = SystemConfig(r_v=0.0)

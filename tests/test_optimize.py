@@ -11,6 +11,7 @@ from ariswpc import (
     SystemConfig,
     effective_alpha_closed_form,
     effective_rate,
+    effective_rate_derivative,
     ergodic_rate,
     ergodic_rate_derivative,
     expected_power,
@@ -22,9 +23,9 @@ from ariswpc import (
     replace_config,
 )
 from ariswpc.closedform import ergodic_terms
-from ariswpc.optimize import _golden_max, _lambertw0
+from ariswpc.optimize import _effective_alpha, _lambertw0
 
-from helpers import central_difference, ergodic_alpha_brentq
+from helpers import central_difference, effective_alpha_bisection, ergodic_alpha_brentq, golden_max
 
 
 class TestErgodicDerivative:
@@ -62,7 +63,7 @@ class TestOptimizeErgodic:
 
     def test_agrees_with_golden_section(self, default_cfg):
         res = optimize_alpha_ergodic(default_cfg)
-        alpha_golden, _ = _golden_max(
+        alpha_golden, _ = golden_max(
             lambda a: ergodic_rate(default_cfg, a), 1e-6, 1 - 1e-6, 1e-9
         )
         assert abs(res.alpha_opt - alpha_golden) <= 1e-6
@@ -212,7 +213,7 @@ class TestOptimizeEffective:
 
     @pytest.mark.parametrize("changes", [{"r_v": 50.0}, {"P_p_dbm": -60.0}])
     def test_degenerate_objective_raises(self, default_cfg, changes):
-        # the effective rate is 0 on the whole grid: no alpha is better than another
+        # the effective rate is 0 at its peak, so at every alpha: no alpha is better than another
         cfg = replace_config(default_cfg, **changes)
         with pytest.raises(NoInteriorMaximumError):
             optimize_alpha_effective(cfg)
@@ -224,6 +225,139 @@ class TestOptimizeEffective:
         grid = np.linspace(1e-4, 1.0 - 1e-4, 10**4)
         grid_best = max(effective_rate(default_cfg, a) for a in grid)
         assert res.objective_value >= grid_best - 1e-6
+
+
+class TestEffectiveDerivative:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize(
+        "changes", [{}, {"ris_mode": "passive"}, {"M": 0}, {"r_v": 0.1}, {"P_p_dbm": 5.0, "b": 1}]
+    )
+    def test_matches_finite_difference(self, default_cfg, changes, alpha):
+        cfg = replace_config(default_cfg, **changes)
+        numeric = central_difference(lambda a: effective_rate(cfg, a), alpha)
+        assert effective_rate_derivative(cfg, alpha) == pytest.approx(numeric, rel=1e-4, abs=1e-9)
+
+    def test_zero_target_and_domain(self, default_cfg):
+        assert effective_rate_derivative(replace_config(default_cfg, r_v=0.0), 0.5) == 0.0
+        with pytest.raises(ValueError):
+            effective_rate_derivative(default_cfg, 1.0)
+
+
+class TestEffectiveAlpha:
+    """The closed-form maximizer y/(L + y), y = 1 + W0(-e^(-1-L)), L = r_v ln 2."""
+
+    def test_matches_bisection_oracle_over_target_rates(self):
+        rng = np.random.default_rng(12)
+        r_vs = np.concatenate([10.0 ** rng.uniform(-12.0, 3.0, 300), [1e-12, 6.5e-6, 1.0, 1e3]])
+        for r_v in map(float, r_vs):
+            ref = effective_alpha_bisection(r_v)
+            # each side rounds alpha once, so they agree to about an ulp; near alpha = 1 that
+            # bounds the error in 1 - alpha, which W of the rounded -e^(-1-L) missed by up to 6e-5
+            assert abs(_effective_alpha(r_v) - ref) <= 4.5e-16 * ref, r_v
+
+    @pytest.mark.parametrize(
+        "r_v, expected, tol", [(0.1, 0.8254, 5e-5), (2.0, 0.3932, 5e-5), (10.0, 0.12604, 5e-6)]
+    )
+    def test_tabulated_values(self, r_v, expected, tol):
+        assert _effective_alpha(r_v) == pytest.approx(expected, abs=tol)
+
+    def test_paper_candidate_is_the_w_free_limit(self):
+        # alpha_dagger = 1/(1 + L) drops W's term: close at large r_v, far at small
+        for r_v, gap in ((0.1, 0.2), (10.0, 1e-4)):
+            dagger = effective_alpha_closed_form(r_v)
+            assert 0.0 < dagger - _effective_alpha(r_v) < gap
+
+    def test_tiny_target_is_no_interior_maximum(self, default_cfg):
+        # 1 - alpha is about sqrt(r_v ln 2 / 2), below 1e-6 from r_v of about 3e-12
+        cfg = replace_config(default_cfg, r_v=1e-17)
+        assert 1.0 - _effective_alpha(cfg.r_v) < 1e-6
+        assert effective_alpha_closed_form(cfg.r_v) is None
+        with pytest.raises(NoInteriorMaximumError):
+            optimize_alpha_effective(cfg)
+
+
+def _design_point(rng, index: int) -> SystemConfig:
+    return replace_config(
+        SystemConfig(),
+        M=int(rng.integers(0, 257)),
+        b=int(rng.integers(1, 9)),
+        P_p_dbm=float(rng.uniform(-10.0, 40.0)),
+        r_v=float(np.exp(rng.uniform(math.log(0.03), math.log(16.0)))),
+        d_p=float(rng.uniform(2.0, 80.0)),
+        d_f=float(rng.uniform(2.0, 80.0)),
+        d_h=float(rng.uniform(2.0, 80.0)),
+        d_g=float(rng.uniform(2.0, 80.0)),
+        rho=float(rng.uniform(1.0, 6.0)),
+        ris_mode=("active", "passive")[index % 2],
+    )
+
+
+@pytest.fixture(scope="module")
+def random_designs():
+    """Seeded random configs, each with the effective rate on a dense grid and a budget.
+
+    The grid is 201 uniform points on (1e-6, 1 - 1e-6) plus 41 within 1e-3 of
+    the closed-form optimum, where a grid point can come closest to beating it.
+    """
+    rng = np.random.default_rng(2024)
+    designs = []
+    for i in range(40):
+        cfg = _design_point(rng, i)
+        peak = _effective_alpha(cfg.r_v)
+        grid = np.concatenate([
+            np.linspace(1e-6, 1.0 - 1e-6, 201),
+            np.clip(peak + np.linspace(-1e-3, 1e-3, 41), 1e-6, 1.0 - 1e-6),
+        ])
+        model = power_model(cfg)
+        budget = (model.amp_noise_term + model.static_term) * float(rng.uniform(1.2, 4.0))
+        values = np.array([effective_rate(cfg, float(a)) for a in grid])
+        powers = np.array([expected_power(cfg, float(a)) for a in grid])
+        designs.append((cfg, grid, values, powers, budget))
+    return designs
+
+
+class TestEffectiveOnRandomDesigns:
+    """M 0-256, b 1-8, P_p -10..40 dBm, r_v 0.03-16 (log-uniform), distances 2-80 m, rho 1-6, both modes."""
+
+    def test_optimum_is_at_least_the_dense_grid_maximum(self, random_designs):
+        checked = 0
+        for cfg, _, values, _, _ in random_designs:
+            try:
+                res = optimize_alpha_effective(cfg)
+            except NoInteriorMaximumError:
+                continue
+            assert res.iterations == 0
+            assert res.residual == abs(effective_rate_derivative(cfg, res.alpha_opt))
+            assert res.objective_value >= values.max() * (1.0 - 1e-12), cfg
+            checked += 1
+        assert checked >= 20
+
+    def test_raises_exactly_when_the_rate_is_zero_at_its_peak(self, random_designs):
+        raised = []
+        for cfg, _, values, _, _ in random_designs:
+            try:
+                optimize_alpha_effective(cfg)
+                raised.append(False)
+            except NoInteriorMaximumError:
+                raised.append(True)
+            assert raised[-1] == (effective_rate(cfg, _effective_alpha(cfg.r_v)) == 0.0)
+            # the rate is then 0 on the whole grid, and only then
+            assert raised[-1] == (values.max() == 0.0)
+        assert any(raised) and not all(raised)
+
+    def test_constrained_optimum_is_at_least_the_feasible_grid_maximum(self, random_designs):
+        checked = 0
+        for cfg, _, values, powers, budget in random_designs:
+            feasible = values[powers <= budget]
+            try:
+                res = optimize_alpha_effective_constrained(cfg, budget)
+            except NoInteriorMaximumError:
+                continue
+            assert expected_power(cfg, res.alpha_opt) <= budget * (1.0 + 1e-12)
+            if feasible.size:
+                assert res.objective_value >= feasible.max() * (1.0 - 1e-12), cfg
+            checked += 1
+        assert checked >= 20
 
 
 class TestOptimizeEffectiveConstrained:
