@@ -70,7 +70,7 @@ def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
     t2 = zp * math.sqrt(math.pi * zf)
     t3 = float(np.sum(c1 * rho * np.sqrt(zg * zh)))
     t4 = float(np.sum(rho**2 * zp * zg * zh * (1.0 - c1**2)))
-    t5 = float(np.sum(c1 * rho * np.sqrt(zp * zg * zh))) ** 2
+    t5 = float(np.sum(c1 * rho * np.sqrt(zp * zg * zh)) ** 2)
     t6 = cfg.sigma_v2_mw * float(np.sum(rho**2 * zg)) + cfg.sigma_n2_mw
     t7 = cfg.eta * cfg.p_p_mw * (t1 + t2 * t3 + t4 + t5)
     return ErgodicTerms(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=t7)
@@ -131,7 +131,7 @@ def gamma_fit(cfg: SystemConfig) -> GammaFit:
     )
     if var_x <= 0.0:
         raise ValueError("degenerate composite amplitude: variance is zero")
-    return GammaFit(s=mean_x**2 / var_x, r=var_x / mean_x, mean_x=mean_x, var_x=var_x)
+    return GammaFit(s=mean_x * mean_x / var_x, r=var_x / mean_x, mean_x=mean_x, var_x=var_x)
 
 
 def _log_outage_threshold(r_v: float, alpha: float, literal: bool) -> float | None:

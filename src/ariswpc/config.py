@@ -179,7 +179,7 @@ class SystemConfig:
         require(0.0 < self.eta <= 1.0, "eta", f"must lie in (0, 1], got {self.eta}")
         require(self.epsilon > 0, "epsilon", "must be positive")
         require(1 <= self.b <= MAX_PHASE_BITS, "b", f"must lie in [1, {MAX_PHASE_BITS}]")
-        require(self.rho_max >= 0, "rho_max", "must be >= 0")
+        require(0 <= self.rho_max < math.inf, "rho_max", "must be finite and >= 0")
         require(self.d_p > 0, "d_p", "must be positive")
         require(self.d_f > 0, "d_f", "must be positive")
         require(all(d > 0 for d in self.d_h), "d_h", "all distances must be positive")
@@ -197,7 +197,7 @@ class SystemConfig:
             "rho",
             f"each element must lie in [0, rho_max={self.rho_max}]",
         )
-        require(self.r_v >= 0, "r_v", "must be >= 0")
+        require(0 <= self.r_v < math.inf, "r_v", "must be finite and >= 0")
         # With M = 0 the RIS draws nothing, so a budget of exactly 0 mW is met
         require(self.P_R_mw > 0 or (self.P_R_mw == 0 and self.M == 0), "P_R_mw", "must be positive")
         require(self.quadrature_points >= 2, "quadrature_points", "must be >= 2")

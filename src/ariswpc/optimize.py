@@ -7,18 +7,16 @@ since the SINR is nu1(alpha) times an alpha-free gain. That point depends
 on r_v alone and is reported alongside the paper's candidate
 1/(ln 2 * r_v + 1). Power-constrained variants apply the KKT case split:
 keep the interior optimum when it is feasible, otherwise return the budget
-boundary inverse_power(P_R). The effective rate is unimodal in alpha, as c
-is; for the ergodic rate a grid re-check warns if the restricted objective
-is not maximized at the returned point.
+boundary inverse_power(P_R). The split is exact for both rates:
+expected_power rises with alpha, so the feasible set is (0, alpha_budget];
+the ergodic rate is the perspective of the concave log2(1 + K z), hence
+concave in alpha, and the effective rate is unimodal in alpha, as c is.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .closedform import _LN2, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
 from .config import SystemConfig
@@ -38,12 +36,10 @@ __all__ = [
 
 _ALPHA_LO = 1e-6
 _ALPHA_HI = 1.0 - 1e-6
-# 1/e split as the nearest double plus its remainder, so that x + 1/e keeps
-# its leading digits near the Lambert-W branch point x = -1/e
-_INV_E = math.exp(-1.0)
-_INV_E_LO = -1.2428753672788363e-17
 # W(x) + 1 as a power series in p = sqrt(2(e x + 1)), lowest order first
 _BRANCH_SERIES = (1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0, -221.0 / 8505.0)
+# (y + expm1(-y))/y^2 = 1/2! - y/3! + y^2/4! - ..., summed to 1e-17 below y = 1/2
+_EXPM1_TAIL = tuple((-1.0) ** k / math.factorial(k + 2) for k in range(14))
 
 
 class Binding(str, Enum):
@@ -88,59 +84,54 @@ def ergodic_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
     return (k / ((1.0 - alpha) * (1.0 + z)) - math.log1p(z)) / math.log(2.0)
 
 
-def _branch_series(p: float) -> float:
-    """W + 1 as a series in p = sqrt(2(e x + 1)); its error is below 1e-19 for p < 3e-3."""
+def _polyval(coeffs, x: float) -> float:
+    """sum_k coeffs[k] x^k by Horner's rule."""
     s = 0.0
-    for c in reversed(_BRANCH_SERIES):
-        s = s * p + c
-    return p * s
+    for c in reversed(coeffs):
+        s = s * x + c
+    return s
 
 
-def _lambertw0(x: float) -> float:
-    """Principal real branch of the Lambert W function: w e^w = x, w >= -1.
+def _w_plus_one(d: float) -> float:
+    """y = 1 + W0((d - 1)/e), the root of (1 - y) e^y = 1 - d, from the branch offset d >= 0.
 
-    NaN for x at or below the branch point -1/e (the double nearest -1/e
-    lies just below it). Halley's iteration (Corless et al., "On the Lambert
-    W function", 1996) from the branch-point series in p = sqrt(2(e x + 1))
-    for x < -1/4, from log1p(x) up to x = 3 and from log x - log log x
-    beyond. For p < 3e-3 the six-term series is the answer: its error is
-    below 1e-19 there, under the rounding noise of a Halley step.
+    Both optima solve this equation, and both know d exactly; from the rounded
+    (d - 1)/e, y would lose d's leading digits as d -> 0. Below p = sqrt(2d) = 3e-3
+    the six-term branch series in p is the answer (its error is below 1e-19). Above,
+    Halley's iteration for W (Corless et al., 1996), written in y and d, starts from
+    that series for d < 1 and from log(d + e - 1), which is 1 + log1p((d - 1)/e),
+    beyond. In its residual y and expm1(-y) cancel near the branch point, leaving
+    noise of about eps/y in each step, so below y = 1/2 their sum is a Taylor
+    series. The error falls as the cube of the step, about (step/y)^3 y^2/12
+    relative, so a step below 1e-7 y leaves less than an ulp for every y below 710.
     """
-    if not x > -_INV_E:
-        return math.nan
-    if x < -0.25:
-        p = math.sqrt(2.0 * math.e * ((x + _INV_E) + _INV_E_LO))
-        w = _branch_series(p) - 1.0
-        if p < 3e-3:
-            return w
-    elif x < 3.0:
-        w = math.log1p(x)
-    else:
-        log_x = math.log(x)
-        w = log_x - math.log(log_x)
+    p = math.sqrt(2.0 * d)
+    y = p * _polyval(_BRANCH_SERIES, p) if d < 1.0 else math.log(d + (math.e - 1.0))
+    if p < 3e-3:
+        return y
     for _ in range(32):
-        f = w - x * math.exp(-w)  # (w e^w - x) / e^w, which does not overflow
-        step = f / (w + 1.0 - (w + 2.0) * f / (2.0 * w + 2.0))
-        w -= step
-        if abs(step) <= 4e-16 * abs(w):
+        tail = y * y * _polyval(_EXPM1_TAIL, y) if y < 0.5 else y + math.expm1(-y)
+        f = tail - d * math.exp(-y)  # (w e^w - x)/e^w with w = y - 1, x = (d - 1)/e
+        step = f / (y - (y + 1.0) * f / (2.0 * y))
+        y -= step
+        if abs(step) <= 1e-7 * y:
             break
-    return w
+    return y
 
 
 def optimize_alpha_ergodic(cfg: SystemConfig) -> OptResult:
     """Interior maximizer of the ergodic rate in closed form.
 
-    With K = t7/t6, the root of the derivative is alpha* = (z-1)/(K+z-1)
-    where z = exp(1 + W((K-1)/e)) and W is the principal Lambert-W branch;
-    at K = 1 this is 1 - 1/e. iterations is 0 and residual is the
-    derivative at alpha*. As K -> 0, alpha* -> 1; once (K-1)/e rounds to
-    the branch point, W is NaN and so is alpha*, which is reported as
-    NoInteriorMaximumError.
+    With K = t7/t6, the root of the derivative is alpha* = z/(K + z) where
+    z = expm1(y) and y = 1 + W((K-1)/e), W the principal Lambert-W branch
+    taken from its branch offset K (_w_plus_one); at K = 1 this is 1 - 1/e.
+    iterations is 0 and residual is the derivative at alpha*. As K -> 0,
+    alpha* -> 1, which is reported as NoInteriorMaximumError.
     """
     t = ergodic_terms(cfg)
     k = t.t7 / t.t6
-    z = math.exp(1.0 + _lambertw0((k - 1.0) / math.e))
-    alpha = (z - 1.0) / (k + z - 1.0)
+    z = math.expm1(_w_plus_one(k))
+    alpha = z / (k + z) if k != 0.0 else 1.0  # its limit as K -> 0
     if not _ALPHA_LO < alpha < _ALPHA_HI:
         raise NoInteriorMaximumError(
             f"the ergodic rate has no interior maximum on ({_ALPHA_LO}, {_ALPHA_HI}): "
@@ -171,21 +162,10 @@ def _effective_alpha(r_v: float) -> float:
     """The minimizer y/(L + y) of c(alpha) for r_v > 0, with L = r_v ln 2 and y = 1 + W0(-e^(-1-L)).
 
     In x = L/(1-alpha), c is proportional to (e^x - 1)/(x - L), least at x = L + y.
-    W enters through d = 1 - e^-L, the branch offset e x + 1 of its argument, from L
-    directly: from the rounded x it would lose its leading digits, and 1 - alpha with
-    them, as r_v -> 0. The Halley step is _lambertw0's, its residual written in y and d.
+    W's branch offset is d = 1 - e^-L, taken from L directly (_w_plus_one).
     """
     L = r_v * _LN2
-    d = -math.expm1(-L)
-    p = math.sqrt(2.0 * d)
-    y = _branch_series(p)
-    if p >= 3e-3:
-        for _ in range(32):
-            f = y + math.expm1(-y) - d * math.exp(-y)
-            step = f / (y - (y + 1.0) * f / (2.0 * y))
-            y -= step
-            if abs(step) <= 4e-16 * y:
-                break
+    y = _w_plus_one(-math.expm1(-L))
     return y / (L + y)
 
 
@@ -215,24 +195,9 @@ def optimize_alpha_effective(cfg: SystemConfig) -> OptResult:
     )
 
 
-def _recheck_constrained(cfg, objective, result: OptResult, P_R: float, mode: str):
-    """Grid sanity check of the KKT case split; warns instead of failing."""
-    grid = np.linspace(_ALPHA_LO, _ALPHA_HI, 513)
-    feasible = [a for a in grid if expected_power(cfg, a, mode) <= P_R]
-    if not feasible:
-        return
-    best = max(objective(a) for a in feasible)
-    if best > result.objective_value + 1e-6 * max(1.0, abs(best)):
-        warnings.warn(
-            f"constrained optimum {result.objective_value:.6g} at alpha="
-            f"{result.alpha_opt:.6g} is beaten by {best:.6g} on the feasibility "
-            "grid; the rate may not be unimodal for this configuration",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def _apply_power_constraint(cfg, unconstrained: OptResult, objective, P_R, mode):
+    if P_R is None:
+        P_R = cfg.P_R_mw
     try:
         if expected_power(cfg, unconstrained.alpha_opt, mode) <= P_R:
             return unconstrained
@@ -253,22 +218,15 @@ def optimize_alpha_ergodic_constrained(
     cfg: SystemConfig, P_R: float | None = None, mode: str = "nominal"
 ) -> OptResult:
     """Ergodic-rate maximizer subject to expected_power(alpha) <= P_R."""
-    if P_R is None:
-        P_R = cfg.P_R_mw
-    objective = lambda a: ergodic_rate(cfg, a)  # noqa: E731
-    result = _apply_power_constraint(cfg, optimize_alpha_ergodic(cfg), objective, P_R, mode)
-    if result.binding is Binding.POWER_CONSTRAINED:
-        _recheck_constrained(cfg, objective, result, P_R, mode)
-    return result
+    return _apply_power_constraint(
+        cfg, optimize_alpha_ergodic(cfg), lambda a: ergodic_rate(cfg, a), P_R, mode
+    )
 
 
 def optimize_alpha_effective_constrained(
     cfg: SystemConfig, P_R: float | None = None, mode: str = "nominal"
 ) -> OptResult:
     """Effective-rate maximizer subject to expected_power(alpha) <= P_R."""
-    if P_R is None:
-        P_R = cfg.P_R_mw
-    unconstrained = optimize_alpha_effective(cfg)
     return _apply_power_constraint(
-        cfg, unconstrained, lambda a: effective_rate(cfg, a), P_R, mode
+        cfg, optimize_alpha_effective(cfg), lambda a: effective_rate(cfg, a), P_R, mode
     )

@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own evaluation paths:
 outage via scipy adaptive integration, Rayleigh moments via adaptive
 quadrature of the density, nearest-phase selection via plain enumeration,
 derivatives via central finite differences, the ergodic optimum via a
-bracketing root-finder or a golden-section search, the effective-rate
-optimum via bisection on its stationarity condition, and Monte Carlo rate, outage and moments of X via
+bracketing root-finder or a golden-section search, both Lambert-W optima via
+bisection on the equation they share, and Monte Carlo rate, outage and moments of X via
 plain per-point chunk loops with the SINR and X written out in full.
 """
 import math
@@ -99,24 +99,23 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
     return 0.5 * (lo + hi), iterations
 
 
-def effective_alpha_bisection(r_v: float) -> float:
-    """Effective-rate optimum y/(L + y), L = r_v ln 2, with y found by bisection on (0, 1).
+def w_plus_one_bisection(ell: float) -> float:
+    """y in (0, 1) with (1-y) e^y = e^-ell, that is -(y + log1p(-y)) = ell, by bisection.
 
-    With x = L/(1-alpha) the outage threshold over nu1 is proportional to
-    (e^x - 1)/(x - L); its minimum at x = L + y solves (1-y) e^y = e^-L, that
-    is -(y + log1p(-y)) = L. Below y = 1/2, where that difference cancels,
-    the left side is its series sum_{k>=2} y^k/k instead. Bisection runs
-    until the bracket is two adjacent doubles.
+    Both alpha optima solve (1-y) e^y = 1 - d, whose root is y = 1 + W0((d-1)/e):
+    the effective optimum y/(L + y) with d = 1 - e^-L, so ell = L = r_v ln 2, and
+    the ergodic optimum expm1(y)/(K + expm1(y)) with d = K, so ell = -log1p(-K)
+    for K < 1. Below y = 1/2, where the difference cancels, the left side is its
+    series sum_{k>=2} y^k/k instead. Bisection runs until the bracket is two
+    adjacent doubles.
     """
-    L = r_v * math.log(2.0)
-
     def lhs(y):
         return -(y + math.log1p(-y)) if y >= 0.5 else sum(y**k / k for k in range(2, 60))
 
     lo, hi = 0.0, 1.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if lhs(mid) < L else (lo, mid)
-    return lo / (L + lo)
+        lo, hi = (mid, hi) if lhs(mid) < ell else (lo, mid)
+    return lo
 
 
 def in_phase_amplitude(cfg: SystemConfig, batch) -> np.ndarray:

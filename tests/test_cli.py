@@ -263,6 +263,7 @@ class TestMainEntry:
             (["optimize", "--power-budget", "0"], "ConfigValidationError: P_R_mw: must be positive"),
             (["optimize", "--power-budget", "-1"], "ConfigValidationError: P_R_mw: must be positive"),
             (["optimize", "--power-budget", "nan"], "ConfigValidationError: P_R_mw: must be positive"),
+            (["compare", "--set", "r_v=inf"], "ConfigValidationError: r_v: must be finite and >= 0"),
         ],
     )
     def test_invalid_link_or_budget_is_one_config_error_line(self, capsys, argv, message):
@@ -272,13 +273,15 @@ class TestMainEntry:
         assert captured.err == f"error: {message}\n"
 
     def test_non_finite_cell_fails_instead_of_printing(self, capsys):
-        # each path loss is finite, but zeta_h * zeta_g overflows in the closed forms
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["compare", "--set", "d_g=1e-100", "--set", "d_h=1e-100"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: ValueError: non-finite value inf in a CSV cell\n"
+        # each path loss is finite, but zeta_h * zeta_g overflows in the closed forms; so does rho^2,
+        # where a Python float ** 2 would raise OverflowError
+        for sets, value in ((["d_g=1e-100", "d_h=1e-100"], "inf"), (["rho_max=1e160", "rho=1e160"], "nan")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(["compare", "--set", sets[0], "--set", sets[1]]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: ValueError: non-finite value {value} in a CSV cell\n"
 
     @pytest.mark.parametrize("field", ["d_f", "d_h", "d_g"])
     def test_blocked_link_is_valid(self, capsys, field):

@@ -91,6 +91,8 @@ class TestValidation:
             ("mc_samples", 99),
             ("quadrature_points", 0),
             ("r_v", -1.0),
+            ("r_v", float("inf")),
+            ("rho_max", float("inf")),
             ("P_R_mw", 0.0),
             ("quadrature_points", 1),
             ("b", 1100),

@@ -23,9 +23,9 @@ from ariswpc import (
     replace_config,
 )
 from ariswpc.closedform import ergodic_terms
-from ariswpc.optimize import _effective_alpha, _lambertw0
+from ariswpc.optimize import _effective_alpha, _w_plus_one
 
-from helpers import central_difference, effective_alpha_bisection, ergodic_alpha_brentq, golden_max
+from helpers import central_difference, ergodic_alpha_brentq, golden_max, w_plus_one_bisection
 
 
 class TestErgodicDerivative:
@@ -76,9 +76,11 @@ class TestOptimizeErgodic:
         assert all(b <= a + 1e-9 for a, b in zip(stars, stars[1:]))
 
     def test_no_interior_maximum_flagged(self, default_cfg):
-        cfg = replace_config(default_cfg, P_p_dbm=-300.0)
-        with pytest.raises(NoInteriorMaximumError):
-            optimize_alpha_ergodic(cfg)
+        # K = 6.2e-30, and K = 0 with no link at all: alpha* rounds to its limit 1
+        for changes in ({"P_p_dbm": -300.0}, {"M": 0, "d_f": math.inf}):
+            cfg = replace_config(default_cfg, **changes)
+            with pytest.raises(NoInteriorMaximumError, match=r"alpha=1\.000e\+00 \(K="):
+                optimize_alpha_ergodic(cfg)
 
     @pytest.mark.parametrize("ris_mode", ["active", "passive"])
     @pytest.mark.parametrize("p_p_dbm", np.arange(-100.0, 81.0, 5.0))
@@ -99,14 +101,14 @@ class TestOptimizeErgodic:
         assert optimize_alpha_ergodic(cfg).alpha_opt == pytest.approx(1.0 - 1.0 / math.e, abs=1e-10)
 
 
-def _alpha_star(k: float, w) -> float:
-    """The ergodic optimum (z-1)/(K+z-1), z = exp(1 + W((K-1)/e)), for a given W."""
-    z = math.exp(1.0 + w((k - 1.0) / math.e))
-    return (z - 1.0) / (k + z - 1.0)
+def _alpha_star(k: float, y: float) -> float:
+    """The ergodic optimum z/(K + z), z = expm1(y), for a given y = 1 + W((K-1)/e)."""
+    z = math.expm1(y)
+    return z / (k + z)
 
 
 class TestLambertW:
-    """The in-house principal-branch W against scipy.special.lambertw(x).real."""
+    """The in-house y = 1 + W0((d-1)/e) against scipy.special.lambertw and a bisection oracle."""
 
     @staticmethod
     def _scipy_w(x: float) -> float:
@@ -116,33 +118,43 @@ class TestLambertW:
         rng = np.random.default_rng(8)
         ks = np.concatenate([10.0 ** rng.uniform(-12.0, 14.0, 4000), [1e-12, 1e-6, 1.0, 1e14]])
         for k in map(float, ks):
-            ours, ref = _alpha_star(k, _lambertw0), _alpha_star(k, self._scipy_w)
+            ours = _alpha_star(k, _w_plus_one(k))
+            ref = _alpha_star(k, 1.0 + self._scipy_w((k - 1.0) / math.e))
             # as K -> 0, W nears its branch point, where it is ill-conditioned and scipy loses digits
             tol = 1e-12 if k >= 1e-6 else 1e-9
             assert abs(ours - ref) <= tol * abs(ref), k
 
+    def test_one_minus_alpha_star_matches_bisection_over_k(self):
+        rng = np.random.default_rng(13)
+        ks = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 0.0, 300),
+            [1e-300, 1e-12, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, math.nextafter(1.0, 0.0)],
+        ])
+        for k in map(float, ks):
+            ours = k / (k + math.expm1(_w_plus_one(k)))
+            ref = k / (k + math.expm1(w_plus_one_bisection(-math.log1p(-k))))
+            # the oracle returns the low end of its last bracket, and each side rounds expm1,
+            # the sum and the quotient; W of the rounded (K-1)/e would miss by 1.4e-13 at K = 1e-4
+            assert abs(ours - ref) <= 1.5e-15 * ref, k
+
     def test_unit_k_is_one_minus_inverse_e(self):
-        assert _lambertw0(0.0) == 0.0
-        assert _alpha_star(1.0, _lambertw0) == _alpha_star(1.0, self._scipy_w)
-        assert _alpha_star(1.0, _lambertw0) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-15)
+        assert _w_plus_one(1.0) == 1.0
+        assert _alpha_star(1.0, _w_plus_one(1.0)) == _alpha_star(1.0, 1.0 + self._scipy_w(0.0))
+        assert _alpha_star(1.0, _w_plus_one(1.0)) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-15)
 
     def test_branch_point(self):
-        # the double nearest -1/e lies below the branch point: no real W, as in scipy
-        x = -1.0 / math.e
-        assert math.isnan(_lambertw0(x)) and math.isnan(self._scipy_w(x))
-        assert math.isnan(_lambertw0(math.nextafter(x, -1.0)))
-        above = math.nextafter(x, 0.0)
-        assert -1.0 < _lambertw0(above) == pytest.approx(self._scipy_w(above), abs=1e-8)
-        # K so small that (K-1)/e rounds to the branch point
-        assert (1e-30 - 1.0) / math.e == x
-        assert math.isnan(_alpha_star(1e-30, _lambertw0))
+        assert _w_plus_one(0.0) == 0.0
+        # K so small that (K-1)/e rounds to the branch point: the offset K itself still gives y
+        assert (1e-30 - 1.0) / math.e == -1.0 / math.e
+        assert _w_plus_one(1e-30) == pytest.approx(math.sqrt(2e-30), rel=1e-14)
+        assert 1.0 - _alpha_star(1e-30, _w_plus_one(1e-30)) < 1e-15
 
     @pytest.mark.parametrize("x", [-0.36, -0.3, -0.25, -1e-3, 1e-300, 1e-3, 0.5, 2.9, 3.0, 1e3, 1e300, 6e307])
     def test_solves_w_exp_w(self, x):
-        w = _lambertw0(x)
-        # exp amplifies the rounding of w by a factor of about w
-        assert w * math.exp(w) == pytest.approx(x, rel=1e-14 * max(1.0, abs(w)))
-        assert w == pytest.approx(self._scipy_w(x), rel=1e-14)
+        w = _w_plus_one(math.e * x + 1.0) - 1.0
+        # exp amplifies the rounding of w by a factor of about w; the offset e x + 1 keeps x to 1.1e-16
+        assert w * math.exp(w) == pytest.approx(x, rel=1e-14 * max(1.0, abs(w)), abs=1.2e-16)
+        assert w == pytest.approx(self._scipy_w(x), rel=1e-14, abs=1.2e-16)
 
 
 class TestOptimizeErgodicConstrained:
@@ -250,7 +262,9 @@ class TestEffectiveAlpha:
         rng = np.random.default_rng(12)
         r_vs = np.concatenate([10.0 ** rng.uniform(-12.0, 3.0, 300), [1e-12, 6.5e-6, 1.0, 1e3]])
         for r_v in map(float, r_vs):
-            ref = effective_alpha_bisection(r_v)
+            L = r_v * math.log(2.0)
+            y = w_plus_one_bisection(L)
+            ref = y / (L + y)
             # each side rounds alpha once, so they agree to about an ulp; near alpha = 1 that
             # bounds the error in 1 - alpha, which W of the rounded -e^(-1-L) missed by up to 6e-5
             assert abs(_effective_alpha(r_v) - ref) <= 4.5e-16 * ref, r_v
@@ -294,10 +308,11 @@ def _design_point(rng, index: int) -> SystemConfig:
 
 @pytest.fixture(scope="module")
 def random_designs():
-    """Seeded random configs, each with the effective rate on a dense grid and a budget.
+    """Seeded random configs, each with both rates on a dense grid and a budget.
 
     The grid is 201 uniform points on (1e-6, 1 - 1e-6) plus 41 within 1e-3 of
-    the closed-form optimum, where a grid point can come closest to beating it.
+    the closed-form effective optimum, where a grid point can come closest to
+    beating it.
     """
     rng = np.random.default_rng(2024)
     designs = []
@@ -310,7 +325,10 @@ def random_designs():
         ])
         model = power_model(cfg)
         budget = (model.amp_noise_term + model.static_term) * float(rng.uniform(1.2, 4.0))
-        values = np.array([effective_rate(cfg, float(a)) for a in grid])
+        values = {
+            "effective": np.array([effective_rate(cfg, float(a)) for a in grid]),
+            "ergodic": np.array([ergodic_rate(cfg, float(a)) for a in grid]),
+        }
         powers = np.array([expected_power(cfg, float(a)) for a in grid])
         designs.append((cfg, grid, values, powers, budget))
     return designs
@@ -328,7 +346,7 @@ class TestEffectiveOnRandomDesigns:
                 continue
             assert res.iterations == 0
             assert res.residual == abs(effective_rate_derivative(cfg, res.alpha_opt))
-            assert res.objective_value >= values.max() * (1.0 - 1e-12), cfg
+            assert res.objective_value >= values["effective"].max() * (1.0 - 1e-12), cfg
             checked += 1
         assert checked >= 20
 
@@ -342,22 +360,31 @@ class TestEffectiveOnRandomDesigns:
                 raised.append(True)
             assert raised[-1] == (effective_rate(cfg, _effective_alpha(cfg.r_v)) == 0.0)
             # the rate is then 0 on the whole grid, and only then
-            assert raised[-1] == (values.max() == 0.0)
+            assert raised[-1] == (values["effective"].max() == 0.0)
         assert any(raised) and not all(raised)
 
-    def test_constrained_optimum_is_at_least_the_feasible_grid_maximum(self, random_designs):
-        checked = 0
-        for cfg, _, values, powers, budget in random_designs:
-            feasible = values[powers <= budget]
-            try:
-                res = optimize_alpha_effective_constrained(cfg, budget)
-            except NoInteriorMaximumError:
-                continue
-            assert expected_power(cfg, res.alpha_opt) <= budget * (1.0 + 1e-12)
-            if feasible.size:
-                assert res.objective_value >= feasible.max() * (1.0 - 1e-12), cfg
-            checked += 1
-        assert checked >= 20
+    @pytest.mark.parametrize("objective, optimizer", [
+        ("effective", optimize_alpha_effective_constrained),
+        ("ergodic", optimize_alpha_ergodic_constrained),
+    ], ids=["effective", "ergodic"])
+    def test_constrained_optimum_is_at_least_the_feasible_grid_maximum(self, random_designs, objective, optimizer):
+        # the KKT split is exact: expected_power rises with alpha and both rates are unimodal in it.
+        # Each design is checked at its drawn budget and at a tight one, between the powers of grid
+        # points 50 and 51 (alpha about 0.25)
+        checked = bound = 0
+        for cfg, _, values, powers, drawn in random_designs:
+            for budget in (drawn, powers[50:52].mean()):
+                feasible = values[objective][powers <= budget]
+                try:
+                    res = optimizer(cfg, budget)
+                except NoInteriorMaximumError:
+                    continue
+                assert expected_power(cfg, res.alpha_opt) <= budget * (1.0 + 1e-12)
+                if feasible.size:
+                    assert res.objective_value >= feasible.max() * (1.0 - 1e-12), cfg
+                checked += 1
+                bound += res.binding is Binding.POWER_CONSTRAINED
+        assert checked >= 60 and bound >= 10
 
 
 class TestOptimizeEffectiveConstrained:
