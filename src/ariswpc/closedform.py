@@ -1,4 +1,12 @@
-"""Closed-form link analysis: ergodic rate, outage probability, diagnostics.
+"""Closed-form link analysis: ergodic rate, outage probability, effective rate.
+
+Every closed form is an alpha-free channel statistic of the config composed
+with the harvested-power coefficient nu1(alpha). Those statistics form the
+config's link model, built once on first use and kept on the config
+(_link_model): the channel-moment aggregates t1..t7, the Gamma fit of the
+composite amplitude, and the outage quadrature's nodes with the alpha-free
+part of their log terms. The rates, the outage and their optimizers apply
+nu1(alpha) and the outage threshold kappa(alpha) to it.
 
 The ergodic rate uses the expectation-ratio approximation
 E{log2(1+x/y)} ~ log2(1+E{x}/E{y}) with exact channel moments on both
@@ -16,22 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_batch
-from .config import SystemConfig, harvested_power_coefficient
-from .montecarlo import _gain_terms, _run_chunks
+from .config import ConfigValidationError, SystemConfig, harvested_power_coefficient
 from .ris import phase_error_stats
 
 __all__ = [
     "ErgodicTerms",
     "GammaFit",
-    "ApproximationDiagnostics",
     "ergodic_terms",
     "ergodic_rate",
     "gamma_fit",
     "outage_probability",
     "effective_rate",
     "effective_rate_derivative",
-    "approximation_diagnostics",
 ]
 
 _LN2 = math.log(2.0)
@@ -57,31 +61,6 @@ class ErgodicTerms:
     t5: float
     t6: float
     t7: float
-
-
-def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
-    stats = phase_error_stats(cfg.b)
-    c1 = (math.pi / 4.0) * stats.e_cos  # E{cascade amplitude} weight per element
-    rho = cfg.rho_effective
-    zp, zf = cfg.zeta_p, cfg.zeta_f
-    zg, zh = cfg.zeta_g, cfg.zeta_h
-
-    t1 = zp * zf
-    t2 = zp * math.sqrt(math.pi * zf)
-    t3 = float(np.sum(c1 * rho * np.sqrt(zg * zh)))
-    t4 = float(np.sum(rho**2 * zp * zg * zh * (1.0 - c1**2)))
-    t5 = float(np.sum(c1 * rho * np.sqrt(zp * zg * zh)) ** 2)
-    t6 = cfg.sigma_v2_mw * float(np.sum(rho**2 * zg)) + cfg.sigma_n2_mw
-    t7 = cfg.eta * cfg.p_p_mw * (t1 + t2 * t3 + t4 + t5)
-    return ErgodicTerms(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=t7)
-
-
-def ergodic_rate(cfg: SystemConfig, alpha: float) -> float:
-    """Approximate ergodic rate (1-alpha) log2(1 + nu1 * signal / noise), bits/s/Hz."""
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    t = ergodic_terms(cfg)
-    signal = t.t1 + t.t2 * t.t3 + t.t4 + t.t5
-    return (1.0 - alpha) * math.log2(1.0 + nu1 * signal / t.t6)
 
 
 @dataclass(frozen=True)
@@ -118,75 +97,118 @@ class GammaFit:
         return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True)
+class _LinkModel:
+    """The alpha-free statistics of one config; see _build_link_model."""
+
+    terms: ErgodicTerms
+    signal: float                # t1 + t2 t3 + t4 + t5, the mean SINR numerator over nu1
+    fit: GammaFit | None         # None where Var X = 0
+    log_t: np.ndarray | None     # quadrature nodes log t_u
+    log_base: np.ndarray | None  # log terms of the outage integral without their -c/t_u^2
+
+
+def _build_link_model(cfg: SystemConfig) -> _LinkModel:
+    """The aggregates t1..t7, the Gamma fit of X and the outage quadrature's nodes and log terms.
+
+    Raises ConfigValidationError when an aggregate overflows (a huge gain or
+    very short cascade distances), before any closed form can return inf or nan.
+    """
+    stats = phase_error_stats(cfg.b)
+    c1 = (math.pi / 4.0) * stats.e_cos  # E{cascade amplitude} weight per element
+    rho = cfg.rho_effective
+    zp, zf = cfg.zeta_p, cfg.zeta_f
+    zg, zh = cfg.zeta_g, cfg.zeta_h
+
+    t1 = zp * zf
+    t2 = zp * math.sqrt(math.pi * zf)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        t3 = float(np.sum(c1 * rho * np.sqrt(zg * zh)))
+        t4 = float(np.sum(rho**2 * zp * zg * zh * (1.0 - c1**2)))
+        t5 = float(np.sum(c1 * rho * np.sqrt(zp * zg * zh)) ** 2)
+        t6 = cfg.sigma_v2_mw * float(np.sum(rho**2 * zg)) + cfg.sigma_n2_mw
+        var_x = zf * (1.0 - math.pi / 4.0) + float(np.sum(rho**2 * zg * zh * (stats.e_cos2 - c1**2)))
+    signal = t1 + t2 * t3 + t4 + t5
+    if not all(map(math.isfinite, (t1, t2, t3, t4, t5, t6, signal, var_x))):
+        raise ConfigValidationError("rho, d_h, d_g", "the channel-moment aggregates overflow; they must be finite")
+    terms = ErgodicTerms(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=cfg.eta * cfg.p_p_mw * signal)
+    if var_x <= 0.0:
+        return _LinkModel(terms, signal, None, None, None)
+
+    # Gamma fit of X = |f| + sum rho|g||h| cos(phase error) by its mean and variance
+    mean_x = math.sqrt(math.pi * zf) / 2.0 + t3
+    s, r = mean_x * mean_x / var_x, var_x / mean_x
+    # Gauss-Chebyshev nodes under log t = log(mean_x) + tan((pi/2) x) / sqrt(s)
+    U = cfg.quadrature_points
+    u = np.arange(1, U + 1)
+    x = np.cos((2 * u - 1) * np.pi / (2 * U))
+    ang = (np.pi / 2.0) * x
+    root_s = math.sqrt(s)
+    log_t = math.log(mean_x) + np.tan(ang) / root_s
+    # Chebyshev weight times dt/dx = t (pi/2) / (sqrt(s) cos^2(ang)); the factor t
+    # of the Jacobian is folded into t^s below
+    log_weights = np.log((np.pi**2 / (2.0 * U * root_s)) * np.sqrt(1.0 - x**2) / np.cos(ang) ** 2)
+    # the outermost nodes overflow t and t / r to inf; their terms are exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        t_over_r = np.exp(log_t) / r
+    log_base = log_weights + s * log_t - t_over_r - s * math.log(r) - math.lgamma(s)
+    return _LinkModel(terms, signal, GammaFit(s=s, r=r, mean_x=mean_x, var_x=var_x), log_t, log_base)
+
+
+def _link_model(cfg: SystemConfig) -> _LinkModel:
+    """cfg's link model, built on first use and kept on cfg, which is immutable."""
+    model = cfg.__dict__.get("_link_model")
+    if model is None:
+        model = cfg.__dict__["_link_model"] = _build_link_model(cfg)
+    return model
+
+
+def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
+    return _link_model(cfg).terms
+
+
+def ergodic_rate(cfg: SystemConfig, alpha: float) -> float:
+    """Approximate ergodic rate (1-alpha) log2(1 + nu1 * signal / noise), bits/s/Hz."""
+    nu1 = harvested_power_coefficient(cfg, alpha)
+    model = _link_model(cfg)
+    return (1.0 - alpha) * math.log2(1.0 + nu1 * model.signal / model.terms.t6)
+
+
 def gamma_fit(cfg: SystemConfig) -> GammaFit:
     """Match mean and variance of X = |f| + sum rho|g||h| cos(phase error)."""
-    stats = phase_error_stats(cfg.b)
-    c1 = (math.pi / 4.0) * stats.e_cos
-    rho = cfg.rho_effective
-    zf, zg, zh = cfg.zeta_f, cfg.zeta_g, cfg.zeta_h
-
-    mean_x = math.sqrt(math.pi * zf) / 2.0 + float(np.sum(c1 * rho * np.sqrt(zg * zh)))
-    var_x = zf * (1.0 - math.pi / 4.0) + float(
-        np.sum(rho**2 * zg * zh * (stats.e_cos2 - c1**2))
-    )
-    if var_x <= 0.0:
+    fit = _link_model(cfg).fit
+    if fit is None:
         raise ValueError("degenerate composite amplitude: variance is zero")
-    return GammaFit(s=mean_x * mean_x / var_x, r=var_x / mean_x, mean_x=mean_x, var_x=var_x)
+    return fit
 
 
-def _log_outage_threshold(r_v: float, alpha: float, literal: bool) -> float | None:
-    """log of the SINR outage threshold kappa; None means kappa == 0."""
-    expo = r_v / (1.0 - alpha)
-    if literal:
-        # compatibility variant: 2^(r_v/(1-alpha) - 1), nonzero even at r_v = 0
-        return (expo - 1.0) * _LN2
+def _log_outage_threshold(r_v: float, alpha: float) -> float | None:
+    """log of the SINR outage threshold kappa = 2^(r_v/(1-alpha)) - 1; None means kappa == 0."""
     if r_v == 0.0:
         return None
-    x = expo * _LN2
+    x = r_v / (1.0 - alpha) * _LN2
     # log(2^expo - 1) = x + log(1 - e^-x); log(1 - e^-x) takes expm1 up to x = ln 2 and
     # log1p above (Maechler 2012), so it holds where e^-x rounds to 1 (x < 1.1e-16)
     return x + (math.log(-math.expm1(-x)) if x <= _LN2 else math.log1p(-math.exp(-x)))
 
 
-def _outage_terms(cfg: SystemConfig, alpha: float, kappa_literal: bool = False):
+def _outage_terms(cfg: SystemConfig, alpha: float):
     """Terms exp(... - c/t_u^2) of the integral 1 - outage, and their c/t_u^2; None if kappa == 0."""
     nu1 = harvested_power_coefficient(cfg, alpha)
-    U = cfg.quadrature_points
-    if U < 2:
-        raise ValueError("quadrature_points must be >= 2")
-
-    log_kappa = _log_outage_threshold(cfg.r_v, alpha, kappa_literal)
+    log_kappa = _log_outage_threshold(cfg.r_v, alpha)
     if log_kappa is None:
         return None
-
-    fit = gamma_fit(cfg)
-    t6 = ergodic_terms(cfg).t6
+    gamma_fit(cfg)  # raises where X has no Gamma fit, hence no nodes
+    model = _link_model(cfg)
     # exponent scale of the hub-link exponential CDF: exp(-c / t^2)
-    log_c = log_kappa + math.log(t6) - math.log(nu1 * cfg.zeta_p)
-
-    u = np.arange(1, U + 1)
-    x = np.cos((2 * u - 1) * np.pi / (2 * U))
-    ang = (np.pi / 2.0) * x
-    root_s = math.sqrt(fit.s)
-    log_t = math.log(fit.mean_x) + np.tan(ang) / root_s
-    # Chebyshev weight times dt/dx = t (pi/2) / (sqrt(s) cos^2(ang)); the factor t
-    # of the Jacobian is folded into t^s below
-    log_weights = np.log((np.pi**2 / (2.0 * U * root_s)) * np.sqrt(1.0 - x**2) / np.cos(ang) ** 2)
-
-    # the outermost nodes overflow t, t / r or c / t^2 to inf; their terms are exp(-inf) = 0
+    log_c = log_kappa + math.log(model.terms.t6) - math.log(nu1 * cfg.zeta_p)
+    # the outermost nodes overflow c / t^2 to inf; their terms are exp(-inf) = 0
     with np.errstate(over="ignore"):
-        t_over_r = np.exp(log_t) / fit.r
-        suppression = np.exp(log_c - 2.0 * log_t)  # c / t^2
-    log_terms = (
-        log_weights + fit.s * log_t - t_over_r - fit.s * math.log(fit.r) - math.lgamma(fit.s)
-        - suppression
-    )
-    return np.exp(log_terms), suppression
+        suppression = np.exp(log_c - 2.0 * model.log_t)  # c / t^2
+    return np.exp(model.log_base - suppression), suppression
 
 
-def outage_probability(
-    cfg: SystemConfig, alpha: float, *, kappa_literal: bool = False
-) -> float:
+def outage_probability(cfg: SystemConfig, alpha: float) -> float:
     """Probability that the instantaneous rate falls below the target r_v.
 
     Gauss-Chebyshev evaluation with cfg.quadrature_points nodes under
@@ -197,20 +219,24 @@ def outage_probability(
     overflows contribute 0. The result is clamped to [0, 1]. At the default
     100 nodes it stays within 1e-8 of adaptive quadrature for M up to 1024
     (and 4096 at the default geometry), passive and active surfaces,
-    distances of 2-80 m and hub powers of -20 to 80 dBm. kappa_literal switches the threshold to the
-    compatibility variant 2^(r_v/(1-alpha) - 1) in place of
-    2^(r_v/(1-alpha)) - 1.
+    distances of 2-80 m and hub powers of -20 to 80 dBm.
     """
-    quadrature = _outage_terms(cfg, alpha, kappa_literal)
-    if quadrature is None:
-        return 0.0
-    integral = float(np.sum(quadrature[0]))
-    return float(np.clip(1.0 - integral, 0.0, 1.0))
+    return 1.0 - _coverage(cfg, alpha)
+
+
+def _coverage(cfg: SystemConfig, alpha: float) -> float:
+    """I = 1 - P_O, the outage quadrature's sum clamped to at most 1; 1 where kappa == 0."""
+    quadrature = _outage_terms(cfg, alpha)
+    return 1.0 if quadrature is None else min(float(np.sum(quadrature[0])), 1.0)
 
 
 def effective_rate(cfg: SystemConfig, alpha: float) -> float:
-    """Throughput achieved without outage: (1 - P_O) * r_v, bits/s/Hz."""
-    return (1.0 - outage_probability(cfg, alpha)) * cfg.r_v
+    """Throughput achieved without outage: r_v I = (1 - P_O) r_v, bits/s/Hz.
+
+    It is taken from the quadrature's sum I itself, so it keeps its relative
+    accuracy where the outage rounds to 1.
+    """
+    return _coverage(cfg, alpha) * cfg.r_v
 
 
 def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
@@ -228,47 +254,3 @@ def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
     d_log_c = (x / -math.expm1(-x) - 1.0 / alpha) / (1.0 - alpha)
     # a node whose exponent overflowed to inf has a term of 0, and adds 0
     return -cfg.r_v * float(terms @ np.where(terms > 0.0, exponents, 0.0)) * d_log_c
-
-
-@dataclass(frozen=True)
-class ApproximationDiagnostics:
-    """Dispersion ratios V{.}/E^2{.} behind the expectation-ratio step.
-
-    dispersion_total is for the full SINR numerator-plus-noise sum,
-    dispersion_noise for the noise term alone. Small ratios indicate the
-    regime where log2(1+E{x}/E{y}) tracks E{log2(1+x/y)}. No pass/fail
-    threshold is attached.
-    """
-
-    dispersion_total: float
-    dispersion_noise: float
-    n: int
-    seed: int
-
-
-def approximation_diagnostics(
-    cfg: SystemConfig, alpha: float, n: int | None = None, seed: int = 0
-) -> ApproximationDiagnostics:
-    """Monte Carlo estimate of the dispersion ratios at a given alpha."""
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    if n is None:
-        n = cfg.mc_samples
-
-    def one_chunk(rng, m):
-        hp2, amp, y = _gain_terms(cfg, sample_batch(cfg, rng, m))
-        total = nu1 * hp2 * amp + y  # numerator x plus noise y
-        return m, float(total.sum()), float((total**2).sum()), float(y.sum()), float((y**2).sum())
-
-    count, s1_t, s2_t, s1_y, s2_y = (sum(col) for col in zip(*_run_chunks(one_chunk, seed, n, 1)))
-
-    def ratio(s1: float, s2: float) -> float:
-        mean = s1 / count
-        var = max(s2 / count - mean**2, 0.0) * count / (count - 1)
-        return var / mean**2
-
-    return ApproximationDiagnostics(
-        dispersion_total=ratio(s1_t, s2_t),
-        dispersion_noise=ratio(s1_y, s2_y),
-        n=count,
-        seed=seed,
-    )

@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the library's own evaluation paths:
-outage via scipy adaptive integration, Rayleigh moments via adaptive
-quadrature of the density, nearest-phase selection via plain enumeration,
-derivatives via central finite differences, the ergodic optimum via a
+outage and its complement via scipy adaptive integration, Rayleigh
+moments via adaptive quadrature of the density, nearest-phase selection
+via plain enumeration, derivatives via central finite differences, the ergodic optimum via a
 bracketing root-finder or a golden-section search, both Lambert-W optima via
 bisection on the equation they share, and Monte Carlo rate, outage and moments of X via
 plain per-point chunk loops with the SINR and X written out in full.
@@ -19,13 +19,16 @@ from ariswpc.closedform import ergodic_terms
 from ariswpc.montecarlo import _merge_mean_var
 
 
-def adaptive_outage(cfg: SystemConfig, alpha: float) -> float:
-    """Outage integral evaluated by scipy.integrate.quad (reference value)."""
-    fit = gamma_fit(cfg)
-    t6 = ergodic_terms(cfg).t6
+def _fit_and_scale(cfg: SystemConfig, alpha: float):
+    """The Gamma fit of X and the scale c of the hub-link outage exp(-c/t^2) given X = t."""
     nu1 = harvested_power_coefficient(cfg, alpha)
     kappa = 2.0 ** (cfg.r_v / (1.0 - alpha)) - 1.0
-    c = kappa * t6 / (nu1 * cfg.zeta_p)
+    return gamma_fit(cfg), kappa * ergodic_terms(cfg).t6 / (nu1 * cfg.zeta_p)
+
+
+def adaptive_outage(cfg: SystemConfig, alpha: float) -> float:
+    """Outage integral evaluated by scipy.integrate.quad (reference value)."""
+    fit, c = _fit_and_scale(cfg, alpha)
 
     def integrand(t):
         return math.exp(-c / t**2) * stats.gamma.pdf(t, a=fit.s, scale=fit.r)
@@ -34,6 +37,29 @@ def adaptive_outage(cfg: SystemConfig, alpha: float) -> float:
     head, _ = integrate.quad(integrand, 0.0, split, limit=500)
     tail, _ = integrate.quad(integrand, split, np.inf, limit=500)
     return 1.0 - (head + tail)
+
+
+def adaptive_coverage(cfg: SystemConfig, alpha: float) -> float:
+    """The integral I = 1 - outage by scipy.integrate.quad, to about 1e-10 relative however small I is.
+
+    In u = log t the integrand exp(G(u)) = exp(-c/t^2) t gamma.pdf(t) is log-concave, so it is
+    integrated on both sides of its peak u* after the peak value exp(G(u*)) is factored out.
+    """
+    fit, c = _fit_and_scale(cfg, alpha)
+
+    def log_integrand(u):
+        return -c * math.exp(-2.0 * u) + u + stats.gamma.logpdf(math.exp(u), a=fit.s, scale=fit.r)
+
+    centre = math.log(fit.mean_x)
+    peak = optimize.minimize_scalar(
+        lambda u: -log_integrand(u), bounds=(centre - 30.0, centre + 30.0), method="bounded"
+    ).x
+    top = log_integrand(peak)
+    sides = [
+        integrate.quad(lambda u: math.exp(log_integrand(u) - top), lo, hi, epsabs=0.0, epsrel=1e-11, limit=500)[0]
+        for lo, hi in ((peak - 10.0, peak), (peak, peak + 10.0))
+    ]
+    return math.exp(top) * sum(sides)
 
 
 def rayleigh_moment_quad(zeta: float, n: int) -> float:

@@ -273,15 +273,39 @@ class TestMainEntry:
         assert captured.err == f"error: {message}\n"
 
     def test_non_finite_cell_fails_instead_of_printing(self, capsys):
-        # each path loss is finite, but zeta_h * zeta_g overflows in the closed forms; so does rho^2,
-        # where a Python float ** 2 would raise OverflowError
-        for sets, value in ((["d_g=1e-100", "d_h=1e-100"], "inf"), (["rho_max=1e160", "rho=1e160"], "nan")):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert main(["compare", "--set", sets[0], "--set", sets[1]]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: ValueError: non-finite value {value} in a CSV cell\n"
+        # at 10^308 mW and alpha = 0.9 the harvested-power coefficient nu1 overflows, so the rate is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--set", "P_p_dbm=3080", "--set", "alpha=0.9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: non-finite value inf in a CSV cell\n"
+
+    @pytest.mark.parametrize(
+        "sets", [("d_g=1e-100", "d_h=1e-100"), ("rho_max=1e160", "rho=1e160")], ids=["zeta", "rho"]
+    )
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["compare"], "ConfigValidationError: "),
+            (["figure", "all"], "ConfigValidationError: "),
+            (["optimize"], "ConfigValidationError: "),
+            (["mc", "--samples", "1000"], "ConfigValidationError: "),
+            (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "ergodic_cf,alpha_star"],
+             "ValueError: sweep P_p_dbm=0: "),
+        ],
+        ids=["compare", "figure", "optimize", "mc", "sweep"],
+    )
+    def test_overflowing_aggregates_are_one_config_error_line(self, capsys, argv, prefix, sets):
+        # each path loss is finite, but zeta_h * zeta_g or rho^2 overflows in the channel-moment aggregates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--set", sets[0], "--set", sets[1]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {prefix}rho, d_h, d_g: the channel-moment aggregates overflow; they must be finite\n"
+        )
 
     @pytest.mark.parametrize("field", ["d_f", "d_h", "d_g"])
     def test_blocked_link_is_valid(self, capsys, field):

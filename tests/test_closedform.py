@@ -6,8 +6,8 @@ import pytest
 from ariswpc import (
     RisMode,
     SystemConfig,
-    approximation_diagnostics,
     effective_rate,
+    effective_rate_derivative,
     ergodic_rate,
     ergodic_terms,
     gamma_fit,
@@ -16,9 +16,10 @@ from ariswpc import (
     replace_config,
     sample_batch,
 )
+from ariswpc import closedform, optimize
 from ariswpc.closedform import _log_outage_threshold
 
-from helpers import adaptive_outage
+from helpers import adaptive_coverage, adaptive_outage
 
 
 class TestErgodicTerms:
@@ -176,25 +177,13 @@ class TestOutage:
         ]
         assert np.all(np.diff(po) <= 0)
 
-    def test_corrected_threshold_beats_compat_variant(self, default_cfg):
-        cfg = replace_config(default_cfg, M=16)
-        mc = mc_outage(cfg, 0.419, n=10**5, seed=51).value
-        corrected = outage_probability(cfg, 0.419)
-        literal = outage_probability(cfg, 0.419, kappa_literal=True)
-        assert literal != corrected
-        assert abs(corrected - mc) < abs(literal - mc)
-
     def test_threshold_log_holds_for_every_positive_rate(self):
         # log(2^(r_v/(1-alpha)) - 1) = log(expm1(x)), x = r_v ln 2/(1-alpha), which is exact
         # until expm1 overflows; the threshold must match it where e^-x rounds to 1 as well
         for x in 10.0 ** np.linspace(-20.0, 2.5, 400):
-            got = _log_outage_threshold(x / math.log(2.0) * 0.5, 0.5, False)
+            got = _log_outage_threshold(x / math.log(2.0) * 0.5, 0.5)
             assert got == pytest.approx(math.log(math.expm1(x)), rel=1e-15, abs=1e-15)
         assert 0.0 <= outage_probability(SystemConfig(r_v=1e-17), 0.419) < 1e-12
-
-    def test_compat_variant_nonzero_at_zero_rate(self):
-        cfg = SystemConfig(r_v=0.0)
-        assert outage_probability(cfg, 0.419, kappa_literal=True) > 0.0
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9])
     def test_quadrature_convergence_at_defaults(self, default_cfg, alpha):
@@ -252,22 +241,29 @@ class TestEffectiveRate:
         cfg = replace_config(default_cfg, P_p_dbm=-150.0)
         assert effective_rate(cfg, 0.419) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("P_p_dbm", [-20.0, -15.0])
+    def test_keeps_relative_accuracy_deep_in_outage(self, default_cfg, P_p_dbm):
+        # r_v I is about 6e-28 and 2e-14 here; through 1 - outage it would round to 0 and to a
+        # multiple of 1.1e-16 r_v. At 400 nodes the rule has converged to 1e-13 at both points
+        cfg = replace_config(default_cfg, P_p_dbm=P_p_dbm, quadrature_points=400)
+        expected = cfg.r_v * adaptive_coverage(cfg, 0.419)
+        assert effective_rate(cfg, 0.419) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
-class TestApproximationDiagnostics:
-    def test_constant_noise_has_zero_dispersion(self, default_cfg):
-        cfg = replace_config(default_cfg, ris_mode=RisMode.PASSIVE)
-        report = approximation_diagnostics(cfg, 0.419, n=20_000, seed=60)
-        assert report.dispersion_noise == 0.0
 
-    def test_channel_hardening_over_elements(self, default_cfg):
-        ratios = [
-            approximation_diagnostics(replace_config(default_cfg, M=m), 0.419, n=10**5, seed=61)
-            for m in (16, 36, 64)
-        ]
-        totals = [r.dispersion_total for r in ratios]
-        assert totals[0] > totals[1] > totals[2]
-
-    def test_reproducible_under_fixed_seed(self, default_cfg):
-        a = approximation_diagnostics(default_cfg, 0.419, n=20_000, seed=62)
-        b = approximation_diagnostics(default_cfg, 0.419, n=20_000, seed=62)
-        assert a == b
+class TestLinkModel:
+    def test_alpha_free_statistics_are_built_once_per_config(self, monkeypatch):
+        calls = []
+        original = closedform.phase_error_stats
+        monkeypatch.setattr(closedform, "phase_error_stats", lambda b: calls.append(b) or original(b))
+        cfg = SystemConfig(M=16)
+        ergodic_terms(cfg)
+        gamma_fit(cfg)
+        for alpha in np.linspace(0.02, 0.98, 25):
+            for evaluate in (ergodic_rate, outage_probability, effective_rate, effective_rate_derivative):
+                evaluate(cfg, float(alpha))
+        optimize.optimize_alpha_ergodic(cfg)
+        optimize.optimize_alpha_ergodic_constrained(cfg)
+        optimize.optimize_alpha_effective(cfg)
+        optimize.optimize_alpha_effective_constrained(cfg)
+        optimize.ergodic_rate_derivative(cfg, 0.419)
+        assert calls == [cfg.b]
