@@ -6,15 +6,18 @@ zeta, i.e. Rayleigh with scale sqrt(zeta/2). Phase-alignment residuals of
 the RIS elements are uniform on [-pi*2^-b, pi*2^-b).
 
 Sampling uses numpy's seedable PCG64 generator. For one generator, the
-draw order is fixed: hub magnitude, direct magnitude, device->RIS row,
-RIS->receiver row, phase residual row (each row in C order), so a fixed
-seed reproduces the identical realization sequence on any platform.
+draw order is fixed, and sample_batch is the one place that states it: hub
+magnitudes, direct magnitudes, the device->RIS block, the RIS->receiver
+block, the phase-residual block (each block in C order), so a fixed seed
+reproduces the identical realization sequence on any platform. The last two
+blocks may also be drawn in row tiles (see ChannelStream): the generator
+consumes its stream in the same order, so the draws are the same bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,6 +27,7 @@ __all__ = [
     "CHUNK_SAMPLES",
     "ChannelDraw",
     "ChannelBatch",
+    "ChannelStream",
     "chunk_sizes",
     "chunk_rng",
     "chunk_rngs",
@@ -60,6 +64,23 @@ class ChannelBatch(NamedTuple):
     phase_err: np.ndarray   # (n, M)
 
 
+class ChannelStream(NamedTuple):
+    """A batch whose |g| and phase residuals arrive in row tiles, drawn as they are read.
+
+    Each tile is a (rows, array) pair: a slice of the sample axis and that
+    slice's (rows, M) block. All of g_tiles must be read before phase_tiles,
+    because that is the order in which the generator produces them; reading
+    a phase tile earlier raises RuntimeError. A consumer may overwrite the
+    tiles and h_mag: nothing else holds them.
+    """
+
+    h_p_mag: np.ndarray                               # (n,)
+    f_mag: np.ndarray                                 # (n,)
+    h_mag: np.ndarray                                 # (n, M)
+    g_tiles: Iterable[tuple[slice, np.ndarray]]       # |g|, tile by tile
+    phase_tiles: Iterable[tuple[slice, np.ndarray]]   # phase residuals, tile by tile
+
+
 def chunk_sizes(n: int, chunk: int = CHUNK_SAMPLES) -> list[int]:
     """Split n samples into the fixed chunk widths (last one ragged)."""
     if n < 1:
@@ -92,16 +113,46 @@ def rayleigh_magnitudes(rng: np.random.Generator, zeta, size) -> np.ndarray:
     return magnitudes
 
 
-def sample_batch(cfg: SystemConfig, rng: np.random.Generator, n: int) -> ChannelBatch:
-    """Draw n independent joint realizations."""
+def _row_tiles(draw, n: int, m: int, tile_rows: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, draw((len(rows), m))) for consecutive tiles of tile_rows rows, the last ragged."""
+    for start in range(0, n, tile_rows):
+        size = min(tile_rows, n - start)
+        yield slice(start, start + size), draw((size, m))
+
+
+def _after(first: Iterator, then: Iterator) -> Iterator:
+    """Yield from `then` once `first` is exhausted; raise if it is not."""
+    if next(first, None) is not None:
+        raise RuntimeError("read every g tile before the first phase tile")
+    yield from then
+
+
+def sample_batch(
+    cfg: SystemConfig, rng: np.random.Generator, n: int, tile_rows: int | None = None
+) -> ChannelBatch | ChannelStream:
+    """Draw n independent joint realizations.
+
+    Without tile_rows the result is a ChannelBatch of whole arrays. With it,
+    only |h_p|, |f| and |h| are drawn here; the result is a ChannelStream that
+    draws |g| and then the phase residuals tile_rows rows at a time as they
+    are read, so no (n, M) block of them is ever held. Both give the same draws.
+    """
     tau = math.pi * 2.0 ** (-cfg.b)
-    return ChannelBatch(
-        h_p_mag=rayleigh_magnitudes(rng, cfg.zeta_p, n),
-        f_mag=rayleigh_magnitudes(rng, cfg.zeta_f, n),
-        h_mag=rayleigh_magnitudes(rng, cfg.zeta_h, (n, cfg.M)),
-        g_mag=rayleigh_magnitudes(rng, cfg.zeta_g, (n, cfg.M)),
-        phase_err=rng.uniform(-tau, tau, size=(n, cfg.M)),
-    )
+    h_p_mag = rayleigh_magnitudes(rng, cfg.zeta_p, n)
+    f_mag = rayleigh_magnitudes(rng, cfg.zeta_f, n)
+    h_mag = rayleigh_magnitudes(rng, cfg.zeta_h, (n, cfg.M))
+
+    def gains(size):
+        return rayleigh_magnitudes(rng, cfg.zeta_g, size)
+
+    def phases(size):
+        return rng.uniform(-tau, tau, size=size)
+
+    if tile_rows is None:
+        return ChannelBatch(h_p_mag, f_mag, h_mag, gains((n, cfg.M)), phases((n, cfg.M)))
+    g_tiles = _row_tiles(gains, n, cfg.M, tile_rows)
+    phase_tiles = _after(g_tiles, _row_tiles(phases, n, cfg.M, tile_rows))
+    return ChannelStream(h_p_mag, f_mag, h_mag, g_tiles, phase_tiles)
 
 
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelDraw:

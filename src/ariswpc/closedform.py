@@ -112,7 +112,8 @@ def _build_link_model(cfg: SystemConfig) -> _LinkModel:
     """The aggregates t1..t7, the Gamma fit of X and the outage quadrature's nodes and log terms.
 
     Raises ConfigValidationError when an aggregate overflows (a huge gain or
-    very short cascade distances), before any closed form can return inf or nan.
+    very short cascade distances) or K = t7/t6 does (a huge hub power), before
+    any closed form can return inf or nan.
     """
     stats = phase_error_stats(cfg.b)
     c1 = (math.pi / 4.0) * stats.e_cos  # E{cascade amplitude} weight per element
@@ -132,6 +133,8 @@ def _build_link_model(cfg: SystemConfig) -> _LinkModel:
     if not all(map(math.isfinite, (t1, t2, t3, t4, t5, t6, signal, var_x))):
         raise ConfigValidationError("rho, d_h, d_g", "the channel-moment aggregates overflow; they must be finite")
     terms = ErgodicTerms(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=cfg.eta * cfg.p_p_mw * signal)
+    if not math.isfinite(terms.t7 / t6):
+        raise ConfigValidationError("P_p_dbm", "K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite")
     if var_x <= 0.0:
         return _LinkModel(terms, signal, None, None, None)
 

@@ -80,11 +80,17 @@ def harvested_power_coefficient(cfg: "SystemConfig", alpha: float) -> float:
 
     Scales the transmit power of the energy-constrained device: it harvests
     for a fraction alpha of the interval and spends the energy over the
-    remaining 1-alpha.
+    remaining 1-alpha. Raises ConfigValidationError on P_p_dbm where it
+    overflows.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return cfg.eta * alpha * cfg.p_p_mw / (1.0 - alpha)
+    nu1 = cfg.eta * alpha * cfg.p_p_mw / (1.0 - alpha)
+    if not math.isfinite(nu1):
+        raise ConfigValidationError(
+            "P_p_dbm", f"nu1 = eta*alpha*P_p/(1-alpha) overflows at alpha={alpha}; it must be finite"
+        )
+    return nu1
 
 
 def _finite_in_mw(x_dbm: float) -> bool:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import CHUNK_SAMPLES, ChannelBatch, ChannelDraw, chunk_rng, chunk_sizes, sample_batch
+from .channel import CHUNK_SAMPLES, ChannelDraw, ChannelStream, chunk_rng, chunk_sizes, sample_batch
 from .config import SystemConfig, harvested_power_coefficient
 
 __all__ = [
@@ -45,50 +45,55 @@ class Estimate:
 
 
 #: Rows of a chunk the SINR kernel processes at a time. Each (rows, M)
-#: temporary is then about 147 KB at M=36, so the kernel's working set stays
-#: in a core's L2 cache. Each row is summed on its own, so estimates do not
-#: depend on the tile size.
+#: tile is then about 147 KB at M=36, so the kernel's working set stays in a
+#: core's L2 cache. Each row is summed on its own, so estimates do not depend
+#: on the tile size.
 _TILE_ROWS = 512
 
 
-def _row_sums(cfg: SystemConfig, batch: ChannelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-draw sums over the RIS elements, walked in tiles of _TILE_ROWS rows.
+def _row_sums(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-draw sums over the RIS elements, one tile of at most _TILE_ROWS rows at a time.
 
     Returns the in-phase amplitude X = |f| + sum rho|g||h| cos(phase error),
     the quadrature sum sum rho|g||h| sin(phase error) and sum rho^2 |g|^2.
-    The batch is only read.
+    The |g| tiles come first: each one adds its rows' sum rho^2|g|^2 and turns
+    those rows of stream.h_mag into the cascade amplitudes rho|g||h| in place.
+    The phase tiles then reduce against them. Tiles and h_mag are overwritten.
     """
     rho = cfg.rho_effective
     rho2 = rho**2
-    n = len(batch.f_mag)
+    cascade = stream.h_mag
+    n, m = cascade.shape
     in_phase, quadrature, gain2 = np.empty(n), np.empty(n), np.empty(n)
-    for start in range(0, n, _TILE_ROWS):
-        rows = slice(start, start + _TILE_ROWS)
-        g, phase = batch.g_mag[rows], batch.phase_err[rows]
-        cascade = rho * g
-        cascade *= batch.h_mag[rows]
-        term = np.cos(phase)
-        term *= cascade
-        np.sum(term, axis=1, out=in_phase[rows])
-        in_phase[rows] += batch.f_mag[rows]
-        np.sin(phase, out=term)
-        term *= cascade
-        np.sum(term, axis=1, out=quadrature[rows])
+    work = np.empty((min(n, _TILE_ROWS), m))
+    for rows, g in stream.g_tiles:
+        term = work[: len(g)]
         np.square(g, out=term)
         term *= rho2
         np.sum(term, axis=1, out=gain2[rows])
+        g *= rho
+        cascade[rows] *= g
+    for rows, phase in stream.phase_tiles:
+        term, amplitude = work[: len(phase)], cascade[rows]
+        np.cos(phase, out=term)
+        term *= amplitude
+        np.sum(term, axis=1, out=in_phase[rows])
+        in_phase[rows] += stream.f_mag[rows]
+        np.sin(phase, out=term)
+        term *= amplitude
+        np.sum(term, axis=1, out=quadrature[rows])
     return in_phase, quadrature, gain2
 
 
-def _gain_terms(cfg: SystemConfig, batch: ChannelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alpha-free SINR factors of a batch: (|h_p|^2, |received amplitude|^2, noise).
+def _gain_terms(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alpha-free SINR factors of a stream: (|h_p|^2, |received amplitude|^2, noise).
 
     The SINR is nu1 * hp2 * amp / denom. Returning only these three vectors
-    lets the batch be freed before the next chunk is drawn.
+    lets the chunk's |h| block be freed before the SINR is reduced.
     """
-    re, im, gain2 = _row_sums(cfg, batch)
+    re, im, gain2 = _row_sums(cfg, stream)
     denom = cfg.sigma_v2_mw * gain2 + cfg.sigma_n2_mw
-    return batch.h_p_mag**2, re**2 + im**2, denom
+    return stream.h_p_mag**2, re**2 + im**2, denom
 
 
 def simulate_sinr(cfg: SystemConfig, draw: ChannelDraw, alpha: float) -> float:
@@ -97,22 +102,23 @@ def simulate_sinr(cfg: SystemConfig, draw: ChannelDraw, alpha: float) -> float:
         if len(getattr(draw, name)) != cfg.M:
             raise ValueError(f"draw.{name} has length {len(getattr(draw, name))}, expected M={cfg.M}")
     nu1 = harvested_power_coefficient(cfg, alpha)
-    batch = ChannelBatch(
+    row = slice(0, 1)
+    stream = ChannelStream(  # copies of h and g, which the kernel overwrites
         h_p_mag=np.atleast_1d(draw.h_p_mag),
         f_mag=np.atleast_1d(draw.f_mag),
-        h_mag=np.atleast_2d(draw.h_mag),
-        g_mag=np.atleast_2d(draw.g_mag),
-        phase_err=np.atleast_2d(draw.phase_err),
+        h_mag=np.array(draw.h_mag, dtype=float, ndmin=2),
+        g_tiles=[(row, np.array(draw.g_mag, dtype=float, ndmin=2))],
+        phase_tiles=[(row, np.atleast_2d(draw.phase_err))],
     )
-    hp2, amp, denom = _gain_terms(cfg, batch)
+    hp2, amp, denom = _gain_terms(cfg, stream)
     return float((nu1 * hp2 * amp / denom)[0])
 
 
 # Thread pools by thread count, created on first use and kept for the life of
 # the process. A pool per call would start new threads each time; glibc gives
 # a thread that starts while another is still exiting a new malloc arena, and
-# each arena keeps the pages of the chunk batches it served, so peak memory
-# grew by a batch (14 MB at M=36) every few hundred calls.
+# each arena keeps the pages of the chunk draws it served, so peak memory
+# grew by a chunk's draws (5 MB at M=36) every few hundred calls.
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -153,10 +159,10 @@ def _run_chunks(chunk_fn, seed: int, n: int, workers: int) -> list:
     return [f.result() for f in futures]
 
 
-#: Bytes of chunk batches that _default_workers lets be alive at once. A
-#: batch holds three (CHUNK_SAMPLES, M) float64 arrays: 14 MB at M=36, so
-#: up to 9 chunks run at once there, and 400 MB at M=1024, which therefore
-#: runs one chunk at a time.
+#: Bytes of chunk draws that _default_workers lets be alive at once. A chunk
+#: holds its |h| block, (CHUNK_SAMPLES, M) float64, and two (_TILE_ROWS, M)
+#: tiles (a |g| or phase tile and the kernel's work tile): 5 MB at M=36, so
+#: up to 26 chunks run at once there; from M=482 on, one chunk runs at a time.
 _INFLIGHT_BYTES = 128 * 2**20
 
 
@@ -170,9 +176,9 @@ def _available_cpus() -> int:
 
 def _default_workers(m: int) -> int:
     """Chunks to run at once for M elements: one per usable CPU, but no more
-    chunk batches than fit in _INFLIGHT_BYTES, and at least one."""
-    batch_bytes = 3 * CHUNK_SAMPLES * max(m, 1) * 8
-    return max(1, min(_available_cpus(), _INFLIGHT_BYTES // batch_bytes))
+    chunks' draws than fit in _INFLIGHT_BYTES, and at least one."""
+    chunk_bytes = (CHUNK_SAMPLES + 2 * _TILE_ROWS) * max(m, 1) * 8
+    return max(1, min(_available_cpus(), _INFLIGHT_BYTES // chunk_bytes))
 
 
 def _merge_mean_var(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -241,14 +247,19 @@ def mc_rate_and_outage(
         sampler_cfg = points[members[0]][0]
 
         def one_chunk(rng, m, members=members, sampler_cfg=sampler_cfg):
-            hp2, amp, denom = _gain_terms(sampler_cfg, sample_batch(sampler_cfg, rng, m))
-            out = []
-            for i in members:
-                cfg, alpha = points[i]
-                rate = (1.0 - alpha) * np.log2(1.0 + nu1s[i] * hp2 * amp / denom)
-                mean = float(rate.mean())
-                m2 = float(((rate - mean) ** 2).sum())
-                out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
+            # gains or an SINR that overflow give an inf or nan estimate, which
+            # reaches the caller; numpy's warnings would only repeat it
+            with np.errstate(over="ignore", invalid="ignore"):
+                hp2, amp, denom = _gain_terms(
+                    sampler_cfg, sample_batch(sampler_cfg, rng, m, tile_rows=_TILE_ROWS)
+                )
+                out = []
+                for i in members:
+                    cfg, alpha = points[i]
+                    rate = (1.0 - alpha) * np.log2(1.0 + nu1s[i] * hp2 * amp / denom)
+                    mean = float(rate.mean())
+                    m2 = float(((rate - mean) ** 2).sum())
+                    out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
             return out
 
         chunks = _run_chunks(one_chunk, seed, n, workers)
@@ -302,7 +313,7 @@ def mc_moments_x(
         raise ValueError("n must be >= 1000")
 
     def one_chunk(rng, m):
-        x = _row_sums(cfg, sample_batch(cfg, rng, m))[0]
+        x = _row_sums(cfg, sample_batch(cfg, rng, m, tile_rows=_TILE_ROWS))[0]
         return np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
 
     sums = np.sum(_run_chunks(one_chunk, seed, n, workers), axis=0)

@@ -14,9 +14,9 @@ def sample_batch_sizes(monkeypatch) -> list[int]:
     sizes = []
     original = montecarlo.sample_batch
 
-    def counting(cfg, rng, n):
+    def counting(cfg, rng, n, *args, **kwargs):
         sizes.append(n)
-        return original(cfg, rng, n)
+        return original(cfg, rng, n, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "sample_batch", counting)
     return sizes

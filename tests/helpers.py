@@ -5,16 +5,17 @@ outage and its complement via scipy adaptive integration, Rayleigh
 moments via adaptive quadrature of the density, nearest-phase selection
 via plain enumeration, derivatives via central finite differences, the ergodic optimum via a
 bracketing root-finder or a golden-section search, both Lambert-W optima via
-bisection on the equation they share, and Monte Carlo rate, outage and moments of X via
-plain per-point chunk loops with the SINR and X written out in full.
+bisection on the equation they share, channel draws via the numpy calls of the
+documented draw order, and Monte Carlo rate, outage and moments of X via plain
+per-point chunk loops over those draws with the SINR and X written out in full.
 """
 import math
 
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from ariswpc import SystemConfig, gamma_fit, harvested_power_coefficient, sample_batch
-from ariswpc.channel import chunk_rngs
+from ariswpc import SystemConfig, gamma_fit, harvested_power_coefficient
+from ariswpc.channel import ChannelBatch, chunk_rngs
 from ariswpc.closedform import ergodic_terms
 from ariswpc.montecarlo import _merge_mean_var
 
@@ -144,6 +145,19 @@ def w_plus_one_bisection(ell: float) -> float:
     return lo
 
 
+def sample_batch_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int) -> ChannelBatch:
+    """n joint draws by the numpy calls of the documented draw order, one call per block:
+    |h_p|, |f|, |h| and |g| (Rayleigh, E{|.|^2} = zeta), then the phase residuals."""
+    tau = math.pi * 2.0**-cfg.b
+    return ChannelBatch(
+        h_p_mag=rng.rayleigh(scale=math.sqrt(cfg.zeta_p / 2.0), size=n),
+        f_mag=rng.rayleigh(scale=math.sqrt(cfg.zeta_f / 2.0), size=n),
+        h_mag=rng.rayleigh(scale=np.sqrt(cfg.zeta_h / 2.0), size=(n, cfg.M)),
+        g_mag=rng.rayleigh(scale=np.sqrt(cfg.zeta_g / 2.0), size=(n, cfg.M)),
+        phase_err=rng.uniform(-tau, tau, size=(n, cfg.M)),
+    )
+
+
 def in_phase_amplitude(cfg: SystemConfig, batch) -> np.ndarray:
     """X = |f| + sum rho|g||h| cos(phase error), one full-width expression per batch."""
     cascade = cfg.rho_effective * batch.g_mag * batch.h_mag
@@ -169,7 +183,7 @@ def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):
     nu1 = harvested_power_coefficient(cfg, alpha)
     parts, outages = [], 0
     for rng, m in chunk_rngs(seed, n):
-        rate = (1.0 - alpha) * np.log2(1.0 + sinr_full_width(cfg, sample_batch(cfg, rng, m), nu1))
+        rate = (1.0 - alpha) * np.log2(1.0 + sinr_full_width(cfg, sample_batch_by_hand(cfg, rng, m), nu1))
         mean = float(rate.mean())
         parts.append((m, mean, float(((rate - mean) ** 2).sum())))
         outages += int(np.count_nonzero(rate < cfg.r_v))
@@ -181,7 +195,7 @@ def mc_moments_x_loop(cfg: SystemConfig, n: int, seed: int) -> tuple[float, floa
     """(mean, unbiased variance) of X over the engine's chunk streams, summed per chunk."""
     sums = np.zeros(4)
     for rng, m in chunk_rngs(seed, n):
-        x = in_phase_amplitude(cfg, sample_batch(cfg, rng, m))
+        x = in_phase_amplitude(cfg, sample_batch_by_hand(cfg, rng, m))
         sums += np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
     mean = float(sums[0] / n)
     return mean, float(sums[1] / n - mean**2) * n / (n - 1)

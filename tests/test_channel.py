@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ariswpc import SystemConfig, rayleigh_moments, sample_batch, sample_realization
-from ariswpc.channel import chunk_rngs, chunk_sizes, rayleigh_magnitudes
+from ariswpc import ChannelBatch, RisMode, SystemConfig, rayleigh_moments, sample_batch, sample_realization
+from ariswpc.channel import CHUNK_SAMPLES, chunk_rngs, chunk_sizes, rayleigh_magnitudes
 
-from helpers import rayleigh_moment_quad
+from helpers import rayleigh_moment_quad, sample_batch_by_hand
 
 
 class TestSampling:
@@ -84,6 +84,52 @@ class TestSampling:
         m2 = (batch.h_mag**2).mean(axis=0)
         assert m2[0] == pytest.approx(10.0**-3, rel=0.02)
         assert m2[1] == pytest.approx(40.0**-3, rel=0.02)
+
+
+_ORDER_CONFIGS = [
+    pytest.param(SystemConfig(M=0), id="M0"),
+    pytest.param(SystemConfig(M=1), id="M1"),
+    pytest.param(SystemConfig(), id="M36"),
+    pytest.param(SystemConfig(ris_mode=RisMode.PASSIVE, d_h=(3.0, 40.0) * 18), id="passive"),
+]
+# below one 512-row tile, a ragged last tile, and a full chunk
+_ORDER_SIZES = [pytest.param(301, id="under-one-tile"), pytest.param(7232, id="ragged"),
+                pytest.param(CHUNK_SAMPLES, id="full-chunk")]
+
+
+def _streamed(stream) -> ChannelBatch:
+    """A stream's tiles joined back into whole blocks, g tiles read first."""
+    g, phase = list(stream.g_tiles), list(stream.phase_tiles)
+    for tiles in (g, phase):
+        assert [rows.start for rows, _ in tiles] == list(range(0, len(stream.f_mag), 512))
+    return ChannelBatch(stream.h_p_mag, stream.f_mag, stream.h_mag,
+                        np.concatenate([t for _, t in g]), np.concatenate([t for _, t in phase]))
+
+
+class TestDrawOrder:
+    """sample_batch, whole and streamed, against the documented numpy calls, bit for bit."""
+
+    @pytest.mark.parametrize("n", _ORDER_SIZES)
+    @pytest.mark.parametrize("cfg", _ORDER_CONFIGS)
+    def test_batch_matches_numpy_calls(self, cfg, n):
+        batch = sample_batch(cfg, np.random.default_rng(41), n)
+        expected = sample_batch_by_hand(cfg, np.random.default_rng(41), n)
+        assert all(np.array_equal(a, b) for a, b in zip(batch, expected, strict=True))
+
+    @pytest.mark.parametrize("n", _ORDER_SIZES)
+    @pytest.mark.parametrize("cfg", _ORDER_CONFIGS)
+    def test_stream_matches_numpy_calls(self, cfg, n):
+        rng, by_hand = np.random.default_rng(42), np.random.default_rng(42)
+        batch = _streamed(sample_batch(cfg, rng, n, tile_rows=512))
+        expected = sample_batch_by_hand(cfg, by_hand, n)
+        assert all(np.array_equal(a, b) for a, b in zip(batch, expected, strict=True))
+        assert rng.random() == by_hand.random()  # both consumed the same stream
+
+    def test_stream_refuses_phase_tiles_before_g_tiles(self, default_cfg):
+        stream = sample_batch(default_cfg, np.random.default_rng(43), 2000, tile_rows=512)
+        next(iter(stream.g_tiles))
+        with pytest.raises(RuntimeError, match="g tile"):
+            next(iter(stream.phase_tiles))
 
 
 class TestRayleighMoments:

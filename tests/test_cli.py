@@ -173,6 +173,10 @@ class TestCompare:
             )
 
 
+_K_OVERFLOWS = "P_p_dbm: K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite"
+_NU1_OVERFLOWS = "P_p_dbm: nu1 = eta*alpha*P_p/(1-alpha) overflows at alpha=0.9; it must be finite"
+
+
 class TestMainEntry:
     def test_mc_roundtrip_and_overrides(self, tmp_path, capsys):
         config_file = tmp_path / "link.cfg"
@@ -273,13 +277,35 @@ class TestMainEntry:
         assert captured.err == f"error: {message}\n"
 
     def test_non_finite_cell_fails_instead_of_printing(self, capsys):
-        # at 10^308 mW and alpha = 0.9 the harvested-power coefficient nu1 overflows, so the rate is inf
+        # at 10^307 mW nu1 and K are finite, but at alpha = 0.9 the mean SINR K alpha/(1-alpha) overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["compare", "--set", "P_p_dbm=3080", "--set", "alpha=0.9"]) == 1
+            assert main(["compare", "--set", "P_p_dbm=3070", "--set", "alpha=0.9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ValueError: non-finite value inf in a CSV cell\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize"], "ConfigValidationError: " + _K_OVERFLOWS),
+            (["compare"], "ConfigValidationError: " + _K_OVERFLOWS),
+            (["figure", "all"], "ConfigValidationError: " + _K_OVERFLOWS),
+            (["mc", "--samples", "1000", "--alpha", "0.1"], "ConfigValidationError: " + _K_OVERFLOWS),
+            (["mc", "--samples", "1000", "--alpha", "0.9"], "ConfigValidationError: " + _NU1_OVERFLOWS),
+            (["sweep", "--variable", "alpha", "--values", "0.9", "--samples", "1000", "--outputs", "ergodic_mc"],
+             "ValueError: sweep alpha=0.9: " + _NU1_OVERFLOWS),
+        ],
+        ids=["optimize", "compare", "figure", "mc", "mc-alpha-0.9", "sweep-mc-only"],
+    )
+    def test_huge_hub_power_is_one_config_error_line(self, capsys, argv, message):
+        # 10^308 mW validates as a field, but K = t7/t6 overflows, and nu1 as well at alpha = 0.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--set", "P_p_dbm=3080"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "sets", [("d_g=1e-100", "d_h=1e-100"), ("rho_max=1e160", "rho=1e160")], ids=["zeta", "rho"]
@@ -431,17 +457,17 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (["mc", "--samples", "1000", "--set", "M=36"], [9]),
+            (["mc", "--samples", "1000", "--set", "M=36"], [16]),
             (["mc", "--samples", "1000", "--set", "M=1024"], [1]),
             (["sweep", "--variable", "M", "--values", "4,1024", "--samples", "1000",
               "--outputs", "ergodic_mc"], [1, 1]),
             (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--samples", "1000",
-              "--outputs", "outage_mc", "--set", "M=64"], [5]),
+              "--outputs", "outage_mc", "--set", "M=64"], [15]),
         ],
         ids=["mc-M36", "mc-M1024", "sweep-M-to-1024", "sweep-M64"],
     )
     def test_chunks_in_flight_fit_the_memory_budget(self, argv, expected, capsys, monkeypatch):
-        # a 16-CPU host: one chunk per CPU at most, and no more 3*16384*M*8-byte batches than 128 MiB holds
+        # a 16-CPU host: one chunk per CPU at most, and no more (16384 + 2*512)*M*8-byte chunks than 128 MiB holds
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 16)
         seen = []
         run_chunks = montecarlo._run_chunks

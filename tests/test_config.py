@@ -10,6 +10,8 @@ from ariswpc import (
     RisMode,
     SystemConfig,
     dbm_to_linear,
+    ergodic_terms,
+    harvested_power_coefficient,
     linear_to_dbm,
     load_config,
     path_loss,
@@ -130,6 +132,15 @@ class TestValidation:
     def test_infinite_distance_is_a_blocked_link(self, field):
         cfg = SystemConfig(**{field: math.inf})
         assert np.all(getattr(cfg, "zeta" + field[1:]) == 0.0)
+
+    def test_huge_hub_power_overflows_as_p_p_error(self):
+        # 10^308 mW is a finite field, but K = eta P_p signal / t6 overflows, and nu1 at alpha = 0.9
+        cfg = SystemConfig(P_p_dbm=3080.0)
+        for evaluate in (lambda: ergodic_terms(cfg), lambda: harvested_power_coefficient(cfg, 0.9)):
+            with pytest.raises(ConfigValidationError) as err:
+                evaluate()
+            assert err.value.field == "P_p_dbm"
+        assert math.isfinite(harvested_power_coefficient(cfg, 0.1))
 
     def test_zero_budget_only_without_elements(self):
         assert SystemConfig(M=0, P_R_mw=0.0).P_R_mw == 0.0

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -186,7 +187,11 @@ class TestMcRateAndOutage:
         assert _run_chunks(chunk, 0, 8 * CHUNK_SAMPLES + 5, 3) == [CHUNK_SAMPLES] * 8 + [5]
         assert 1 < peak[0] <= 3
 
-    @pytest.mark.parametrize("cpus, m, expected", [(16, 0, 16), (16, 36, 9), (16, 64, 5), (16, 1024, 1), (2, 36, 2), (1, 4, 1)])
+    # a chunk holds (CHUNK_SAMPLES + 2 _TILE_ROWS) M float64s: 26 fit in 128 MiB at M=36, 15 at M=64
+    @pytest.mark.parametrize(
+        "cpus, m, expected",
+        [(16, 0, 16), (16, 36, 16), (32, 36, 26), (16, 64, 15), (16, 1024, 1), (2, 36, 2), (1, 4, 1)],
+    )
     def test_default_workers_fit_cpus_and_memory_budget(self, monkeypatch, cpus, m, expected):
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
         assert _default_workers(m) == expected
@@ -224,6 +229,20 @@ class TestMcRateAndOutage:
         mc_rate_and_outage(_engine_points(default_cfg), n=40_000, seed=23)
         # 3 groups (shared, M=8, passive) x 3 chunks of 40000 samples
         assert sample_batch_sizes == [16384, 16384, 7232] * 3
+
+    @pytest.mark.parametrize("m", [36, 64])
+    def test_chunk_holds_one_block_of_draws(self, m):
+        # |h| is the one (CHUNK_SAMPLES, M) block a chunk holds; |g| and the phases come in row tiles
+        cfg = SystemConfig(M=m)
+        points = [(cfg, 0.419), (replace_config(cfg, P_p_dbm=5.0), 0.6)]
+        mc_rate_and_outage(points, n=CHUNK_SAMPLES, seed=24)  # warm: nothing cached is counted below
+        tracemalloc.start()
+        try:
+            mc_rate_and_outage(points, n=CHUNK_SAMPLES, seed=24, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * CHUNK_SAMPLES * m * 8
 
     def test_rejects_tiny_n(self, default_cfg):
         with pytest.raises(ValueError, match="n must be >= 100"):
