@@ -5,7 +5,8 @@ unit-carrying headers and fixed scientific formatting (9 significant
 digits), so identical seeds and flags reproduce byte-identical files; a
 non-finite cell fails the command. Each per-config number, in a sweep, mc or
 compare row or a figure column, is an _OUTPUTS cell; only optimize's rows
-call the optimizers directly. Precedence of settings: built-in defaults <
+call the optimizers directly; a figure column over P_p or alpha evaluates one
+config at all its points. Precedence of settings: built-in defaults <
 --config file < --set KEY=VALUE < dedicated flags (--samples,
 --quadrature-points, --power-budget). Monte Carlo chunks run on one thread
 per usable CPU (fewer at large M); that never changes the output.
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -24,33 +27,43 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import effective_rate, ergodic_rate, outage_probability
+from .closedform import _checked_point, _coverages, _ergodic_rates, effective_rate, ergodic_rate
 from .config import _KNOWN_KEYS, RisMode, SystemConfig, _coerce, load_config_file, replace_config
 from .montecarlo import _default_workers, mc_rate_and_outage
 from .optimize import (
+    _apply_power_constraint,
     effective_alpha_closed_form,
     optimize_alpha_effective,
-    optimize_alpha_effective_constrained,
     optimize_alpha_ergodic,
-    optimize_alpha_ergodic_constrained,
 )
-from .power import expected_power
+from .power import _expected_powers, expected_power
 
 __all__ = ["SweepSpec", "run_sweep", "reproduce_figure", "compare_active_passive", "main"]
 
-# Every per-point output: its CSV columns and the function of the point's
-# config that gives its cells. The lambdas look the library functions up when
-# called. The two Monte Carlo outputs have no cell function: one
-# mc_rate_and_outage call fills both of them for every point (_evaluate).
+
+def _at(cfg: SystemConfig, **moves) -> tuple[SystemConfig, float, float]:
+    """A point (config, alpha, P_p_dbm): cfg at its own alpha and P_p_dbm, or at those in `moves`."""
+    return cfg, moves.get("alpha", cfg.alpha), moves.get("P_p_dbm", cfg.P_p_dbm)
+
+
+def _on_hub_power(cfg: SystemConfig, P_p_dbm: float) -> SystemConfig:
+    """cfg with its hub power set to P_p_dbm; it keeps cfg's link model."""
+    return cfg if P_p_dbm == cfg.P_p_dbm else replace_config(cfg, P_p_dbm=P_p_dbm)
+
+
+# Every per-point output: its CSV columns and the function of (config, alphas,
+# hub powers) that gives its cell at each point. The lambdas look the library
+# functions up when called. The two Monte Carlo outputs have no cell function:
+# one mc_rate_and_outage call fills both of them for every point (_evaluate).
 _OUTPUTS = {
-    "ergodic_cf": (("ergodic_cf_bits_per_s_hz",), lambda p: [ergodic_rate(p, p.alpha)]),
+    "ergodic_cf": (("ergodic_cf_bits_per_s_hz",), lambda c, a, p: _ergodic_rates(c, a, p)),
     "ergodic_mc": (("ergodic_mc_bits_per_s_hz", "ergodic_mc_stderr_bits_per_s_hz"), None),
-    "outage_cf": (("outage_cf_prob",), lambda p: [outage_probability(p, p.alpha)]),
+    "outage_cf": (("outage_cf_prob",), lambda c, a, p: 1.0 - _coverages(c, a, p)),
     "outage_mc": (("outage_mc_prob", "outage_mc_stderr_prob"), None),
-    "effective": (("effective_rate_bits_per_s_hz",), lambda p: [effective_rate(p, p.alpha)]),
-    "power": (("expected_power_mw",), lambda p: [expected_power(p, p.alpha)]),
-    "alpha_star": (("alpha_star",), lambda p: [optimize_alpha_ergodic(p).alpha_opt]),
-    "alpha_dagger": (("alpha_dagger",), lambda p: [effective_alpha_closed_form(p.r_v)]),
+    "effective": (("effective_rate_bits_per_s_hz",), lambda c, a, p: _coverages(c, a, p) * c.r_v),
+    "power": (("expected_power_mw",), lambda c, a, p: _expected_powers(c, a, p)),
+    "alpha_star": (("alpha_star",), lambda c, a, p: [optimize_alpha_ergodic(_on_hub_power(c, x)).alpha_opt for x in p]),
+    "alpha_dagger": (("alpha_dagger",), lambda c, a, p: [effective_alpha_closed_form(c.r_v)] * len(a)),
 }
 SWEEP_OUTPUTS = tuple(_OUTPUTS)
 
@@ -102,30 +115,44 @@ def _labelled(label: str | None):
         raise ValueError(f"{label}: {exc}") from exc
 
 
-def _evaluate(points: Sequence[SystemConfig], outputs: Sequence[str], seed: int, labels=None) -> list[list]:
-    """The cells of `outputs` at each point config, one row per point.
+def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels=None) -> list[list]:
+    """The cells of `outputs` at each point (config, alpha, P_p_dbm), one row per point.
 
-    Each point is evaluated at its own alpha. All Monte Carlo cells come from
-    one mc_rate_and_outage call over every point at the root seed `seed`, so
-    they equal mc_ergodic_rate / mc_outage(point, point.alpha, seed=seed) bit
-    for bit, and points whose draws do not depend on how they differ share
-    their samples. Chunks run on as many threads as
-    montecarlo._default_workers allows for the largest M; that does not
-    change the result. A ValueError is labelled with labels[i] for a failure
-    at point i, and with labels[0] for a failure of the MC call.
+    Closed-form cells are evaluated per run of consecutive points on one config
+    object; should any fail, point by point, so the error is the first failing
+    point's first failing output. All Monte Carlo cells come from one
+    mc_rate_and_outage call at the root seed `seed`, so they equal
+    mc_ergodic_rate / mc_outage(config, alpha, seed=seed) bit for bit, and
+    points whose draws do not depend on how they differ share their samples;
+    each point first passes the closed forms' overflow checks. Chunks run on
+    as many threads as montecarlo._default_workers allows for the largest M;
+    that does not change the result. A ValueError is labelled with labels[i]
+    for a failure at point i, and with labels[0] for a failure of the MC call.
     """
     labels = labels or [None] * len(points)
-    cells = []
-    for label, point in zip(labels, points):
-        with _labelled(label):
-            cells.append({o: _OUTPUTS[o][1](point) for o in outputs if _OUTPUTS[o][1] is not None})
-    if any(_OUTPUTS[o][1] is None for o in outputs):
+    closed = {o: [] for o in outputs if _OUTPUTS[o][1] is not None}
+    try:
+        for _, run in itertools.groupby(points, key=lambda point: id(point[0])):
+            run_configs, alphas, hub_powers = zip(*run)
+            for o, column in closed.items():
+                column.extend(_OUTPUTS[o][1](run_configs[0], alphas, hub_powers))
+    except Exception:
+        for label, (cfg, alpha, hub_power) in zip(labels, points):
+            with _labelled(label):
+                for o in closed:
+                    _OUTPUTS[o][1](cfg, [alpha], [hub_power])
+        raise
+    cells = [{o: [column[i]] for o, column in closed.items()} for i in range(len(points))]
+    if len(closed) < len(outputs):
+        for label, (cfg, alpha, hub_power) in zip(labels, points):
+            with _labelled(label):
+                _checked_point(cfg, alpha, hub_power)
         with _labelled(labels[0]):
             estimates = mc_rate_and_outage(
-                [(p, p.alpha) for p in points],
-                points[0].mc_samples,
+                [(_on_hub_power(cfg, hub_power), alpha) for cfg, alpha, hub_power in points],
+                points[0][0].mc_samples,
                 seed=seed,
-                workers=_default_workers(max(p.M for p in points)),
+                workers=_default_workers(max(cfg.M for cfg, _, _ in points)),
             )
         for point_cells, (rate, outage) in zip(cells, estimates):
             point_cells["ergodic_mc"] = [rate.value, rate.stderr]
@@ -180,7 +207,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
     points = []
     for label, value in zip(labels, spec.values):
         with _labelled(label):
-            points.append(replace_config(cfg, **{spec.variable: value}))
+            points.append(_at(replace_config(cfg, **{spec.variable: value})))
     rows = _evaluate(points, spec.outputs, spec.seed, labels)
     integral = spec.variable in ("M", "b")
     return _csv_table(
@@ -195,17 +222,15 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
 def _grid_table(first: str, grid: Sequence, columns, flags=()) -> str:
     """One row per grid value x: x, each column's cell at x, then each flag (header, function of x).
 
-    A column is (header, _OUTPUTS name, function of x giving the point config), evaluated by
-    _evaluate; columns with the same point function share its configs.
+    A column is (header, _OUTPUTS name, its points along the grid), evaluated by _evaluate.
     """
-    points = {point: [point(x) for x in grid] for point in dict.fromkeys(column[2] for column in columns)}
-    cells = [[cell for [cell] in _evaluate(points[point], (output,), seed=0)] for _, output, point in columns]
+    cells = [[cell for [cell] in _evaluate(points, (output,), seed=0)] for _, output, points in columns]
     header = [first, *(header for header, _, _ in columns), *(header for header, _ in flags)]
     return _csv_table(header, ([x, *row, *(flag(x) for _, flag in flags)] for x, row in zip(grid, zip(*cells))))
 
 
 def _pp_columns(variants: dict[str, SystemConfig], output: str) -> list:
-    return [(header, output, lambda pp, v=v: replace_config(v, P_p_dbm=pp)) for header, v in variants.items()]
+    return [(header, output, [_at(v, P_p_dbm=pp) for pp in _PP_GRID]) for header, v in variants.items()]
 
 
 def _fig2(cfg: SystemConfig) -> dict[str, str]:
@@ -227,36 +252,35 @@ def _fig3(cfg: SystemConfig) -> dict[str, str]:
 
 
 def _fig4(cfg: SystemConfig) -> dict[str, str]:
-    [[alpha_star, alpha_dagger]] = _evaluate([cfg], ("alpha_star", "alpha_dagger"), seed=0)
+    [[alpha_star, alpha_dagger]] = _evaluate([_at(cfg)], ("alpha_star", "alpha_dagger"), seed=0)
     marked = {alpha_star} if alpha_dagger is None else {alpha_star, alpha_dagger}
     grid = sorted(set(np.linspace(0.01, 0.99, 99)) | marked)
+    points = [_at(cfg, alpha=a) for a in grid]
     outputs = {"ergodic_rate_bits_per_s_hz": "ergodic_cf", "effective_rate_bits_per_s_hz": "effective"}
-
-    def at(a):  # one point function, so both columns share the configs
-        return replace_config(cfg, alpha=a)
-
-    columns = [(header, output, at) for header, output in outputs.items()]
+    columns = [(header, output, points) for header, output in outputs.items()]
     flags = [("is_alpha_star", lambda a: a == alpha_star), ("is_alpha_dagger", lambda a: a == alpha_dagger)]
     return {"fig4_rates_vs_alpha.csv": _grid_table("alpha", grid, columns, flags)}
 
 
 def _fig5(cfg: SystemConfig) -> dict[str, str]:
-    rho_column = ("expected_power_mw", "power", lambda r: replace_config(cfg, rho=r, rho_max=max(cfg.rho_max, r)))
+    rho_points = [_at(replace_config(cfg, rho=r, rho_max=max(cfg.rho_max, r))) for r in _RHO_GRID]
     return {
-        "fig5_power_vs_rho.csv": _grid_table("rho_gain", _RHO_GRID, [rho_column]),
+        "fig5_power_vs_rho.csv": _grid_table("rho_gain", _RHO_GRID, [("expected_power_mw", "power", rho_points)]),
         "fig5_power_vs_pp.csv": _grid_table("P_p_dbm", _PP_GRID, _pp_columns({"expected_power_mw": cfg}, "power")),
     }
 
 
 def _fig6(cfg: SystemConfig) -> dict[str, str]:
+    m_configs = [replace_config(cfg, M=m) for m in _M_GRID]
     m_columns = [
-        (f"expected_power_alpha_{label}_mw", "power", lambda m, a=a: replace_config(cfg, M=m, alpha=a))
+        (f"expected_power_alpha_{label}_mw", "power", [_at(c, alpha=a) for c in m_configs])
         for label, a in (("0p1", 0.1), ("0p9", 0.9))
     ]
-    alpha_column = ("expected_power_mw", "power", lambda a: replace_config(cfg, alpha=a))
+    alphas = np.linspace(0.1, 0.9, 17)
+    alpha_column = ("expected_power_mw", "power", [_at(cfg, alpha=a) for a in alphas])
     return {
         "fig6_power_vs_m.csv": _grid_table("M_elements", _M_GRID, m_columns),
-        "fig6_power_vs_alpha.csv": _grid_table("alpha", np.linspace(0.1, 0.9, 17), [alpha_column]),
+        "fig6_power_vs_alpha.csv": _grid_table("alpha", alphas, [alpha_column]),
     }
 
 
@@ -277,7 +301,7 @@ def compare_active_passive(cfg: SystemConfig) -> str:
     """Side-by-side closed-form summary at identical M and alpha."""
     modes = (RisMode.ACTIVE, RisMode.PASSIVE)
     rows = _evaluate(
-        [replace_config(cfg, ris_mode=mode) for mode in modes],
+        [_at(replace_config(cfg, ris_mode=mode)) for mode in modes],
         ("ergodic_cf", "outage_cf", "effective", "power"),
         seed=0,
     )
@@ -344,12 +368,11 @@ def _figure(cfg: SystemConfig, args) -> dict[str, str]:
 
 
 def _optimize(cfg: SystemConfig, args) -> dict[str, str]:
-    runs = [
-        ("ergodic", optimize_alpha_ergodic(cfg)),
-        ("ergodic_constrained", optimize_alpha_ergodic_constrained(cfg)),
-        ("effective", optimize_alpha_effective(cfg)),
-        ("effective_constrained", optimize_alpha_effective_constrained(cfg)),
-    ]
+    runs = []
+    for name, optimizer, rate in (("ergodic", optimize_alpha_ergodic, ergodic_rate),
+                                  ("effective", optimize_alpha_effective, effective_rate)):
+        best = optimizer(cfg)
+        runs += [(name, best), (f"{name}_constrained", _apply_power_constraint(cfg, best, rate))]
     header = [
         "objective", "alpha_opt", "objective_value_bits_per_s_hz", "binding",
         "iterations", "residual", "alpha_closed_form", "expected_power_mw",
@@ -366,11 +389,12 @@ def _mc(cfg: SystemConfig, args) -> dict[str, str]:
     """The sweep's ergodic and outage columns at one alpha, plus n and seed."""
     point = replace_config(cfg, alpha=cfg.alpha if args.alpha is None else args.alpha)
     outputs = ("ergodic_cf", "ergodic_mc", "outage_cf", "outage_mc")
-    [row] = _evaluate([point], outputs, args.seed)
+    [row] = _evaluate([_at(point)], outputs, args.seed)
     header = ["alpha", *_columns(outputs), "n_samples", "seed"]
     return {"mc.csv": _csv_table(header, [[point.alpha, *row, point.mc_samples, args.seed]])}
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ariswpc",

@@ -1,12 +1,14 @@
 """Closed-form link analysis: ergodic rate, outage probability, effective rate.
 
-Every closed form is an alpha-free channel statistic of the config composed
-with the harvested-power coefficient nu1(alpha). Those statistics form the
-config's link model, built once on first use and kept on the config
-(_link_model): the channel-moment aggregates t1..t7, the Gamma fit of the
-composite amplitude, and the outage quadrature's nodes with the alpha-free
-part of their log terms. The rates, the outage and their optimizers apply
-nu1(alpha) and the outage threshold kappa(alpha) to it.
+Every closed form is a statistic of the config free of alpha and the hub
+power P_p, composed with the harvested-power coefficient nu1(alpha, P_p).
+Those statistics form the config's link model (_link_model): the
+channel-moment aggregates t1..t6, the Gamma fit of the composite amplitude,
+and the outage quadrature's nodes with the alpha-free part of their log
+terms. _ergodic_rates and _coverages evaluate one config at arrays of alpha
+and P_p: nu1, kappa(alpha) and the overflow checks per point, then the
+quadrature as one (points x nodes) array. The public functions are their
+one-point views.
 
 The ergodic rate uses the expectation-ratio approximation
 E{log2(1+x/y)} ~ log2(1+E{x}/E{y}) with exact channel moments on both
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigValidationError, SystemConfig, harvested_power_coefficient
+from .config import ConfigValidationError, SystemConfig, dbm_to_linear, harvested_power_coefficient
 from .ris import phase_error_stats
 
 __all__ = [
@@ -99,9 +101,10 @@ class GammaFit:
 
 @dataclass(frozen=True)
 class _LinkModel:
-    """The alpha-free statistics of one config; see _build_link_model."""
+    """The statistics of one config that depend on neither alpha nor P_p; see _build_link_model."""
 
-    terms: ErgodicTerms
+    moments: tuple[float, ...]   # t1..t5 of ErgodicTerms
+    t6: float                    # the noise floor, the mean SINR denominator
     signal: float                # t1 + t2 t3 + t4 + t5, the mean SINR numerator over nu1
     fit: GammaFit | None         # None where Var X = 0
     log_t: np.ndarray | None     # quadrature nodes log t_u
@@ -109,11 +112,10 @@ class _LinkModel:
 
 
 def _build_link_model(cfg: SystemConfig) -> _LinkModel:
-    """The aggregates t1..t7, the Gamma fit of X and the outage quadrature's nodes and log terms.
+    """The aggregates t1..t6, the Gamma fit of X and the outage quadrature's nodes and log terms.
 
     Raises ConfigValidationError when an aggregate overflows (a huge gain or
-    very short cascade distances) or K = t7/t6 does (a huge hub power), before
-    any closed form can return inf or nan.
+    very short cascade distances), before any closed form can return inf or nan.
     """
     stats = phase_error_stats(cfg.b)
     c1 = (math.pi / 4.0) * stats.e_cos  # E{cascade amplitude} weight per element
@@ -132,11 +134,9 @@ def _build_link_model(cfg: SystemConfig) -> _LinkModel:
     signal = t1 + t2 * t3 + t4 + t5
     if not all(map(math.isfinite, (t1, t2, t3, t4, t5, t6, signal, var_x))):
         raise ConfigValidationError("rho, d_h, d_g", "the channel-moment aggregates overflow; they must be finite")
-    terms = ErgodicTerms(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=cfg.eta * cfg.p_p_mw * signal)
-    if not math.isfinite(terms.t7 / t6):
-        raise ConfigValidationError("P_p_dbm", "K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite")
+    moments = (t1, t2, t3, t4, t5)
     if var_x <= 0.0:
-        return _LinkModel(terms, signal, None, None, None)
+        return _LinkModel(moments, t6, signal, None, None, None)
 
     # Gamma fit of X = |f| + sum rho|g||h| cos(phase error) by its mean and variance
     mean_x = math.sqrt(math.pi * zf) / 2.0 + t3
@@ -155,26 +155,47 @@ def _build_link_model(cfg: SystemConfig) -> _LinkModel:
     with np.errstate(over="ignore"):
         t_over_r = np.exp(log_t) / r
     log_base = log_weights + s * log_t - t_over_r - s * math.log(r) - math.lgamma(s)
-    return _LinkModel(terms, signal, GammaFit(s=s, r=r, mean_x=mean_x, var_x=var_x), log_t, log_base)
+    return _LinkModel(moments, t6, signal, GammaFit(s=s, r=r, mean_x=mean_x, var_x=var_x), log_t, log_base)
 
 
 def _link_model(cfg: SystemConfig) -> _LinkModel:
-    """cfg's link model, built on first use and kept on cfg, which is immutable."""
+    """cfg's link model, built on first use and kept on cfg, which is immutable (see config._HANDED_ON)."""
     model = cfg.__dict__.get("_link_model")
     if model is None:
         model = cfg.__dict__["_link_model"] = _build_link_model(cfg)
     return model
 
 
+def _checked_model(cfg: SystemConfig, P_p_dbm: float) -> _LinkModel:
+    """cfg's link model, checked at hub power P_p_dbm: K = eta*P_p*signal/t6 must be finite."""
+    model = _link_model(cfg)
+    if not math.isfinite(cfg.eta * dbm_to_linear(P_p_dbm) * model.signal / model.t6):
+        raise ConfigValidationError("P_p_dbm", "K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite")
+    return model
+
+
+def _checked_point(cfg: SystemConfig, alpha: float, P_p_dbm: float) -> tuple[float, _LinkModel]:
+    """nu1 at (alpha, P_p_dbm) and cfg's link model checked there: every closed form's overflow checks."""
+    return harvested_power_coefficient(cfg, alpha, P_p_dbm), _checked_model(cfg, P_p_dbm)
+
+
 def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
-    return _link_model(cfg).terms
+    model = _checked_model(cfg, cfg.P_p_dbm)
+    return ErgodicTerms(*model.moments, model.t6, cfg.eta * cfg.p_p_mw * model.signal)
+
+
+def _ergodic_rates(cfg: SystemConfig, alphas, P_p_dbms) -> list[float]:
+    """ergodic_rate at each point (alpha, P_p_dbm)."""
+    rates = []
+    for alpha, P_p_dbm in zip(alphas, P_p_dbms):
+        nu1, model = _checked_point(cfg, alpha, P_p_dbm)
+        rates.append((1.0 - alpha) * math.log2(1.0 + nu1 * model.signal / model.t6))
+    return rates
 
 
 def ergodic_rate(cfg: SystemConfig, alpha: float) -> float:
     """Approximate ergodic rate (1-alpha) log2(1 + nu1 * signal / noise), bits/s/Hz."""
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    model = _link_model(cfg)
-    return (1.0 - alpha) * math.log2(1.0 + nu1 * model.signal / model.terms.t6)
+    return _ergodic_rates(cfg, [alpha], [cfg.P_p_dbm])[0]
 
 
 def gamma_fit(cfg: SystemConfig) -> GammaFit:
@@ -185,30 +206,36 @@ def gamma_fit(cfg: SystemConfig) -> GammaFit:
     return fit
 
 
-def _log_outage_threshold(r_v: float, alpha: float) -> float | None:
-    """log of the SINR outage threshold kappa = 2^(r_v/(1-alpha)) - 1; None means kappa == 0."""
-    if r_v == 0.0:
-        return None
+def _log_outage_threshold(r_v: float, alpha: float) -> float:
+    """log of the SINR outage threshold kappa = 2^(r_v/(1-alpha)) - 1, for r_v > 0."""
     x = r_v / (1.0 - alpha) * _LN2
     # log(2^expo - 1) = x + log(1 - e^-x); log(1 - e^-x) takes expm1 up to x = ln 2 and
     # log1p above (Maechler 2012), so it holds where e^-x rounds to 1 (x < 1.1e-16)
     return x + (math.log(-math.expm1(-x)) if x <= _LN2 else math.log1p(-math.exp(-x)))
 
 
-def _outage_terms(cfg: SystemConfig, alpha: float):
-    """Terms exp(... - c/t_u^2) of the integral 1 - outage, and their c/t_u^2; None if kappa == 0."""
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    log_kappa = _log_outage_threshold(cfg.r_v, alpha)
-    if log_kappa is None:
+def _outage_terms(cfg: SystemConfig, alphas, P_p_dbms):
+    """Terms exp(... - c/t_u^2) of 1 - outage and their c/t_u^2, a row per point; None (only nu1 checked) if r_v = 0."""
+    if cfg.r_v == 0.0:
+        for alpha, P_p_dbm in zip(alphas, P_p_dbms):
+            harvested_power_coefficient(cfg, alpha, P_p_dbm)
         return None
-    gamma_fit(cfg)  # raises where X has no Gamma fit, hence no nodes
-    model = _link_model(cfg)
-    # exponent scale of the hub-link exponential CDF: exp(-c / t^2)
-    log_c = log_kappa + math.log(model.terms.t6) - math.log(nu1 * cfg.zeta_p)
+    log_c = []
+    for alpha, P_p_dbm in zip(alphas, P_p_dbms):
+        nu1, model = _checked_point(cfg, alpha, P_p_dbm)
+        gamma_fit(cfg)  # raises where X has no Gamma fit, hence no nodes
+        # exponent scale of the hub-link exponential CDF: exp(-c / t^2)
+        log_c.append(_log_outage_threshold(cfg.r_v, alpha) + math.log(model.t6) - math.log(nu1 * cfg.zeta_p))
     # the outermost nodes overflow c / t^2 to inf; their terms are exp(-inf) = 0
     with np.errstate(over="ignore"):
-        suppression = np.exp(log_c - 2.0 * model.log_t)  # c / t^2
+        suppression = np.exp(np.array(log_c)[:, None] - 2.0 * model.log_t)  # c / t^2
     return np.exp(model.log_base - suppression), suppression
+
+
+def _coverages(cfg: SystemConfig, alphas, P_p_dbms) -> np.ndarray:
+    """I = 1 - P_O at each point: the quadrature's row sum clamped to at most 1; 1 where kappa == 0."""
+    quadrature = _outage_terms(cfg, alphas, P_p_dbms)
+    return np.ones(len(alphas)) if quadrature is None else np.minimum(quadrature[0].sum(axis=1), 1.0)
 
 
 def outage_probability(cfg: SystemConfig, alpha: float) -> float:
@@ -224,13 +251,7 @@ def outage_probability(cfg: SystemConfig, alpha: float) -> float:
     (and 4096 at the default geometry), passive and active surfaces,
     distances of 2-80 m and hub powers of -20 to 80 dBm.
     """
-    return 1.0 - _coverage(cfg, alpha)
-
-
-def _coverage(cfg: SystemConfig, alpha: float) -> float:
-    """I = 1 - P_O, the outage quadrature's sum clamped to at most 1; 1 where kappa == 0."""
-    quadrature = _outage_terms(cfg, alpha)
-    return 1.0 if quadrature is None else min(float(np.sum(quadrature[0])), 1.0)
+    return float(1.0 - _coverages(cfg, [alpha], [cfg.P_p_dbm])[0])
 
 
 def effective_rate(cfg: SystemConfig, alpha: float) -> float:
@@ -239,7 +260,7 @@ def effective_rate(cfg: SystemConfig, alpha: float) -> float:
     It is taken from the quadrature's sum I itself, so it keeps its relative
     accuracy where the outage rounds to 1.
     """
-    return _coverage(cfg, alpha) * cfg.r_v
+    return float(_coverages(cfg, [alpha], [cfg.P_p_dbm])[0]) * cfg.r_v
 
 
 def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
@@ -249,10 +270,10 @@ def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
     grows. With c = kappa/nu1 up to alpha-free factors and x = r_v ln 2/(1-alpha),
     it is -r_v sum_u I_u c/t_u^2 times d ln c/d alpha = (x/(1 - e^-x) - 1/alpha)/(1-alpha).
     """
-    quadrature = _outage_terms(cfg, alpha)
+    quadrature = _outage_terms(cfg, [alpha], [cfg.P_p_dbm])
     if quadrature is None:
         return 0.0
-    terms, exponents = quadrature
+    terms, exponents = quadrature[0][0], quadrature[1][0]
     x = cfg.r_v * _LN2 / (1.0 - alpha)
     d_log_c = (x / -math.expm1(-x) - 1.0 / alpha) / (1.0 - alpha)
     # a node whose exponent overflowed to inf has a term of 0, and adds 0

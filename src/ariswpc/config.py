@@ -75,17 +75,17 @@ def path_loss(d, epsilon: float):
     return float(out) if out.ndim == 0 else out
 
 
-def harvested_power_coefficient(cfg: "SystemConfig", alpha: float) -> float:
+def harvested_power_coefficient(cfg: "SystemConfig", alpha: float, P_p_dbm: float | None = None) -> float:
     """Harvested-power coefficient eta*alpha*P_p/(1-alpha), in linear mW.
 
     Scales the transmit power of the energy-constrained device: it harvests
     for a fraction alpha of the interval and spends the energy over the
-    remaining 1-alpha. Raises ConfigValidationError on P_p_dbm where it
-    overflows.
+    remaining 1-alpha. P_p is cfg's hub power unless P_p_dbm is given.
+    Raises ConfigValidationError on P_p_dbm where it overflows.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    nu1 = cfg.eta * alpha * cfg.p_p_mw / (1.0 - alpha)
+    nu1 = cfg.eta * alpha * dbm_to_linear(cfg.P_p_dbm if P_p_dbm is None else P_p_dbm) / (1.0 - alpha)
     if not math.isfinite(nu1):
         raise ConfigValidationError(
             "P_p_dbm", f"nu1 = eta*alpha*P_p/(1-alpha) overflows at alpha={alpha}; it must be finite"
@@ -245,11 +245,11 @@ class SystemConfig:
         arr.setflags(write=False)
         return arr
 
-    @property
+    @cached_property
     def zeta_p(self) -> float:
         return path_loss(self.d_p, self.epsilon)
 
-    @property
+    @cached_property
     def zeta_f(self) -> float:
         return path_loss(self.d_f, self.epsilon)
 
@@ -318,12 +318,20 @@ def load_config_file(path) -> SystemConfig:
         return load_config(fh.read())
 
 
+# Values a config computes on first use and keeps (its cached properties and
+# closedform's link model), with the fields each is computed from.
+_HANDED_ON = (("rho_effective", {"M", "rho", "ris_mode"}), ("zeta_p", {"d_p", "epsilon"}),
+              ("zeta_f", {"d_f", "epsilon"}), ("zeta_h", {"M", "d_h", "epsilon"}), ("zeta_g", {"M", "d_g", "epsilon"}),
+              ("_link_model", {"M", "rho", "ris_mode", "b", "d_p", "d_f", "d_h", "d_g", "epsilon", "sigma_v2_dbm",
+                               "sigma_n2_dbm", "quadrature_points"}))
+
+
 def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
     """Functional update that revalidates and rebroadcasts per-element fields.
 
     When M changes, uniform rho / d_h / d_g are rebroadcast to the new length;
-    non-uniform vectors cannot be resized implicitly. The new config shares
-    cfg's read-only per-element arrays whose inputs are not in `changes`.
+    non-uniform vectors cannot be resized implicitly. The new config takes
+    over each of cfg's kept values (_HANDED_ON) whose inputs are not in `changes`.
     """
     if "M" in changes and changes["M"] != cfg.M:
         for name in ("rho", "d_h", "d_g"):
@@ -337,8 +345,8 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
                 )
             changes[name] = uniq.pop() if uniq else None
     new = replace(cfg, **changes)
-    for name, inputs in (("rho_effective", {"M", "rho", "ris_mode"}), ("zeta_h", {"M", "d_h", "epsilon"}),
-                         ("zeta_g", {"M", "d_g", "epsilon"})):
-        if inputs.isdisjoint(changes):
-            new.__dict__[name] = getattr(cfg, name)
+    for name, inputs in _HANDED_ON:
+        # getattr computes a cached property; the link model is there only once closedform has built it
+        if inputs.isdisjoint(changes) and (value := getattr(cfg, name, None)) is not None:
+            new.__dict__[name] = value
     return new

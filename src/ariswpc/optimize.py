@@ -195,7 +195,8 @@ def optimize_alpha_effective(cfg: SystemConfig) -> OptResult:
     )
 
 
-def _apply_power_constraint(cfg, unconstrained: OptResult, objective, P_R, mode):
+def _apply_power_constraint(cfg, unconstrained: OptResult, rate, P_R=None, mode="nominal") -> OptResult:
+    """The KKT case split on an unconstrained optimum of the closed-form rate(cfg, alpha)."""
     if P_R is None:
         P_R = cfg.P_R_mw
     try:
@@ -206,7 +207,7 @@ def _apply_power_constraint(cfg, unconstrained: OptResult, objective, P_R, mode)
         return unconstrained
     return OptResult(
         alpha_opt=alpha,
-        objective_value=objective(alpha),
+        objective_value=rate(cfg, alpha),
         binding=Binding.POWER_CONSTRAINED,
         iterations=unconstrained.iterations,
         residual=abs(expected_power(cfg, alpha, mode) - P_R),
@@ -218,15 +219,11 @@ def optimize_alpha_ergodic_constrained(
     cfg: SystemConfig, P_R: float | None = None, mode: str = "nominal"
 ) -> OptResult:
     """Ergodic-rate maximizer subject to expected_power(alpha) <= P_R."""
-    return _apply_power_constraint(
-        cfg, optimize_alpha_ergodic(cfg), lambda a: ergodic_rate(cfg, a), P_R, mode
-    )
+    return _apply_power_constraint(cfg, optimize_alpha_ergodic(cfg), ergodic_rate, P_R, mode)
 
 
 def optimize_alpha_effective_constrained(
     cfg: SystemConfig, P_R: float | None = None, mode: str = "nominal"
 ) -> OptResult:
     """Effective-rate maximizer subject to expected_power(alpha) <= P_R."""
-    return _apply_power_constraint(
-        cfg, optimize_alpha_effective(cfg), lambda a: effective_rate(cfg, a), P_R, mode
-    )
+    return _apply_power_constraint(cfg, optimize_alpha_effective(cfg), effective_rate, P_R, mode)

@@ -65,11 +65,16 @@ def power_model(cfg: SystemConfig, mode: str = "nominal") -> PowerModel:
     return PowerModel(amp_signal, amp_noise, static)
 
 
+def _expected_powers(cfg: SystemConfig, alphas, P_p_dbms, mode: str = "nominal") -> list[float]:
+    """expected_power at each point (alpha, P_p_dbm): nu1 times amp_signal, plus the alpha-free terms."""
+    nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms)]
+    model = power_model(cfg, mode)
+    return [nu1 * model.amp_signal_term + model.amp_noise_term + model.static_term for nu1 in nu1s]
+
+
 def expected_power(cfg: SystemConfig, alpha: float, mode: str = "nominal") -> float:
     """Expected RIS consumption at a given time-switching factor, mW."""
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    model = power_model(cfg, mode)
-    return nu1 * model.amp_signal_term + model.amp_noise_term + model.static_term
+    return _expected_powers(cfg, [alpha], [cfg.P_p_dbm], mode)[0]
 
 
 def instantaneous_power(

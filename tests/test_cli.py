@@ -18,6 +18,7 @@ from ariswpc import (
     outage_probability,
     replace_config,
 )
+from ariswpc import cli, closedform, optimize
 from ariswpc.cli import SweepSpec, compare_active_passive, main, reproduce_figure, run_sweep
 
 
@@ -295,8 +296,11 @@ class TestMainEntry:
             (["mc", "--samples", "1000", "--alpha", "0.9"], "ConfigValidationError: " + _NU1_OVERFLOWS),
             (["sweep", "--variable", "alpha", "--values", "0.9", "--samples", "1000", "--outputs", "ergodic_mc"],
              "ValueError: sweep alpha=0.9: " + _NU1_OVERFLOWS),
+            # MC-only runs make the closed forms' checks too; here only K overflows, which MC would print as inf
+            (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "1000", "--outputs", "ergodic_mc"],
+             "ValueError: sweep alpha=0.5: " + _K_OVERFLOWS),
         ],
-        ids=["optimize", "compare", "figure", "mc", "mc-alpha-0.9", "sweep-mc-only"],
+        ids=["optimize", "compare", "figure", "mc", "mc-alpha-0.9", "sweep-mc-only", "sweep-mc-only-alpha-0.5"],
     )
     def test_huge_hub_power_is_one_config_error_line(self, capsys, argv, message):
         # 10^308 mW validates as a field, but K = t7/t6 overflows, and nu1 as well at alpha = 0.9
@@ -319,8 +323,11 @@ class TestMainEntry:
             (["mc", "--samples", "1000"], "ConfigValidationError: "),
             (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "ergodic_cf,alpha_star"],
              "ValueError: sweep P_p_dbm=0: "),
+            # an MC-only run fails on the config too, not as a nan or inf cell
+            (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "1000", "--outputs", "ergodic_mc"],
+             "ValueError: sweep alpha=0.5: "),
         ],
-        ids=["compare", "figure", "optimize", "mc", "sweep"],
+        ids=["compare", "figure", "optimize", "mc", "sweep", "sweep-mc-only"],
     )
     def test_overflowing_aggregates_are_one_config_error_line(self, capsys, argv, prefix, sets):
         # each path loss is finite, but zeta_h * zeta_g or rho^2 overflows in the channel-moment aggregates
@@ -609,3 +616,90 @@ def test_figure_files_equal_direct_library_calls(tmp_path, capsys, sets):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+
+
+class TestVariantEvaluation:
+    """Closed-form cells are evaluated per variant config over arrays of alpha and P_p."""
+
+    def test_cells_equal_scalar_functions_on_per_point_configs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scalars = {"ergodic_cf": ergodic_rate, "outage_cf": outage_probability, "effective": effective_rate,
+                   "power": expected_power}
+
+        @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+        @hypothesis.given(
+            M=st.sampled_from([0, 1, 4, 16, 36, 64]),
+            b=st.integers(1, 8),
+            ris_mode=st.sampled_from(["active", "passive"]),
+            r_v=st.sampled_from([0.0, 1e-3, 0.5, 2.0, 6.0]),
+            quadrature_points=st.sampled_from([8, 100]),
+            d_f=st.floats(2.0, 80.0),
+            rho=st.floats(0.0, 6.0),
+            points=st.lists(
+                st.tuples(st.floats(0.01, 0.99), st.just(-20.0) | st.floats(-20.0, 60.0)), min_size=1, max_size=12
+            ),
+        )
+        def check(points, **fields):
+            cfg = SystemConfig(**fields)
+            alphas, hub_powers = map(list, zip(*points))
+            per_point = [replace_config(cfg, P_p_dbm=pp) for pp in hub_powers]
+            for output, scalar in scalars.items():
+                cells = cli._OUTPUTS[output][1](cfg, alphas, hub_powers)
+                expected = [scalar(point, alpha).hex() for point, alpha in zip(per_point, alphas)]
+                assert [float(cell).hex() for cell in cells] == expected, output
+
+        check()
+
+    def test_figure_all_builds_one_model_per_variant(self, monkeypatch, capsys):
+        builds, replaces = [], []
+        build, replace = closedform._build_link_model, cli.replace_config
+        monkeypatch.setattr(closedform, "_build_link_model", lambda cfg: builds.append(cfg) or build(cfg))
+        monkeypatch.setattr(cli, "replace_config", lambda cfg, **kw: replaces.append(kw) or replace(cfg, **kw))
+        assert main(["figure", "all", "--set", "M=20"]) == 0
+        capsys.readouterr()
+        # fig2's and fig3's four variants and fig4's config; fig5 and fig6 need no link model
+        assert len(builds) == 9
+        # --set, the eight variants, and the rho and M grids of fig5 and fig6
+        assert len(replaces) == 1 + 8 + len(cli._RHO_GRID) + len(cli._M_GRID) <= 60
+
+    def test_first_failing_point_then_first_failing_output(self, capsys):
+        # alpha=0.9 fails power (nu1 overflows), and every point fails ergodic_cf (K overflows): the
+        # error is ergodic_cf's at the first point, as a point-by-point evaluation would raise it
+        argv = ["sweep", "--variable", "alpha", "--values", "0.1,0.9", "--outputs", "power,ergodic_cf",
+                "--set", "P_p_dbm=3080"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.1: {_K_OVERFLOWS}\n"
+        assert main([*argv[:4], "0.9,0.1", *argv[5:]]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.9: {_NU1_OVERFLOWS}\n"
+
+    def test_optimize_runs_each_unconstrained_optimizer_once(self, monkeypatch, capsys):
+        calls = []
+        for name in ("optimize_alpha_ergodic", "optimize_alpha_effective"):
+            original = getattr(optimize, name)
+
+            def counting(cfg, original=original, name=name):
+                calls.append(name)
+                return original(cfg)
+
+            monkeypatch.setattr(optimize, name, counting)
+            monkeypatch.setattr(cli, name, counting)
+        assert main(["optimize", "--power-budget", "12"]) == 0
+        header, rows = _parse(capsys.readouterr().out)
+        assert [row[0] for row in rows] == ["ergodic", "ergodic_constrained", "effective", "effective_constrained"]
+        assert calls == ["optimize_alpha_ergodic", "optimize_alpha_effective"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    later = ["mc", "--samples", "1000"]
+    assert main(later) == 0
+    alone = capsys.readouterr()
+    first = ["mc", "--samples", "2000", "--seed", "3", "--set", "M=4", "--set", "alpha=0.3", "--out-dir", str(tmp_path)]
+    assert main(first) == 0
+    capsys.readouterr()
+    assert (tmp_path / "mc.csv").read_text(encoding="utf-8").startswith("alpha,")
+    assert main(later) == 0
+    assert capsys.readouterr() == alone
+    assert cli._make_parser() is cli._make_parser()
+    args = cli._make_parser().parse_args(later)
+    assert (args.set, args.seed, args.out_dir, args.samples) == (None, 0, None, 1000)

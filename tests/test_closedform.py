@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ariswpc import (
+    ConfigValidationError,
     RisMode,
     SystemConfig,
     effective_rate,
@@ -251,6 +253,56 @@ class TestEffectiveRate:
 
 
 class TestLinkModel:
+    @pytest.mark.parametrize(
+        "changes",
+        [{"M": 8}, {"rho": 2.0}, {"ris_mode": "passive"}, {"b": 1}, {"d_p": 15.0}, {"d_f": 15.0}, {"d_h": 15.0},
+         {"d_g": 15.0}, {"epsilon": 2.5}, {"sigma_v2_dbm": -70.0}, {"sigma_n2_dbm": -70.0},
+         {"quadrature_points": 50}],
+        ids=lambda changes: next(iter(changes)),
+    )
+    def test_changing_a_model_input_rebuilds_the_model(self, changes):
+        cfg = SystemConfig(M=16)
+        model = closedform._link_model(cfg)
+        new = replace_config(cfg, **changes)
+        assert closedform._link_model(new) is not model
+        fresh = SystemConfig(**{field.name: getattr(new, field.name) for field in fields(SystemConfig)})
+        for evaluate in (ergodic_rate, outage_probability):
+            assert evaluate(new, 0.3) == evaluate(fresh, 0.3)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"alpha": 0.5}, {"P_p_dbm": 5.0}, {"eta": 0.5}, {"r_v": 1.0}, {"P_R_mw": 3.0}, {"P1_dbm": -5.0},
+         {"P2_dbm": -5.0}, {"rho_max": 7.0}, {"mc_samples": 1000}],
+        ids=lambda changes: next(iter(changes)),
+    )
+    def test_other_changes_hand_the_model_on(self, changes):
+        cfg = SystemConfig(M=16)
+        model = closedform._link_model(cfg)
+        new = replace_config(cfg, **changes)
+        assert closedform._link_model(new) is model
+        fresh = SystemConfig(**{field.name: getattr(new, field.name) for field in fields(SystemConfig)})
+        assert ergodic_terms(new) == ergodic_terms(fresh)
+        for evaluate in (ergodic_rate, outage_probability, effective_rate):
+            assert evaluate(new, 0.3) == evaluate(fresh, 0.3)
+
+    def test_hub_power_is_checked_at_each_point(self):
+        # the model holds no P_p, so K = eta P_p signal/t6 is checked wherever a closed form uses a hub power
+        cfg = SystemConfig()
+        model = closedform._link_model(cfg)
+        huge = replace_config(cfg, P_p_dbm=3080.0)
+        assert closedform._link_model(huge) is model
+        for evaluate in (
+            lambda: ergodic_terms(huge),
+            lambda: ergodic_rate(huge, 0.5),
+            lambda: outage_probability(huge, 0.5),
+            lambda: closedform._ergodic_rates(cfg, [0.5, 0.5], [20.0, 3080.0]),
+            lambda: closedform._coverages(cfg, [0.5, 0.5], [20.0, 3080.0]),
+        ):
+            with pytest.raises(ConfigValidationError, match=r"^P_p_dbm: K = ") as err:
+                evaluate()
+            assert err.value.field == "P_p_dbm"
+        assert closedform._ergodic_rates(cfg, [0.5], [20.0]) == [ergodic_rate(cfg, 0.5)]
+
     def test_alpha_free_statistics_are_built_once_per_config(self, monkeypatch):
         calls = []
         original = closedform.phase_error_stats

@@ -231,14 +231,15 @@ class TestReplaceConfig:
     @pytest.mark.parametrize(
         "changes",
         [{"alpha": 0.42}, {"P_p_dbm": 5.0}, {"rho_max": 7.0}, {"epsilon": 2.5}, {"ris_mode": "passive"},
-         {"M": 8}, {"M": 36}, {"d_h": 15.0}, {"d_g": 15.0}, {"rho": 2.0}],
+         {"M": 8}, {"M": 36}, {"d_h": 15.0}, {"d_g": 15.0}, {"rho": 2.0}, {"d_p": 15.0}, {"d_f": 15.0}],
     )
     def test_shared_arrays_match_a_fresh_config(self, changes):
         cfg = SystemConfig(d_h=12.0, d_g=25.0, rho=3.0)
         new = replace_config(cfg, **changes)
         fresh = SystemConfig(**{**{f: getattr(new, f) for f in ("rho", "d_h", "d_g")}, **changes})
-        for name, inputs in (("rho_effective", {"M", "rho", "ris_mode"}),
-                             ("zeta_h", {"M", "d_h", "epsilon"}), ("zeta_g", {"M", "d_g", "epsilon"})):
+        for name, inputs in (("rho_effective", {"M", "rho", "ris_mode"}), ("zeta_p", {"d_p", "epsilon"}),
+                             ("zeta_f", {"d_f", "epsilon"}), ("zeta_h", {"M", "d_h", "epsilon"}),
+                             ("zeta_g", {"M", "d_g", "epsilon"})):
             np.testing.assert_array_equal(getattr(new, name), getattr(fresh, name))
             # an array whose inputs are untouched is the source's own, computed once
             assert (getattr(new, name) is getattr(cfg, name)) == inputs.isdisjoint(changes)

@@ -1,0 +1,114 @@
+"""Golden outputs of the closed-form commands at a few edge configs.
+
+tests/golden/cf_commands.json holds, for each argv below, the exit code, the
+stdout and the first stderr line of ``ariswpc.cli.main``. The test fails on
+any changed exit code, stdout layout or error line, and on a CSV cell that
+moves by more than 2 units in its 9th significant digit. Exact byte changes
+within that rule are allowed: numpy's SIMD exp and log may differ in the last
+bit between CPUs.
+
+Regenerate after an intended change of published values, and say which
+cells moved:
+
+    PYTHONPATH=src python tests/test_golden.py --update
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).with_name("golden") / "cf_commands.json"
+
+_CONFIGS = {
+    "defaults": (),
+    "passive": ("--set", "ris_mode=passive"),
+    "M0": ("--set", "M=0"),
+    "M4-b1": ("--set", "M=4", "--set", "b=1"),
+    "rv0": ("--set", "r_v=0"),
+    "quad8": ("--quadrature-points", "8"),
+}
+_COMMANDS = (("figure", "all"), ("compare",), ("optimize",), ("optimize", "--power-budget", "5"))
+_SWEEP = ("sweep", "--outputs", "ergodic_cf,outage_cf,effective,power,alpha_star,alpha_dagger")
+# error lines, and closed-form sweeps over alpha, P_p_dbm, P_R_mw and M
+_EXTRA = (
+    ("figure", "all", "--set", "P_p_dbm=3080"),
+    ("compare", "--set", "rho_max=1e160", "--set", "rho=1e160"),
+    ("compare", "--set", "P_p_dbm=3070", "--set", "alpha=0.9"),
+    ("figure", "all", "--set", "P_p_dbm=-300"),
+    (*_SWEEP, "--variable", "P_p_dbm", "--values=-20,0,10,20,30"),
+    (*_SWEEP, "--variable", "P_p_dbm", "--values", "3000,3060,3070,3080"),
+    (*_SWEEP, "--variable", "alpha", "--values", "0.05,0.3,0.6,0.95"),
+    (*_SWEEP, "--variable", "P_R_mw", "--values", "1,10,100"),
+    (*_SWEEP, "--variable", "M", "--values", "0,4,16"),
+    ("sweep", "--variable", "P_p_dbm", "--values", "0,20", "--samples", "2000", "--seed", "3",
+     "--outputs", "power,ergodic_mc,outage_cf,outage_mc"),
+)
+ARGVS = [(*command, *sets) for sets in _CONFIGS.values() for command in _COMMANDS] + list(_EXTRA)
+
+
+def run(argv) -> dict:
+    from ariswpc.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+    return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue().split("\n")[0]}
+
+
+def _cell_moved(expected: str, actual: str) -> bool:
+    """True unless the cells are equal, or both are numbers within 2 units of expected's 9th digit."""
+    if expected == actual:
+        return False
+    try:
+        e, a = float(expected), float(actual)
+    except ValueError:
+        return True
+    exponent = int(expected.lower().split("e")[1]) if "e" in expected.lower() else 0
+    return abs(a - e) > 2.0 * 10.0 ** (exponent - 8)
+
+
+def moved_cells(expected: str, actual: str) -> list[str]:
+    """Where actual's stdout differs from expected's beyond the rule above; [] when it does not."""
+    e_lines, a_lines = expected.split("\n"), actual.split("\n")
+    if len(e_lines) != len(a_lines):
+        return [f"{len(e_lines)} lines expected, {len(a_lines)} printed"]
+    moved = []
+    for n, (e_line, a_line) in enumerate(zip(e_lines, a_lines), 1):
+        e_cells, a_cells = e_line.split(","), a_line.split(",")
+        if len(e_cells) != len(a_cells):
+            moved.append(f"line {n}: {e_line!r} -> {a_line!r}")
+            continue
+        moved += [f"line {n}: {e} -> {a}" for e, a in zip(e_cells, a_cells) if _cell_moved(e, a)]
+    return moved
+
+
+def _golden() -> list[dict]:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_argv_list_is_current():
+    assert [entry["argv"] for entry in _golden()] == [list(argv) for argv in ARGVS]
+
+
+@pytest.mark.parametrize("index", range(len(ARGVS)), ids=[" ".join(argv) for argv in ARGVS])
+def test_output_matches_golden(index):
+    expected = _golden()[index]
+    actual = run(expected["argv"])
+    assert (actual["rc"], actual["stderr"]) == (expected["rc"], expected["stderr"])
+    assert moved_cells(expected["stdout"], actual["stdout"]) == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --update")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([run(argv) for argv in ARGVS], indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(ARGVS)} entries to {GOLDEN}")
