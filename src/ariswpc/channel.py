@@ -1,4 +1,4 @@
-"""Block-Rayleigh channel sampling and analytic Rayleigh moments.
+"""Block-Rayleigh channel sampling.
 
 Every link magnitude is the modulus of a zero-mean circularly-symmetric
 complex Gaussian whose variance equals the link's path-loss coefficient
@@ -34,7 +34,6 @@ __all__ = [
     "rayleigh_magnitudes",
     "sample_realization",
     "sample_batch",
-    "rayleigh_moments",
 ]
 
 #: Fixed Monte Carlo chunk width. Chunk i of a run with root seed s draws
@@ -166,16 +165,3 @@ def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelDr
         phase_err=batch.phase_err[0],
     )
 
-
-def rayleigh_moments(zeta: float, n: int) -> float:
-    """First or second moment of a Rayleigh magnitude with E{|h|^2} = zeta.
-
-    n=1 returns sqrt(pi*zeta)/2, n=2 returns zeta.
-    """
-    if zeta < 0:
-        raise ValueError("zeta must be >= 0")
-    if n == 1:
-        return math.sqrt(math.pi * zeta) / 2.0
-    if n == 2:
-        return float(zeta)
-    raise ValueError(f"unsupported moment order {n}; expected 1 or 2")

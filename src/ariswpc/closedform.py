@@ -74,18 +74,6 @@ class GammaFit:
     mean_x: float
     var_x: float
 
-    def cdf(self, x):
-        """Regularized lower incomplete gamma at x/r; 0 for x < 0.
-
-        The one library use of scipy, imported here so that importing the
-        package loads numpy only.
-        """
-        from scipy.special import gammainc
-
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, gammainc(self.s, np.maximum(x, 0.0) / self.r), 0.0)
-        return float(out) if out.ndim == 0 else out
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -175,8 +163,13 @@ def _checked_model(cfg: SystemConfig, P_p_dbm: float) -> _LinkModel:
 
 
 def _checked_point(cfg: SystemConfig, alpha: float, P_p_dbm: float) -> tuple[float, _LinkModel]:
-    """nu1 at (alpha, P_p_dbm) and cfg's link model checked there: every closed form's overflow checks."""
-    return harvested_power_coefficient(cfg, alpha, P_p_dbm), _checked_model(cfg, P_p_dbm)
+    """nu1 at (alpha, P_p_dbm) and cfg's link model checked there: nu1, K and the mean SINR must be finite."""
+    nu1, model = harvested_power_coefficient(cfg, alpha, P_p_dbm), _checked_model(cfg, P_p_dbm)
+    if not math.isfinite(nu1 * model.signal / model.t6):
+        raise ConfigValidationError(
+            "P_p_dbm", f"the mean SINR nu1*(t1 + t2 t3 + t4 + t5)/t6 overflows at alpha={alpha}; it must be finite"
+        )
+    return nu1, model
 
 
 def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:

@@ -24,7 +24,6 @@ __all__ = [
     "RisMode",
     "SystemConfig",
     "dbm_to_linear",
-    "linear_to_dbm",
     "path_loss",
     "harvested_power_coefficient",
     "load_config",
@@ -59,13 +58,6 @@ def dbm_to_linear(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0)
 
 
-def linear_to_dbm(x_mw: float) -> float:
-    """mW -> dBm: 10 log10(x)."""
-    if x_mw <= 0:
-        raise ValueError("linear power must be positive")
-    return 10.0 * math.log10(x_mw)
-
-
 def path_loss(d, epsilon: float):
     """Path-loss coefficient zeta = d^(-epsilon) for distance d > 0 (m)."""
     d = np.asarray(d, dtype=float)
@@ -81,10 +73,12 @@ def harvested_power_coefficient(cfg: "SystemConfig", alpha: float, P_p_dbm: floa
     Scales the transmit power of the energy-constrained device: it harvests
     for a fraction alpha of the interval and spends the energy over the
     remaining 1-alpha. P_p is cfg's hub power unless P_p_dbm is given.
-    Raises ConfigValidationError on P_p_dbm where it overflows.
+    Returns a Python float, computed in Python floats, so that an overflow
+    warns nothing; raises ConfigValidationError on P_p_dbm where it overflows.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = float(alpha)
     nu1 = cfg.eta * alpha * dbm_to_linear(cfg.P_p_dbm if P_p_dbm is None else P_p_dbm) / (1.0 - alpha)
     if not math.isfinite(nu1):
         raise ConfigValidationError(

@@ -20,13 +20,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import CHUNK_SAMPLES, ChannelDraw, ChannelStream, chunk_rng, chunk_sizes, sample_batch
+from .channel import CHUNK_SAMPLES, ChannelStream, chunk_rng, chunk_sizes, sample_batch
 from .config import SystemConfig, harvested_power_coefficient
 
 __all__ = [
     "Estimate",
     "RateOutage",
-    "simulate_sinr",
     "mc_rate_and_outage",
     "mc_ergodic_rate",
     "mc_outage",
@@ -94,24 +93,6 @@ def _gain_terms(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, n
     re, im, gain2 = _row_sums(cfg, stream)
     denom = cfg.sigma_v2_mw * gain2 + cfg.sigma_n2_mw
     return stream.h_p_mag**2, re**2 + im**2, denom
-
-
-def simulate_sinr(cfg: SystemConfig, draw: ChannelDraw, alpha: float) -> float:
-    """Instantaneous SINR for one channel realization."""
-    for name in ("h_mag", "g_mag", "phase_err"):
-        if len(getattr(draw, name)) != cfg.M:
-            raise ValueError(f"draw.{name} has length {len(getattr(draw, name))}, expected M={cfg.M}")
-    nu1 = harvested_power_coefficient(cfg, alpha)
-    row = slice(0, 1)
-    stream = ChannelStream(  # copies of h and g, which the kernel overwrites
-        h_p_mag=np.atleast_1d(draw.h_p_mag),
-        f_mag=np.atleast_1d(draw.f_mag),
-        h_mag=np.array(draw.h_mag, dtype=float, ndmin=2),
-        g_tiles=[(row, np.array(draw.g_mag, dtype=float, ndmin=2))],
-        phase_tiles=[(row, np.atleast_2d(draw.phase_err))],
-    )
-    hp2, amp, denom = _gain_terms(cfg, stream)
-    return float((nu1 * hp2 * amp / denom)[0])
 
 
 # Thread pools by thread count, created on first use and kept for the life of

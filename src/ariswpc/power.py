@@ -10,12 +10,13 @@ both amplifier terms vanish and only the static term remains.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelDraw
-from .config import RisMode, SystemConfig, harvested_power_coefficient
+from .config import ConfigValidationError, RisMode, SystemConfig, harvested_power_coefficient
 
 __all__ = [
     "PowerBudgetInfeasibleError",
@@ -53,15 +54,20 @@ def _check_mode(mode: str):
 
 
 def power_model(cfg: SystemConfig, mode: str = "nominal") -> PowerModel:
+    """cfg's coefficients; ConfigValidationError on the fields of a term, or of the floor, that overflows."""
     _check_mode(mode)
     static = cfg.M * (cfg.p1_mw + cfg.p2_mw)
-    if cfg.ris_mode is RisMode.PASSIVE:
-        return PowerModel(0.0, 0.0, static)
-    rho = cfg.rho_effective
-    amp_signal = float(np.sum(rho**2 * cfg.zeta_h))
-    if mode == "physical":
-        amp_signal *= cfg.zeta_p
-    amp_noise = cfg.sigma_v2_mw * float(np.sum(rho**2))
+    amp_signal = amp_noise = 0.0
+    if cfg.ris_mode is RisMode.ACTIVE:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            rho2 = cfg.rho_effective**2
+            amp_signal = float(np.sum(rho2 * cfg.zeta_h)) * (cfg.zeta_p if mode == "physical" else 1.0)
+            amp_noise = cfg.sigma_v2_mw * float(np.sum(rho2))
+    for fields, term in (("rho, d_h, d_p" if mode == "physical" else "rho, d_h", amp_signal),
+                         ("rho, sigma_v2_dbm", amp_noise), ("M, P1_dbm, P2_dbm", static),
+                         ("rho, sigma_v2_dbm, M, P1_dbm, P2_dbm", amp_noise + static)):
+        if not math.isfinite(term):
+            raise ConfigValidationError(fields, "the expected RIS power overflows; it must be finite")
     return PowerModel(amp_signal, amp_noise, static)
 
 
@@ -69,7 +75,13 @@ def _expected_powers(cfg: SystemConfig, alphas, P_p_dbms, mode: str = "nominal")
     """expected_power at each point (alpha, P_p_dbm): nu1 times amp_signal, plus the alpha-free terms."""
     nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms)]
     model = power_model(cfg, mode)
-    return [nu1 * model.amp_signal_term + model.amp_noise_term + model.static_term for nu1 in nu1s]
+    powers = [nu1 * model.amp_signal_term + model.amp_noise_term + model.static_term for nu1 in nu1s]
+    for alpha, power in zip(alphas, powers):
+        if not math.isfinite(power):
+            raise ConfigValidationError(
+                "P_p_dbm", f"the expected RIS power overflows at alpha={alpha}; it must be finite"
+            )
+    return powers
 
 
 def expected_power(cfg: SystemConfig, alpha: float, mode: str = "nominal") -> float:

@@ -1,4 +1,4 @@
-"""Active-RIS reflection model: quantized phases and cascade moments."""
+"""Active-RIS reflection model: phase-quantization residual moments and cascade moments."""
 from __future__ import annotations
 
 import math
@@ -7,12 +7,9 @@ from dataclasses import dataclass
 __all__ = [
     "MAX_PHASE_BITS",
     "PhaseErrorStats",
-    "quantize_phase",
     "phase_error_stats",
     "cascade_moment",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 #: Largest supported phase resolution. From 28 bits on, the residual's
 #: moments equal those of ideal (continuous) phases to double precision, and
@@ -43,26 +40,6 @@ def phase_error_stats(b: int) -> PhaseErrorStats:
     e_cos = math.sin(tau) / tau
     e_cos2 = math.sin(2.0 * tau) / (4.0 * tau) + 0.5
     return PhaseErrorStats(tau=tau, e_cos=e_cos, e_cos2=e_cos2, e_sin2=1.0 - e_cos2)
-
-
-def quantize_phase(theta_star: float, b: int) -> float:
-    """Nearest b-bit phase to theta_star in circular distance.
-
-    The grid is {0, 2pi/2^b, ..., (2^b-1)*2pi/2^b}; only the two grid
-    neighbours of theta_star mod 2pi are compared, so the cost does not grow
-    with b. Distance ties (exact to within fp tolerance) are broken toward
-    the smaller phase value.
-    """
-    if not 1 <= b <= MAX_PHASE_BITS:
-        raise ValueError(f"b must lie in [1, {MAX_PHASE_BITS}], got {b}")
-    levels = 1 << b
-    k = math.floor((theta_star % _TWO_PI) / (_TWO_PI / levels))
-    low, high = sorted((k % levels, (k + 1) % levels))
-
-    def dist(i: int) -> float:
-        return abs((theta_star - _TWO_PI * i / levels + math.pi) % _TWO_PI - math.pi)
-
-    return _TWO_PI * (high if dist(low) > dist(high) + 1e-12 else low) / levels
 
 
 def cascade_moment(n: int, rho_m: float, zeta_g: float, zeta_h: float) -> float:

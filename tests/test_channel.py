@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ariswpc import ChannelBatch, RisMode, SystemConfig, rayleigh_moments, sample_batch, sample_realization
+from ariswpc import ChannelBatch, RisMode, SystemConfig, sample_batch, sample_realization
 from ariswpc.channel import CHUNK_SAMPLES, chunk_rngs, chunk_sizes, rayleigh_magnitudes
 
-from helpers import rayleigh_moment_quad, sample_batch_by_hand
+from helpers import sample_batch_by_hand
 
 
 class TestSampling:
@@ -130,32 +130,6 @@ class TestDrawOrder:
         next(iter(stream.g_tiles))
         with pytest.raises(RuntimeError, match="g tile"):
             next(iter(stream.phase_tiles))
-
-
-class TestRayleighMoments:
-    def test_first_moment(self):
-        assert rayleigh_moments(1.0, 1) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
-
-    def test_second_moment(self):
-        assert rayleigh_moments(1.0, 2) == 1.0
-
-    def test_zero_scale(self):
-        assert rayleigh_moments(0.0, 1) == 0.0
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            rayleigh_moments(1.0, 3)
-
-    def test_negative_scale(self):
-        with pytest.raises(ValueError):
-            rayleigh_moments(-1.0, 1)
-
-    @pytest.mark.parametrize("zeta", [0.25, 1.0, 1.25e-4])
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_against_quadrature(self, zeta, order):
-        assert rayleigh_moments(zeta, order) == pytest.approx(
-            rayleigh_moment_quad(zeta, order), rel=1e-9
-        )
 
 
 class TestChunking:

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
@@ -176,6 +177,8 @@ class TestCompare:
 
 _K_OVERFLOWS = "P_p_dbm: K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite"
 _NU1_OVERFLOWS = "P_p_dbm: nu1 = eta*alpha*P_p/(1-alpha) overflows at alpha=0.9; it must be finite"
+_SINR_OVERFLOWS = "P_p_dbm: the mean SINR nu1*(t1 + t2 t3 + t4 + t5)/t6 overflows at alpha=0.9; it must be finite"
+_POWER_OVERFLOWS = "the expected RIS power overflows; it must be finite"
 
 
 class TestMainEntry:
@@ -277,14 +280,43 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_non_finite_cell_fails_instead_of_printing(self, capsys):
-        # at 10^307 mW nu1 and K are finite, but at alpha = 0.9 the mean SINR K alpha/(1-alpha) overflows
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["compare", "--set", "P_p_dbm=3070", "--set", "alpha=0.9"]) == 1
+    def test_non_finite_cell_fails_instead_of_printing(self):
+        # the closed forms check their overflows first; the CSV writer is the last guard
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^non-finite value (inf|-inf|nan) in a CSV cell$"):
+                cli._csv_table(["x"], [[1.0], [value]])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # at 10^307 mW nu1 and K are finite, but at alpha = 0.9 the mean SINR K alpha/(1-alpha) overflows
+            (["compare", "--set", "P_p_dbm=3070", "--set", "alpha=0.9"], "ConfigValidationError: " + _SINR_OVERFLOWS),
+            (["sweep", "--variable", "alpha", "--values", "0.9", "--samples", "1000", "--outputs", "ergodic_mc",
+              "--set", "P_p_dbm=3070"], "ValueError: sweep alpha=0.9: " + _SINR_OVERFLOWS),
+            # fig4's alpha grid holds numpy floats, whose arithmetic warned on overflow
+            (["figure", "all", "--set", "P_p_dbm=3070"],
+             "ConfigValidationError: " + _SINR_OVERFLOWS.replace("alpha=0.9", "alpha=0.75")),
+            (["sweep", "--variable", "rho", "--values", "1e160", "--outputs", "power", "--set", "rho_max=1e160"],
+             "ValueError: sweep rho=1e+160: rho, d_h: " + _POWER_OVERFLOWS),
+            (["sweep", "--variable", "P_p_dbm", "--values", "3050", "--outputs", "power", "--set", "d_h=0.01"],
+             "ValueError: sweep P_p_dbm=3050: P_p_dbm: "
+             + _POWER_OVERFLOWS.replace("overflows;", "overflows at alpha=0.1;")),
+            (["sweep", "--variable", "M", "--values", "4,8", "--outputs", "power", "--set", "P1_dbm=3080"],
+             "ValueError: sweep M=4: M, P1_dbm, P2_dbm: " + _POWER_OVERFLOWS),
+            (["compare", "--set", "P1_dbm=3080", "--set", "M=1000"],
+             "ConfigValidationError: M, P1_dbm, P2_dbm: " + _POWER_OVERFLOWS),
+        ],
+        ids=["compare-sinr", "sweep-mc-only-sinr", "figure-sinr", "sweep-rho-power", "sweep-pp-power",
+             "sweep-m-power", "compare-power"],
+    )
+    def test_overflowing_sinr_or_power_is_one_config_error_line(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
         captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
         assert captured.out == ""
-        assert captured.err == "error: ValueError: non-finite value inf in a CSV cell\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -12,7 +12,6 @@ from ariswpc import (
     dbm_to_linear,
     ergodic_terms,
     harvested_power_coefficient,
-    linear_to_dbm,
     load_config,
     path_loss,
     replace_config,
@@ -179,14 +178,6 @@ class TestUnitConversions:
     @pytest.mark.parametrize("dbm,mw", [(0.0, 1.0), (20.0, 100.0), (-80.0, 1e-8)])
     def test_dbm_to_linear(self, dbm, mw):
         assert dbm_to_linear(dbm) == pytest.approx(mw, rel=1e-12)
-
-    def test_round_trip(self):
-        for x in np.linspace(-120.0, 60.0, 181):
-            assert linear_to_dbm(dbm_to_linear(x)) == pytest.approx(x, abs=1e-12)
-
-    def test_linear_to_dbm_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            linear_to_dbm(0.0)
 
 
 class TestPathLoss:

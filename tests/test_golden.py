@@ -40,6 +40,11 @@ _EXTRA = (
     ("compare", "--set", "rho_max=1e160", "--set", "rho=1e160"),
     ("compare", "--set", "P_p_dbm=3070", "--set", "alpha=0.9"),
     ("figure", "all", "--set", "P_p_dbm=-300"),
+    ("figure", "all", "--set", "P_p_dbm=3070"),
+    ("sweep", "--variable", "rho", "--values", "1e160", "--outputs", "power", "--set", "rho_max=1e160"),
+    ("sweep", "--variable", "P_p_dbm", "--values", "3050", "--outputs", "power", "--set", "d_h=0.01"),
+    ("sweep", "--variable", "M", "--values", "4,8", "--outputs", "power", "--set", "P1_dbm=3080"),
+    ("compare", "--set", "P1_dbm=3080", "--set", "M=1000"),
     (*_SWEEP, "--variable", "P_p_dbm", "--values=-20,0,10,20,30"),
     (*_SWEEP, "--variable", "P_p_dbm", "--values", "3000,3060,3070,3080"),
     (*_SWEEP, "--variable", "alpha", "--values", "0.05,0.3,0.6,0.95"),

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ariswpc import (
-    ChannelDraw,
     RisMode,
     SystemConfig,
     gamma_fit,
@@ -22,8 +21,6 @@ from ariswpc import (
     mc_rate_and_outage,
     montecarlo,
     replace_config,
-    sample_realization,
-    simulate_sinr,
 )
 from ariswpc.channel import CHUNK_SAMPLES, ChannelBatch
 from ariswpc.montecarlo import _TILE_ROWS, _default_workers, _run_chunks
@@ -31,46 +28,40 @@ from ariswpc.montecarlo import _TILE_ROWS, _default_workers, _run_chunks
 from helpers import mc_moments_x_loop, mc_rate_outage_loop, sinr_full_width
 
 
-def _draw(M, h_p=1.0, f=1.0, h=1.0, g=1.0, phase=0.0):
-    return ChannelDraw(
-        h_p_mag=h_p,
-        f_mag=f,
-        h_mag=np.full(M, float(h)),
-        g_mag=np.full(M, float(g)),
-        phase_err=np.full(M, float(phase)),
+def _one_row(M, h_p=1.0, f=1.0, h=1.0, g=1.0, phase=0.0) -> ChannelBatch:
+    return ChannelBatch(
+        h_p_mag=np.array([float(h_p)]),
+        f_mag=np.array([float(f)]),
+        h_mag=np.full((1, M), float(h)),
+        g_mag=np.full((1, M), float(g)),
+        phase_err=np.full((1, M), float(phase)),
     )
 
 
 class TestSimulateSinr:
+    """Known SINRs of single draws under the full-width formula of tests/helpers.py.
+
+    test_rate_and_outage_match_plain_loop pins the library's tiled kernel to
+    that formula bit for bit.
+    """
+
     def test_zero_magnitudes(self, default_cfg):
-        assert simulate_sinr(default_cfg, _draw(36, h_p=0, f=0, h=0, g=0), 0.419) == 0.0
+        nu1 = harvested_power_coefficient(default_cfg, 0.419)
+        assert sinr_full_width(default_cfg, _one_row(36, h_p=0, f=0, h=0, g=0), nu1)[0] == 0.0
 
     def test_direct_link_only(self):
         cfg = SystemConfig(M=0)
-        draw = _draw(0, h_p=0.3, f=0.7)
         nu1 = harvested_power_coefficient(cfg, 0.419)
         expected = nu1 * 0.3**2 * 0.7**2 / cfg.sigma_n2_mw
-        assert simulate_sinr(cfg, draw, 0.419) == pytest.approx(expected, rel=1e-12)
+        assert sinr_full_width(cfg, _one_row(0, h_p=0.3, f=0.7), nu1)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_ideal_passive_coherent_combining(self):
         # perfect alignment, unit gain, no amplifier noise
         cfg = SystemConfig(M=4, ris_mode=RisMode.PASSIVE)
-        draw = _draw(4, h_p=0.5, f=0.2, h=0.3, g=0.4, phase=0.0)
+        batch = _one_row(4, h_p=0.5, f=0.2, h=0.3, g=0.4, phase=0.0)
         nu1 = harvested_power_coefficient(cfg, 0.419)
         expected = nu1 * 0.5**2 * (0.2 + 4 * 0.3 * 0.4) ** 2 / cfg.sigma_n2_mw
-        assert simulate_sinr(cfg, draw, 0.419) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch(self, default_cfg):
-        with pytest.raises(ValueError, match="expected M=36"):
-            simulate_sinr(default_cfg, _draw(8), 0.419)
-
-    def test_leaves_the_draw_unchanged(self, default_cfg):
-        draw = sample_realization(default_cfg, np.random.default_rng(3))
-        before = [draw.h_mag.copy(), draw.g_mag.copy(), draw.phase_err.copy()]
-        for array in (draw.h_mag, draw.g_mag, draw.phase_err):
-            array.setflags(write=False)  # any write into the caller's arrays raises
-        simulate_sinr(default_cfg, draw, 0.419)
-        assert all(np.array_equal(a, b) for a, b in zip((draw.h_mag, draw.g_mag, draw.phase_err), before))
+        assert sinr_full_width(cfg, batch, nu1)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestMcErgodicRate:
@@ -331,18 +322,3 @@ class TestTiledKernel:
         n = max(n, 1000)
         mean_est, var_est = mc_moments_x(cfg, n=n, seed=32)
         assert (mean_est.value, var_est.value) == mc_moments_x_loop(cfg, n, 32)
-
-    @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
-    def test_simulate_sinr_matches_formula(self, cfg, alpha, n):
-        nu1 = harvested_power_coefficient(cfg, alpha)
-        rng = np.random.default_rng(33)
-        for _ in range(5):
-            draw = sample_realization(cfg, rng)
-            batch = ChannelBatch(
-                h_p_mag=np.array([draw.h_p_mag]),
-                f_mag=np.array([draw.f_mag]),
-                h_mag=draw.h_mag[None, :],
-                g_mag=draw.g_mag[None, :],
-                phase_err=draw.phase_err[None, :],
-            )
-            assert simulate_sinr(cfg, draw, alpha) == sinr_full_width(cfg, batch, nu1)[0]

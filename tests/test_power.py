@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ariswpc import (
+    ConfigValidationError,
     PowerBudgetInactiveError,
     PowerBudgetInfeasibleError,
     RisMode,
@@ -90,6 +92,27 @@ class TestExpectedPower:
     def test_domain_error(self, default_cfg):
         with pytest.raises(ValueError):
             expected_power(default_cfg, 1.0)
+
+    @pytest.mark.parametrize(
+        "changes, mode, field",
+        [
+            ({"P_p_dbm": 3050, "d_h": 0.01}, "nominal", "P_p_dbm"),  # nu1 * amp_signal
+            ({"rho_max": 1e160, "rho": 1e160}, "nominal", "rho, d_h"),
+            ({"d_h": 1e-100, "d_p": 0.01}, "physical", "rho, d_h, d_p"),
+            ({"sigma_v2_dbm": 3080}, "nominal", "rho, sigma_v2_dbm"),
+            ({"M": 4, "P1_dbm": 3080}, "nominal", "M, P1_dbm, P2_dbm"),
+            # each alpha-free term is finite, their sum is not
+            ({"M": 1, "sigma_v2_dbm": 3064.4, "P1_dbm": 3080}, "nominal", "rho, sigma_v2_dbm, M, P1_dbm, P2_dbm"),
+        ],
+        ids=["nu1-term", "signal", "signal-physical", "noise", "static", "floor"],
+    )
+    def test_overflow_is_a_config_error(self, default_cfg, changes, mode, field):
+        cfg = replace_config(default_cfg, **changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigValidationError, match="the expected RIS power overflows") as err:
+                expected_power(cfg, 0.1, mode)
+        assert err.value.field == field
 
 
 class TestInstantaneousPower:

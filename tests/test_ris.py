@@ -3,59 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from ariswpc import cascade_moment, phase_error_stats, quantize_phase
+from ariswpc import cascade_moment, phase_error_stats
 from ariswpc.ris import MAX_PHASE_BITS
 
 from helpers import nearest_phase_enumerated, rayleigh_moment_quad
 
 
 class TestQuantizePhase:
-    def test_exact_grid_point(self):
-        assert quantize_phase(0.0, 1) == 0.0
+    """The nearest b-bit phase leaves a residual within tau = pi*2^-b of the target.
 
-    def test_tie_broken_low_one_bit(self):
-        # pi/2 is equidistant from 0 and pi
-        assert quantize_phase(math.pi / 2.0, 1) == 0.0
-
-    def test_tie_broken_low_two_bits(self):
-        # 3pi/4 is equidistant from pi/2 and pi
-        assert quantize_phase(3.0 * math.pi / 4.0, 2) == pytest.approx(math.pi / 2.0, abs=1e-15)
-
-    @pytest.mark.parametrize("b", [1, 2, 3, 4, 6])
-    def test_matches_enumeration(self, b):
-        rng = np.random.default_rng(10 + b)
-        for theta in rng.uniform(-10.0, 10.0, 300):
-            assert quantize_phase(theta, b) == pytest.approx(
-                nearest_phase_enumerated(theta, b), abs=1e-12
-            )
+    That bound is why the sampler draws the residual uniform on [-tau, tau).
+    """
 
     @pytest.mark.parametrize("b", [1, 2, 4, 8])
     def test_error_bound(self, b):
         rng = np.random.default_rng(20 + b)
         tau = math.pi * 2.0**-b
         for theta in rng.uniform(0.0, 2.0 * math.pi, 500):
-            q = quantize_phase(theta, b)
+            q = nearest_phase_enumerated(theta, b)
             delta = (theta - q) % (2.0 * math.pi)
             dist = min(delta, 2.0 * math.pi - delta)
             assert dist <= tau + 1e-12
-
-    def test_rejects_zero_bits(self):
-        with pytest.raises(ValueError):
-            quantize_phase(0.3, 0)
-
-    def test_finest_resolution(self):
-        # 2^32 levels: the cost must not grow with the grid size
-        levels = 2**MAX_PHASE_BITS
-        step = 2.0 * math.pi / levels
-        assert quantize_phase(0.3, MAX_PHASE_BITS) == 2.0 * math.pi * round(0.3 / step) / levels
-        rng = np.random.default_rng(40)
-        for theta in rng.uniform(-10.0, 10.0, 300):
-            delta = (theta - quantize_phase(theta, MAX_PHASE_BITS)) % (2.0 * math.pi)
-            assert min(delta, 2.0 * math.pi - delta) <= step / 2.0 + 1e-12
-
-    def test_rejects_bits_beyond_cap(self):
-        with pytest.raises(ValueError, match="b must lie in"):
-            quantize_phase(0.3, MAX_PHASE_BITS + 1)
 
 
 class TestPhaseErrorStats:
