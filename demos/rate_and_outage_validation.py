@@ -3,8 +3,9 @@
 Sweeps the power hub's transmit power and prints closed-form values next to
 seeded Monte Carlo estimates, for an active surface (amplifying, with
 quantized phases) and the passive baseline. All estimates come from one
-mc_rate_and_outage call: the points of a sweep differ only in P_p, so they
-share one set of draws (common random numbers) and cost one sampling pass.
+mc_rate_and_outage call: a sweep puts its points (config, alpha, P_p) on one
+config, so they share one set of draws (common random numbers) and cost one
+sampling pass.
 """
 from ariswpc import (
     RisMode,
@@ -31,13 +32,9 @@ def main():
         "passive, 16 elements": replace_config(base, M=16, ris_mode=RisMode.PASSIVE),
         "active, 36 elements": base,
     }
-    points = {
-        label: [replace_config(cfg, P_p_dbm=float(pp)) for pp in POWERS_DBM]
-        for label, cfg in sweeps.items()
-    }
     estimates = iter(
         mc_rate_and_outage(
-            [(point, ALPHA) for row in points.values() for point in row], SAMPLES, seed=SEED
+            [(cfg, ALPHA, float(pp)) for cfg in sweeps.values() for pp in POWERS_DBM], SAMPLES, seed=SEED
         )
     )
 
@@ -45,8 +42,9 @@ def main():
         print(f"\n--- {label} (M={cfg.M}, b={cfg.b}, mode={cfg.ris_mode.value}) ---")
         print(f"{'P_p dBm':>8} {'rate cf':>9} {'rate mc':>9} {'gap':>7}   "
               f"{'P_O cf':>9} {'P_O mc':>9} {'gap':>7}")
-        for pp, point in zip(POWERS_DBM, points[label]):
+        for pp in POWERS_DBM:
             rate_mc, po_mc = next(estimates)
+            point = replace_config(cfg, P_p_dbm=float(pp))  # the closed forms read P_p from the config
             rate_cf = ergodic_rate(point, ALPHA)
             po_cf = outage_probability(point, ALPHA)
             print(

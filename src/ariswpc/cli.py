@@ -5,9 +5,9 @@ unit-carrying headers and fixed scientific formatting (9 significant
 digits), so identical seeds and flags reproduce byte-identical files; a
 non-finite cell fails the command. Each per-config number, in a sweep, mc or
 compare row or a figure column, is an _OUTPUTS cell; only optimize's rows
-call the optimizers directly; a figure column over P_p or alpha evaluates one
-config at all its points. Precedence of settings: built-in defaults <
---config file < --set KEY=VALUE < dedicated flags (--samples,
+call the optimizers directly; a figure column or a sweep over P_p or alpha
+evaluates one config at all its points. Precedence of settings: built-in
+defaults < --config file < --set KEY=VALUE < dedicated flags (--samples,
 --quadrature-points, --power-budget). Monte Carlo chunks run on one thread
 per usable CPU (fewer at large M); that never changes the output.
 """
@@ -47,7 +47,7 @@ def _at(cfg: SystemConfig, **moves) -> tuple[SystemConfig, float, float]:
 
 
 def _on_hub_power(cfg: SystemConfig, P_p_dbm: float) -> SystemConfig:
-    """cfg with its hub power set to P_p_dbm; it keeps cfg's link model."""
+    """cfg with its hub power set to P_p_dbm, for the optimizers, which read it from their config."""
     return cfg if P_p_dbm == cfg.P_p_dbm else replace_config(cfg, P_p_dbm=P_p_dbm)
 
 
@@ -122,10 +122,10 @@ def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels
     object; should any fail, point by point, so the error is the first failing
     point's first failing output. All Monte Carlo cells come from one
     mc_rate_and_outage call at the root seed `seed`, so they equal
-    mc_ergodic_rate / mc_outage(config, alpha, seed=seed) bit for bit, and
-    points whose draws do not depend on how they differ share their samples;
-    each point first passes the closed forms' overflow checks. Chunks run on
-    as many threads as montecarlo._default_workers allows for the largest M;
+    mc_ergodic_rate / mc_outage(config at the point's P_p, alpha, seed=seed)
+    bit for bit, and points on one config object share their samples; each
+    point first passes the closed forms' overflow checks. Chunks run on as
+    many threads as montecarlo._default_workers allows for the largest M;
     that does not change the result. A ValueError is labelled with labels[i]
     for a failure at point i, and with labels[0] for a failure of the MC call.
     """
@@ -149,10 +149,7 @@ def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels
                 _checked_point(cfg, alpha, hub_power)
         with _labelled(labels[0]):
             estimates = mc_rate_and_outage(
-                [(_on_hub_power(cfg, hub_power), alpha) for cfg, alpha, hub_power in points],
-                points[0][0].mc_samples,
-                seed=seed,
-                workers=_default_workers(max(cfg.M for cfg, _, _ in points)),
+                points, points[0][0].mc_samples, seed=seed, workers=_default_workers(max(cfg.M for cfg, _, _ in points))
             )
         for point_cells, (rate, outage) in zip(cells, estimates):
             point_cells["ergodic_mc"] = [rate.value, rate.stderr]
@@ -198,16 +195,20 @@ class SweepSpec:
 def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
     """Evaluate the requested outputs at each sweep value; returns CSV text.
 
-    Rows are emitted in sweep order; each point is ``cfg`` with the swept
-    field set to the value, at the point's alpha. All Monte Carlo outputs use
-    the sweep's root seed (common random numbers, see _evaluate). A failure
-    names the sweep value it happened at.
+    Rows are emitted in sweep order. A sweep over alpha or P_p_dbm puts every
+    point on ``cfg``, at the value, as a figure column does, so its points
+    share one link model and one set of Monte Carlo draws; over any other
+    variable each point is ``cfg`` with the swept field set to the value. Each
+    value is validated as a config field either way. All Monte Carlo outputs
+    use the sweep's root seed (common random numbers, see _evaluate). A
+    failure names the sweep value it happened at.
     """
     labels = [f"sweep {spec.variable}={value:g}" for value in spec.values]
     points = []
     for label, value in zip(labels, spec.values):
         with _labelled(label):
-            points.append(_at(replace_config(cfg, **{spec.variable: value})))
+            point = replace_config(cfg, **{spec.variable: value})  # validates the value
+        points.append(_at(cfg, **{spec.variable: value}) if spec.variable in ("alpha", "P_p_dbm") else _at(point))
     rows = _evaluate(points, spec.outputs, spec.seed, labels)
     integral = spec.variable in ("M", "b")
     return _csv_table(

@@ -147,7 +147,11 @@ def _build_link_model(cfg: SystemConfig) -> _LinkModel:
 
 
 def _link_model(cfg: SystemConfig) -> _LinkModel:
-    """cfg's link model, built on first use and kept on cfg, which is immutable (see config._HANDED_ON)."""
+    """cfg's link model, built on first use and kept on cfg, which is immutable.
+
+    A config derived from cfg builds its own: points that should share one
+    model are put on one config, at their own alpha and P_p.
+    """
     model = cfg.__dict__.get("_link_model")
     if model is None:
         model = cfg.__dict__["_link_model"] = _build_link_model(cfg)

@@ -312,12 +312,9 @@ def load_config_file(path) -> SystemConfig:
         return load_config(fh.read())
 
 
-# Values a config computes on first use and keeps (its cached properties and
-# closedform's link model), with the fields each is computed from.
+# The cached properties of a config, with the fields each is computed from.
 _HANDED_ON = (("rho_effective", {"M", "rho", "ris_mode"}), ("zeta_p", {"d_p", "epsilon"}),
-              ("zeta_f", {"d_f", "epsilon"}), ("zeta_h", {"M", "d_h", "epsilon"}), ("zeta_g", {"M", "d_g", "epsilon"}),
-              ("_link_model", {"M", "rho", "ris_mode", "b", "d_p", "d_f", "d_h", "d_g", "epsilon", "sigma_v2_dbm",
-                               "sigma_n2_dbm", "quadrature_points"}))
+              ("zeta_f", {"d_f", "epsilon"}), ("zeta_h", {"M", "d_h", "epsilon"}), ("zeta_g", {"M", "d_g", "epsilon"}))
 
 
 def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
@@ -325,7 +322,7 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
 
     When M changes, uniform rho / d_h / d_g are rebroadcast to the new length;
     non-uniform vectors cannot be resized implicitly. The new config takes
-    over each of cfg's kept values (_HANDED_ON) whose inputs are not in `changes`.
+    over each of cfg's cached properties (_HANDED_ON) whose inputs are not in `changes`.
     """
     if "M" in changes and changes["M"] != cfg.M:
         for name in ("rho", "d_h", "d_g"):
@@ -340,7 +337,6 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
             changes[name] = uniq.pop() if uniq else None
     new = replace(cfg, **changes)
     for name, inputs in _HANDED_ON:
-        # getattr computes a cached property; the link model is there only once closedform has built it
-        if inputs.isdisjoint(changes) and (value := getattr(cfg, name, None)) is not None:
-            new.__dict__[name] = value
+        if inputs.isdisjoint(changes):
+            new.__dict__[name] = getattr(cfg, name)
     return new

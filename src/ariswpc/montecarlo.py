@@ -6,8 +6,9 @@ merged in index order, so a given (cfg, alpha, n, seed) always produces the
 bit-identical estimate, with any number of workers.
 
 mc_rate_and_outage is the one rate/outage engine: it samples each chunk
-once for both estimates and for every requested point whose config draws
-alike. mc_ergodic_rate and mc_outage are single-point views of it.
+once for both estimates and for every requested point on one config object,
+each point at its own alpha and hub power. mc_ergodic_rate and mc_outage are
+single-point views of it.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import CHUNK_SAMPLES, ChannelStream, chunk_rng, chunk_sizes, sample_batch
-from .config import SystemConfig, harvested_power_coefficient
+from .config import ConfigValidationError, SystemConfig, harvested_power_coefficient
 
 __all__ = [
     "Estimate",
@@ -175,69 +176,47 @@ def _merge_mean_var(parts: list[tuple[int, float, float]]) -> tuple[int, float, 
 
 
 class RateOutage(NamedTuple):
-    """Monte Carlo ergodic rate and outage probability at one (cfg, alpha) point."""
+    """Monte Carlo ergodic rate and outage probability at one (cfg, alpha, P_p_dbm) point."""
 
     rate: Estimate
     outage: Estimate
 
 
-def _draw_key(cfg: SystemConfig) -> tuple:
-    """Everything the sampler and _gain_terms read from a config.
-
-    Points with equal keys see identical draws and gain terms for a given
-    seed, so they share one pass. P_p_dbm, eta and alpha enter only through
-    nu1, and r_v only through the outage reducer; P_R_mw is not read at all.
-    """
-    return (
-        cfg.M,
-        cfg.b,
-        cfg.epsilon,
-        cfg.d_p,
-        cfg.d_f,
-        cfg.d_h,
-        cfg.d_g,
-        tuple(cfg.rho_effective),
-        cfg.sigma_v2_mw,
-        cfg.sigma_n2_mw,
-    )
-
-
 def mc_rate_and_outage(
-    points: Sequence[tuple[SystemConfig, float]],
+    points: Sequence[tuple[SystemConfig, float, float]],
     n: int,
     seed: int = 0,
     workers: int = 1,
 ) -> list[RateOutage]:
-    """Ergodic-rate and outage estimates at many (cfg, alpha) points in one pass.
+    """Ergodic-rate and outage estimates at many (cfg, alpha, P_p_dbm) points in one pass.
 
-    Points whose configs draw alike (see _draw_key) share each chunk: it is
-    sampled once, its alpha-free gain terms are computed once, and every
-    point of the group then pays one SINR scaling and one log2. Each result
-    is bit-identical to mc_ergodic_rate / mc_outage at the same
-    (cfg, alpha, n, seed), whatever the grouping or worker count.
+    Points on the same config object share each chunk: it is sampled once,
+    its alpha-free gain terms are computed once, and every point on the
+    config then pays one SINR scaling by its nu1(alpha, P_p) and one log2.
+    Each result is bit-identical to mc_ergodic_rate / mc_outage at the same
+    (cfg, alpha, n, seed) with cfg's hub power set to P_p_dbm, whatever the
+    grouping or worker count. Raises ConfigValidationError on P_p_dbm at the
+    first point whose rate estimate is not finite (its SINR overflows).
     """
-    nu1s = [harvested_power_coefficient(cfg, alpha) for cfg, alpha in points]
+    nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for cfg, alpha, P_p_dbm in points]
     if n < 100:
         raise ValueError("n must be >= 100")
-    groups: dict[tuple, list[int]] = {}
-    for index, (cfg, _) in enumerate(points):
-        groups.setdefault(_draw_key(cfg), []).append(index)
+    groups: dict[int, list[int]] = {}
+    for index, (cfg, _, _) in enumerate(points):
+        groups.setdefault(id(cfg), []).append(index)
 
     results: list[RateOutage | None] = [None] * len(points)
     for members in groups.values():
-        sampler_cfg = points[members[0]][0]
+        cfg = points[members[0]][0]
 
-        def one_chunk(rng, m, members=members, sampler_cfg=sampler_cfg):
-            # gains or an SINR that overflow give an inf or nan estimate, which
-            # reaches the caller; numpy's warnings would only repeat it
+        def one_chunk(rng, m, members=members, cfg=cfg):
+            # gains or an SINR that overflow give an inf or nan estimate, rejected
+            # below; numpy's warnings would only repeat it
             with np.errstate(over="ignore", invalid="ignore"):
-                hp2, amp, denom = _gain_terms(
-                    sampler_cfg, sample_batch(sampler_cfg, rng, m, tile_rows=_TILE_ROWS)
-                )
+                hp2, amp, denom = _gain_terms(cfg, sample_batch(cfg, rng, m, tile_rows=_TILE_ROWS))
                 out = []
                 for i in members:
-                    cfg, alpha = points[i]
-                    rate = (1.0 - alpha) * np.log2(1.0 + nu1s[i] * hp2 * amp / denom)
+                    rate = (1.0 - points[i][1]) * np.log2(1.0 + nu1s[i] * hp2 * amp / denom)
                     mean = float(rate.mean())
                     m2 = float(((rate - mean) ** 2).sum())
                     out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
@@ -250,6 +229,11 @@ def mc_rate_and_outage(
             rate = Estimate(value=mean, stderr=math.sqrt(m2 / (total - 1) / total), n=total, seed=seed)
             outage = Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n, seed=seed)
             results[i] = RateOutage(rate=rate, outage=outage)
+    for (_, alpha, _), (rate, _) in zip(points, results):
+        if not (math.isfinite(rate.value) and math.isfinite(rate.stderr)):
+            raise ConfigValidationError(
+                "P_p_dbm", f"the Monte Carlo rate (1-alpha) log2(1+SINR) overflows at alpha={alpha}; it must be finite"
+            )
     return results
 
 
@@ -262,7 +246,7 @@ def mc_ergodic_rate(
 ) -> Estimate:
     """Sample mean of (1-alpha) log2(1 + SINR) over n realizations."""
     n = cfg.mc_samples if n is None else n
-    return mc_rate_and_outage([(cfg, alpha)], n, seed, workers)[0].rate
+    return mc_rate_and_outage([(cfg, alpha, cfg.P_p_dbm)], n, seed, workers)[0].rate
 
 
 def mc_outage(
@@ -274,7 +258,7 @@ def mc_outage(
 ) -> Estimate:
     """Fraction of realizations with (1-alpha) log2(1 + SINR) < r_v."""
     n = cfg.mc_samples if n is None else n
-    return mc_rate_and_outage([(cfg, alpha)], n, seed, workers)[0].outage
+    return mc_rate_and_outage([(cfg, alpha, cfg.P_p_dbm)], n, seed, workers)[0].outage
 
 
 def mc_moments_x(

@@ -20,7 +20,7 @@ from enum import Enum
 
 from .closedform import _LN2, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
 from .config import SystemConfig
-from .power import PowerBudgetInactiveError, expected_power, inverse_power
+from .power import expected_power, inverse_power
 
 __all__ = [
     "Binding",
@@ -199,12 +199,11 @@ def _apply_power_constraint(cfg, unconstrained: OptResult, rate, P_R=None, mode=
     """The KKT case split on an unconstrained optimum of the closed-form rate(cfg, alpha)."""
     if P_R is None:
         P_R = cfg.P_R_mw
-    try:
-        if expected_power(cfg, unconstrained.alpha_opt, mode) <= P_R:
-            return unconstrained
-        alpha = inverse_power(cfg, P_R, mode)
-    except PowerBudgetInactiveError:
+    # without an amplified-signal term the power is its floor at every alpha: it meets
+    # the budget here, or inverse_power raises PowerBudgetInfeasibleError
+    if expected_power(cfg, unconstrained.alpha_opt, mode) <= P_R:
         return unconstrained
+    alpha = inverse_power(cfg, P_R, mode)
     return OptResult(
         alpha_opt=alpha,
         objective_value=rate(cfg, alpha),

@@ -179,6 +179,7 @@ _K_OVERFLOWS = "P_p_dbm: K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it mus
 _NU1_OVERFLOWS = "P_p_dbm: nu1 = eta*alpha*P_p/(1-alpha) overflows at alpha=0.9; it must be finite"
 _SINR_OVERFLOWS = "P_p_dbm: the mean SINR nu1*(t1 + t2 t3 + t4 + t5)/t6 overflows at alpha=0.9; it must be finite"
 _POWER_OVERFLOWS = "the expected RIS power overflows; it must be finite"
+_MC_RATE_OVERFLOWS = "P_p_dbm: the Monte Carlo rate (1-alpha) log2(1+SINR) overflows at alpha=0.5; it must be finite"
 
 
 class TestMainEntry:
@@ -344,6 +345,24 @@ class TestMainEntry:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "100000", "--outputs", "ergodic_mc"],
+             "ValueError: sweep alpha=0.5: " + _MC_RATE_OVERFLOWS),
+            (["mc", "--samples", "1000", "--alpha", "0.5"], "ConfigValidationError: " + _MC_RATE_OVERFLOWS),
+        ],
+        ids=["sweep", "mc"],
+    )
+    def test_overflowing_mc_rate_is_one_config_error_line(self, capsys, argv, message):
+        # at 3070 dBm and alpha = 0.5, nu1, K and the mean SINR are finite, but some sampled SINR is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--set", "P_p_dbm=3070"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "sets", [("d_g=1e-100", "d_h=1e-100"), ("rho_max=1e160", "rho=1e160")], ids=["zeta", "rho"]
     )
     @pytest.mark.parametrize(
@@ -450,6 +469,18 @@ class TestSharedDrawEngine:
 
     def test_element_count_sweep_draws_once_per_point(self, sample_batch_sizes):
         spec = SweepSpec(variable="M", values=(4, 8, 16), outputs=("ergodic_mc", "outage_mc"), seed=4)
+        run_sweep(replace_config(SystemConfig(), mc_samples=2000), spec)
+        assert sample_batch_sizes == [2000, 2000, 2000]
+
+    def test_alpha_sweep_draws_each_chunk_once_for_all_points(self, sample_batch_sizes):
+        spec = SweepSpec(variable="alpha", values=(0.1, 0.3, 0.5, 0.9), outputs=("ergodic_mc", "outage_mc"), seed=4)
+        run_sweep(replace_config(SystemConfig(), mc_samples=32_768), spec)
+        assert sample_batch_sizes == [16384, 16384]
+
+    @pytest.mark.parametrize("variable, values", [("b", (1, 2, 4)), ("rho", (1.0, 2.0, 3.0)), ("P_R_mw", (5, 10, 20))])
+    def test_other_sweeps_draw_once_per_value(self, variable, values, sample_batch_sizes):
+        # each value is a config of its own, P_R_mw too, though the draws do not read it
+        spec = SweepSpec(variable=variable, values=values, outputs=("ergodic_mc", "outage_mc"), seed=4)
         run_sweep(replace_config(SystemConfig(), mc_samples=2000), spec)
         assert sample_batch_sizes == [2000, 2000, 2000]
 
@@ -694,6 +725,14 @@ class TestVariantEvaluation:
         assert len(builds) == 9
         # --set, the eight variants, and the rho and M grids of fig5 and fig6
         assert len(replaces) == 1 + 8 + len(cli._RHO_GRID) + len(cli._M_GRID) <= 60
+
+    def test_hub_power_sweep_builds_one_link_model(self, monkeypatch):
+        builds, build = [], closedform._build_link_model
+        monkeypatch.setattr(closedform, "_build_link_model", lambda cfg: builds.append(cfg) or build(cfg))
+        spec = SweepSpec(variable="P_p_dbm", values=(0, 10, 20, 30), outputs=("ergodic_cf", "outage_cf", "effective"))
+        cfg = SystemConfig()
+        run_sweep(cfg, spec)
+        assert builds == [cfg]
 
     def test_first_failing_point_then_first_failing_output(self, capsys):
         # alpha=0.9 fails power (nu1 overflows), and every point fails ergodic_cf (K overflows): the

@@ -1,4 +1,4 @@
-"""Golden outputs of the closed-form commands at a few edge configs.
+"""Golden outputs of the CLI commands at a few edge configs.
 
 tests/golden/cf_commands.json holds, for each argv below, the exit code, the
 stdout and the first stderr line of ``ariswpc.cli.main``. The test fails on
@@ -34,7 +34,7 @@ _CONFIGS = {
 }
 _COMMANDS = (("figure", "all"), ("compare",), ("optimize",), ("optimize", "--power-budget", "5"))
 _SWEEP = ("sweep", "--outputs", "ergodic_cf,outage_cf,effective,power,alpha_star,alpha_dagger")
-# error lines, and closed-form sweeps over alpha, P_p_dbm, P_R_mw and M
+# error lines, closed-form sweeps over alpha, P_p_dbm, P_R_mw and M, and mc at three alphas
 _EXTRA = (
     ("figure", "all", "--set", "P_p_dbm=3080"),
     ("compare", "--set", "rho_max=1e160", "--set", "rho=1e160"),
@@ -52,8 +52,25 @@ _EXTRA = (
     (*_SWEEP, "--variable", "M", "--values", "0,4,16"),
     ("sweep", "--variable", "P_p_dbm", "--values", "0,20", "--samples", "2000", "--seed", "3",
      "--outputs", "power,ergodic_mc,outage_cf,outage_mc"),
+    ("compare", "--set", "ris_mode=bogus"),
+    ("compare", "--set", "M=abc"),
+    ("compare", "--set", "M"),
+    ("compare", "--set", "M=0", "--set", "d_f=inf"),
+    ("sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "outage_cf",
+     "--set", "M=0", "--set", "d_f=inf"),
+    *(("mc", "--alpha", alpha, "--samples", "3000") for alpha in ("0.1", "0.419", "0.9")),
 )
-ARGVS = [(*command, *sets) for sets in _CONFIGS.values() for command in _COMMANDS] + list(_EXTRA)
+# Monte Carlo and closed-form sweeps over every variable, with every output
+_MC_SWEEP = ("sweep", "--samples", "2000", "--outputs",
+             "ergodic_cf,ergodic_mc,outage_cf,outage_mc,effective,power,alpha_star,alpha_dagger")
+_MC_VALUES = {"P_p_dbm": "0,10,20,30", "alpha": "0.1,0.419,0.9", "M": "0,4,16", "b": "1,4,8", "rho": "1,3,6",
+              "P_R_mw": "1,10,100"}
+ARGVS = (
+    [(*command, *sets) for sets in _CONFIGS.values() for command in _COMMANDS]
+    + list(_EXTRA)
+    + [(*_MC_SWEEP, "--variable", variable, "--values", values, *_CONFIGS[name])
+       for name in ("defaults", "passive", "M0") for variable, values in _MC_VALUES.items()]
+)
 
 
 def run(argv) -> dict:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ariswpc import (
+    ConfigValidationError,
     RisMode,
     SystemConfig,
     gamma_fit,
@@ -127,14 +128,14 @@ class TestMcOutage:
 
 
 def _engine_points(cfg):
-    """Four points that draw alike (P_p, alpha, P_R, r_v vary) and two that do not."""
+    """(config, alpha, P_p_dbm): three points on cfg (alpha and P_p vary), then three on configs of their own."""
     return [
-        (cfg, 0.419),
-        (replace_config(cfg, P_p_dbm=5.0), 0.419),
-        (cfg, 0.1),
-        (replace_config(cfg, P_R_mw=50.0, r_v=1.0), 0.6),
-        (replace_config(cfg, M=8), 0.419),
-        (replace_config(cfg, ris_mode=RisMode.PASSIVE), 0.419),
+        (cfg, 0.419, cfg.P_p_dbm),
+        (cfg, 0.419, 5.0),
+        (cfg, 0.1, cfg.P_p_dbm),
+        (replace_config(cfg, P_R_mw=50.0, r_v=1.0), 0.6, cfg.P_p_dbm),
+        (replace_config(cfg, M=8), 0.419, cfg.P_p_dbm),
+        (replace_config(cfg, ris_mode=RisMode.PASSIVE), 0.419, cfg.P_p_dbm),
     ]
 
 
@@ -147,14 +148,16 @@ class TestMcRateAndOutage:
         points = _engine_points(default_cfg)
         results = mc_rate_and_outage(points, n=40_000, seed=21)
         assert len(results) == len(points)
-        for (cfg, alpha), (rate, outage) in zip(points, results):
-            assert rate == mc_ergodic_rate(cfg, alpha, n=40_000, seed=21)
-            assert outage == mc_outage(cfg, alpha, n=40_000, seed=21)
+        for (cfg, alpha, P_p_dbm), (rate, outage) in zip(points, results):
+            point = replace_config(cfg, P_p_dbm=P_p_dbm)
+            assert rate == mc_ergodic_rate(point, alpha, n=40_000, seed=21)
+            assert outage == mc_outage(point, alpha, n=40_000, seed=21)
 
     def test_matches_plain_chunk_loop(self, default_cfg):
         points = _engine_points(default_cfg)
-        for (cfg, alpha), (rate, outage) in zip(points, mc_rate_and_outage(points, n=40_000, seed=26)):
-            assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, 40_000, 26)
+        for (cfg, alpha, P_p_dbm), (rate, outage) in zip(points, mc_rate_and_outage(points, n=40_000, seed=26)):
+            point = replace_config(cfg, P_p_dbm=P_p_dbm)
+            assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(point, alpha, 40_000, 26)
 
     def test_workers_do_not_change_result(self, default_cfg):
         points = _engine_points(default_cfg)
@@ -218,14 +221,14 @@ class TestMcRateAndOutage:
 
     def test_samples_each_chunk_once_per_draw_group(self, default_cfg, sample_batch_sizes):
         mc_rate_and_outage(_engine_points(default_cfg), n=40_000, seed=23)
-        # 3 groups (shared, M=8, passive) x 3 chunks of 40000 samples
-        assert sample_batch_sizes == [16384, 16384, 7232] * 3
+        # 4 config objects (cfg's three points share theirs) x 3 chunks of 40000 samples
+        assert sample_batch_sizes == [16384, 16384, 7232] * 4
 
     @pytest.mark.parametrize("m", [36, 64])
     def test_chunk_holds_one_block_of_draws(self, m):
         # |h| is the one (CHUNK_SAMPLES, M) block a chunk holds; |g| and the phases come in row tiles
         cfg = SystemConfig(M=m)
-        points = [(cfg, 0.419), (replace_config(cfg, P_p_dbm=5.0), 0.6)]
+        points = [(cfg, 0.419, cfg.P_p_dbm), (cfg, 0.6, 5.0)]
         mc_rate_and_outage(points, n=CHUNK_SAMPLES, seed=24)  # warm: nothing cached is counted below
         tracemalloc.start()
         try:
@@ -237,11 +240,24 @@ class TestMcRateAndOutage:
 
     def test_rejects_tiny_n(self, default_cfg):
         with pytest.raises(ValueError, match="n must be >= 100"):
-            mc_rate_and_outage([(default_cfg, 0.419)], n=10)
+            mc_rate_and_outage([(default_cfg, 0.419, 20.0)], n=10)
 
     def test_rejects_bad_alpha(self, default_cfg):
         with pytest.raises(ValueError, match="alpha"):
-            mc_rate_and_outage([(default_cfg, 0.419), (default_cfg, 1.0)], n=1000)
+            mc_rate_and_outage([(default_cfg, 0.419, 20.0), (default_cfg, 1.0, 20.0)], n=1000)
+
+    def test_rejects_overflowing_rate(self, default_cfg):
+        # nu1 and the mean SINR are finite at 3070 dBm and alpha = 0.5, but some sampled SINR is not
+        huge = replace_config(default_cfg, P_p_dbm=3070.0)
+        with pytest.raises(ConfigValidationError, match=r"^P_p_dbm: the Monte Carlo rate .* at alpha=0.5;") as err:
+            mc_ergodic_rate(huge, 0.5, n=100_000, seed=0)
+        assert err.value.field == "P_p_dbm"
+        with pytest.raises(ConfigValidationError, match="at alpha=0.5;"):
+            mc_outage(huge, 0.5, n=100_000, seed=0)
+        # the first point whose rate overflows is named
+        points = [(default_cfg, 0.1, 20.0), (default_cfg, 0.6, 3070.0), (default_cfg, 0.5, 3070.0)]
+        with pytest.raises(ConfigValidationError, match="at alpha=0.6;"):
+            mc_rate_and_outage(points, n=100_000, seed=0)
 
 
 class TestMcMomentsX:
@@ -314,7 +330,7 @@ class TestTiledKernel:
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
     def test_rate_and_outage_match_plain_loop(self, cfg, alpha, n):
-        [(rate, outage)] = mc_rate_and_outage([(cfg, alpha)], n, seed=31)
+        [(rate, outage)] = mc_rate_and_outage([(cfg, alpha, cfg.P_p_dbm)], n, seed=31)
         assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, n, 31)
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
