@@ -4,9 +4,9 @@ Subcommands: sweep, figure, optimize, compare, mc. All output is CSV with
 unit-carrying headers and fixed scientific formatting (9 significant
 digits), so identical seeds and flags reproduce byte-identical files; a
 non-finite cell fails the command. Each per-config number, in a sweep, mc or
-compare row or a figure column, is an _OUTPUTS cell; only optimize's rows
-call the optimizers directly; a figure column or a sweep over P_p or alpha
-evaluates one config at all its points. Precedence of settings: built-in
+compare row or a figure column, is an _OUTPUTS cell, Monte Carlo and
+alpha* included; a figure column or a sweep over P_p or alpha evaluates one
+config at all its points. Precedence of settings: built-in
 defaults < --config file < --set KEY=VALUE < dedicated flags (--samples,
 --quadrature-points, --power-budget). Monte Carlo chunks run on one thread
 per usable CPU (fewer at large M); that never changes the output.
@@ -31,8 +31,10 @@ from .closedform import _checked_point, _coverages, _ergodic_rates, effective_ra
 from .config import _KNOWN_KEYS, RisMode, SystemConfig, _coerce, load_config_file, replace_config
 from .montecarlo import _default_workers, mc_rate_and_outage
 from .optimize import (
+    NoInteriorMaximumError,
     _apply_power_constraint,
     effective_alpha_closed_form,
+    ergodic_optima,
     optimize_alpha_effective,
     optimize_alpha_ergodic,
 )
@@ -46,24 +48,37 @@ def _at(cfg: SystemConfig, **moves) -> tuple[SystemConfig, float, float]:
     return cfg, moves.get("alpha", cfg.alpha), moves.get("P_p_dbm", cfg.P_p_dbm)
 
 
-def _on_hub_power(cfg: SystemConfig, P_p_dbm: float) -> SystemConfig:
-    """cfg with its hub power set to P_p_dbm, for the optimizers, which read it from their config."""
-    return cfg if P_p_dbm == cfg.P_p_dbm else replace_config(cfg, P_p_dbm=P_p_dbm)
+def _mc_cells(cfg: SystemConfig, alphas, P_p_dbms, seed: int) -> dict[str, list]:
+    """Both Monte Carlo outputs' columns at the points, from one mc_rate_and_outage call at the root seed.
+
+    Each point first passes the closed forms' overflow checks. No cell depends on the workers
+    (montecarlo._default_workers): each equals mc_ergodic_rate / mc_outage at its point.
+    """
+    points = [(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms)]
+    for point in points:
+        _checked_point(*point)
+    rates, outages = zip(*mc_rate_and_outage(points, cfg.mc_samples, seed=seed, workers=_default_workers(cfg.M)))
+    return {"ergodic_mc_bits_per_s_hz": [r.value for r in rates], "outage_mc_prob": [o.value for o in outages],
+            "ergodic_mc_stderr_bits_per_s_hz": [r.stderr for r in rates],
+            "outage_mc_stderr_prob": [o.stderr for o in outages]}
 
 
-# Every per-point output: its CSV columns and the function of (config, alphas,
-# hub powers) that gives its cell at each point. The lambdas look the library
-# functions up when called. The two Monte Carlo outputs have no cell function:
-# one mc_rate_and_outage call fills both of them for every point (_evaluate).
+def _one_column(header: str, cells) -> tuple[tuple[str], object]:
+    return (header,), lambda c, a, p, s: {header: cells(c, a, p)}
+
+
+# Every per-point output: its CSV columns and the function of (config, alphas, hub powers,
+# root seed) that gives {column: its cells at those points}; both Monte Carlo outputs share
+# one, so one call fills both. The lambdas look the library functions up when called.
 _OUTPUTS = {
-    "ergodic_cf": (("ergodic_cf_bits_per_s_hz",), lambda c, a, p: _ergodic_rates(c, a, p)),
-    "ergodic_mc": (("ergodic_mc_bits_per_s_hz", "ergodic_mc_stderr_bits_per_s_hz"), None),
-    "outage_cf": (("outage_cf_prob",), lambda c, a, p: 1.0 - _coverages(c, a, p)),
-    "outage_mc": (("outage_mc_prob", "outage_mc_stderr_prob"), None),
-    "effective": (("effective_rate_bits_per_s_hz",), lambda c, a, p: _coverages(c, a, p) * c.r_v),
-    "power": (("expected_power_mw",), lambda c, a, p: _expected_powers(c, a, p)),
-    "alpha_star": (("alpha_star",), lambda c, a, p: [optimize_alpha_ergodic(_on_hub_power(c, x)).alpha_opt for x in p]),
-    "alpha_dagger": (("alpha_dagger",), lambda c, a, p: [effective_alpha_closed_form(c.r_v)] * len(a)),
+    "ergodic_cf": _one_column("ergodic_cf_bits_per_s_hz", lambda c, a, p: _ergodic_rates(c, a, p)),
+    "ergodic_mc": (("ergodic_mc_bits_per_s_hz", "ergodic_mc_stderr_bits_per_s_hz"), _mc_cells),
+    "outage_cf": _one_column("outage_cf_prob", lambda c, a, p: 1.0 - _coverages(c, a, p)),
+    "outage_mc": (("outage_mc_prob", "outage_mc_stderr_prob"), _mc_cells),
+    "effective": _one_column("effective_rate_bits_per_s_hz", lambda c, a, p: _coverages(c, a, p) * c.r_v),
+    "power": _one_column("expected_power_mw", lambda c, a, p: _expected_powers(c, a, p)),
+    "alpha_star": _one_column("alpha_star", lambda c, a, p: [opt.alpha_opt for opt in ergodic_optima(c, p)]),
+    "alpha_dagger": _one_column("alpha_dagger", lambda c, a, p: [effective_alpha_closed_form(c.r_v)] * len(a)),
 }
 SWEEP_OUTPUTS = tuple(_OUTPUTS)
 
@@ -106,55 +121,40 @@ def _csv_table(header: Sequence[str], rows) -> str:
 
 @contextmanager
 def _labelled(label: str | None):
-    """Re-raise a ValueError with ``label: `` in front of its message."""
+    """Re-raise a ValueError, or a NoInteriorMaximumError as one, with ``label: `` in front of its message."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, NoInteriorMaximumError) as exc:
         if label is None:
             raise
-        raise ValueError(f"{label}: {exc}") from exc
+        kind = NoInteriorMaximumError if isinstance(exc, NoInteriorMaximumError) else ValueError
+        raise kind(f"{label}: {exc}") from exc
 
 
-def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels=None) -> list[list]:
+def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels=None) -> list[tuple]:
     """The cells of `outputs` at each point (config, alpha, P_p_dbm), one row per point.
 
-    Closed-form cells are evaluated per run of consecutive points on one config
-    object; should any fail, point by point, so the error is the first failing
-    point's first failing output. All Monte Carlo cells come from one
-    mc_rate_and_outage call at the root seed `seed`, so they equal
-    mc_ergodic_rate / mc_outage(config at the point's P_p, alpha, seed=seed)
-    bit for bit, and points on one config object share their samples; each
-    point first passes the closed forms' overflow checks. Chunks run on as
-    many threads as montecarlo._default_workers allows for the largest M;
-    that does not change the result. A ValueError is labelled with labels[i]
-    for a failure at point i, and with labels[0] for a failure of the MC call.
+    Each output's function runs once per run of consecutive points on one
+    config object, so those points share its link model and Monte Carlo
+    draws (root seed `seed`). Should any fail, the points are evaluated one
+    by one: the error is the first failing point's first failing output, and
+    a ValueError or NoInteriorMaximumError at point i is labelled labels[i].
     """
-    labels = labels or [None] * len(points)
-    closed = {o: [] for o in outputs if _OUTPUTS[o][1] is not None}
+    functions = dict.fromkeys(_OUTPUTS[o][1] for o in outputs)
+    columns: dict[str, list] = {}
     try:
         for _, run in itertools.groupby(points, key=lambda point: id(point[0])):
             run_configs, alphas, hub_powers = zip(*run)
-            for o, column in closed.items():
-                column.extend(_OUTPUTS[o][1](run_configs[0], alphas, hub_powers))
+            for function in functions:
+                for header, cells in function(run_configs[0], alphas, hub_powers, seed).items():
+                    columns.setdefault(header, []).extend(cells)
     except Exception:
-        for label, (cfg, alpha, hub_power) in zip(labels, points):
+        for label, (cfg, alpha, hub_power) in zip(labels or [None] * len(points), points):
             with _labelled(label):
-                for o in closed:
-                    _OUTPUTS[o][1](cfg, [alpha], [hub_power])
+                for function in functions:
+                    function(cfg, [alpha], [hub_power], seed)
         raise
-    cells = [{o: [column[i]] for o, column in closed.items()} for i in range(len(points))]
-    if len(closed) < len(outputs):
-        for label, (cfg, alpha, hub_power) in zip(labels, points):
-            with _labelled(label):
-                _checked_point(cfg, alpha, hub_power)
-        with _labelled(labels[0]):
-            estimates = mc_rate_and_outage(
-                points, points[0][0].mc_samples, seed=seed, workers=_default_workers(max(cfg.M for cfg, _, _ in points))
-            )
-        for point_cells, (rate, outage) in zip(cells, estimates):
-            point_cells["ergodic_mc"] = [rate.value, rate.stderr]
-            point_cells["outage_mc"] = [outage.value, outage.stderr]
-    return [[c for o in outputs for c in point_cells[o]] for point_cells in cells]
+    return list(zip(*(columns[header] for header in _columns(outputs))))
 
 
 def _columns(outputs: Sequence[str]) -> list[str]:

@@ -158,17 +158,18 @@ def _link_model(cfg: SystemConfig) -> _LinkModel:
     return model
 
 
-def _checked_model(cfg: SystemConfig, P_p_dbm: float) -> _LinkModel:
-    """cfg's link model, checked at hub power P_p_dbm: K = eta*P_p*signal/t6 must be finite."""
+def _checked_model(cfg: SystemConfig, P_p_dbm: float) -> tuple[_LinkModel, float]:
+    """cfg's link model and K = eta*P_p*signal/t6 at hub power P_p_dbm, which must be finite."""
     model = _link_model(cfg)
-    if not math.isfinite(cfg.eta * dbm_to_linear(P_p_dbm) * model.signal / model.t6):
+    k = cfg.eta * dbm_to_linear(P_p_dbm) * model.signal / model.t6
+    if not math.isfinite(k):
         raise ConfigValidationError("P_p_dbm", "K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite")
-    return model
+    return model, k
 
 
 def _checked_point(cfg: SystemConfig, alpha: float, P_p_dbm: float) -> tuple[float, _LinkModel]:
     """nu1 at (alpha, P_p_dbm) and cfg's link model checked there: nu1, K and the mean SINR must be finite."""
-    nu1, model = harvested_power_coefficient(cfg, alpha, P_p_dbm), _checked_model(cfg, P_p_dbm)
+    nu1, model = harvested_power_coefficient(cfg, alpha, P_p_dbm), _checked_model(cfg, P_p_dbm)[0]
     if not math.isfinite(nu1 * model.signal / model.t6):
         raise ConfigValidationError(
             "P_p_dbm", f"the mean SINR nu1*(t1 + t2 t3 + t4 + t5)/t6 overflows at alpha={alpha}; it must be finite"
@@ -177,7 +178,7 @@ def _checked_point(cfg: SystemConfig, alpha: float, P_p_dbm: float) -> tuple[flo
 
 
 def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
-    model = _checked_model(cfg, cfg.P_p_dbm)
+    model = _checked_model(cfg, cfg.P_p_dbm)[0]
     return ErgodicTerms(*model.moments, model.t6, cfg.eta * cfg.p_p_mw * model.signal)
 
 

@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .closedform import _LN2, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
+from .closedform import (
+    _LN2, _checked_model, _ergodic_rates, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
+)
 from .config import SystemConfig
 from .power import expected_power, inverse_power
 
@@ -27,6 +29,7 @@ __all__ = [
     "NoInteriorMaximumError",
     "OptResult",
     "effective_alpha_closed_form",
+    "ergodic_optima",
     "ergodic_rate_derivative",
     "optimize_alpha_ergodic",
     "optimize_alpha_ergodic_constrained",
@@ -70,18 +73,18 @@ class OptResult:
     alpha_closed_form: float | None = None
 
 
-def ergodic_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
-    """d/d alpha of the closed-form ergodic rate, bits/s/Hz per unit alpha.
+def _ergodic_slope(k: float, alpha: float) -> float:
+    """d/d alpha of (1-alpha) log2(1 + z), z = K alpha/(1-alpha): (K/((1-alpha)(1+z)) - ln(1+z)) / ln 2."""
+    z = k * alpha / (1.0 - alpha)
+    return (k / ((1.0 - alpha) * (1.0 + z)) - math.log1p(z)) / math.log(2.0)
 
-    With K = t7/t6 and z = K alpha/(1-alpha) it is
-    (K/((1-alpha)(1+z)) - ln(1+z)) / ln 2.
-    """
+
+def ergodic_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
+    """d/d alpha of the closed-form ergodic rate, bits/s/Hz per unit alpha, at K = t7/t6 (_ergodic_slope)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     t = ergodic_terms(cfg)
-    k = t.t7 / t.t6
-    z = k * alpha / (1.0 - alpha)
-    return (k / ((1.0 - alpha) * (1.0 + z)) - math.log1p(z)) / math.log(2.0)
+    return _ergodic_slope(t.t7 / t.t6, alpha)
 
 
 def _polyval(coeffs, x: float) -> float:
@@ -119,6 +122,21 @@ def _w_plus_one(d: float) -> float:
     return y
 
 
+def ergodic_optima(cfg: SystemConfig, P_p_dbms) -> list[OptResult]:
+    """optimize_alpha_ergodic(cfg at hub power P_p_dbm) for each P_p_dbm, all from cfg's one link model."""
+    ks = [_checked_model(cfg, P_p_dbm)[1] for P_p_dbm in P_p_dbms]
+    zs = [math.expm1(_w_plus_one(k)) for k in ks]
+    alphas = [z / (k + z) if k != 0.0 else 1.0 for k, z in zip(ks, zs)]  # 1 is the limit as K -> 0
+    for k, alpha in zip(ks, alphas):
+        if not _ALPHA_LO < alpha < _ALPHA_HI:
+            raise NoInteriorMaximumError(
+                f"the ergodic rate has no interior maximum on ({_ALPHA_LO}, {_ALPHA_HI}): "
+                f"the stationary point is alpha={alpha:.3e} (K={k:.3e})"
+            )
+    rates = _ergodic_rates(cfg, alphas, P_p_dbms)
+    return [OptResult(a, rate, Binding.INTERIOR, 0, abs(_ergodic_slope(k, a))) for k, a, rate in zip(ks, alphas, rates)]
+
+
 def optimize_alpha_ergodic(cfg: SystemConfig) -> OptResult:
     """Interior maximizer of the ergodic rate in closed form.
 
@@ -128,22 +146,7 @@ def optimize_alpha_ergodic(cfg: SystemConfig) -> OptResult:
     iterations is 0 and residual is the derivative at alpha*. As K -> 0,
     alpha* -> 1, which is reported as NoInteriorMaximumError.
     """
-    t = ergodic_terms(cfg)
-    k = t.t7 / t.t6
-    z = math.expm1(_w_plus_one(k))
-    alpha = z / (k + z) if k != 0.0 else 1.0  # its limit as K -> 0
-    if not _ALPHA_LO < alpha < _ALPHA_HI:
-        raise NoInteriorMaximumError(
-            f"the ergodic rate has no interior maximum on ({_ALPHA_LO}, {_ALPHA_HI}): "
-            f"the stationary point is alpha={alpha:.3e} (K={k:.3e})"
-        )
-    return OptResult(
-        alpha_opt=alpha,
-        objective_value=ergodic_rate(cfg, alpha),
-        binding=Binding.INTERIOR,
-        iterations=0,
-        residual=abs(ergodic_rate_derivative(cfg, alpha)),
-    )
+    return ergodic_optima(cfg, [cfg.P_p_dbm])[0]
 
 
 def effective_alpha_closed_form(r_v: float) -> float | None:

@@ -350,8 +350,14 @@ class TestMainEntry:
             (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "100000", "--outputs", "ergodic_mc"],
              "ValueError: sweep alpha=0.5: " + _MC_RATE_OVERFLOWS),
             (["mc", "--samples", "1000", "--alpha", "0.5"], "ConfigValidationError: " + _MC_RATE_OVERFLOWS),
+            # the error names the failing point, not the run's first
+            (["sweep", "--variable", "alpha", "--values", "0.05,0.5", "--samples", "100000", "--outputs", "ergodic_mc"],
+             "ValueError: sweep alpha=0.5: " + _MC_RATE_OVERFLOWS),
+            (["sweep", "--variable", "P_p_dbm", "--values", "3000,3070", "--samples", "100000",
+              "--outputs", "ergodic_mc", "--set", "alpha=0.5"],
+             "ValueError: sweep P_p_dbm=3070: " + _MC_RATE_OVERFLOWS),
         ],
-        ids=["sweep", "mc"],
+        ids=["sweep", "mc", "sweep-second-alpha", "sweep-second-hub-power"],
     )
     def test_overflowing_mc_rate_is_one_config_error_line(self, capsys, argv, message):
         # at 3070 dBm and alpha = 0.5, nu1, K and the mean SINR are finite, but some sampled SINR is not
@@ -361,6 +367,20 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["--variable", "P_p_dbm", "--values=-300,-200,0"], "sweep P_p_dbm=-300"),
+            (["--variable", "M", "--values", "0,4", "--set", "d_f=inf"], "sweep M=0"),
+        ],
+        ids=["hub-power", "elements"],
+    )
+    def test_sweep_alpha_star_failure_names_its_value(self, capsys, argv, label):
+        assert main(["sweep", *argv, "--outputs", "alpha_star"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: NoInteriorMaximumError: {label}: the ergodic rate has no interior maximum")
 
     @pytest.mark.parametrize(
         "sets", [("d_g=1e-100", "d_h=1e-100"), ("rho_max=1e160", "rho=1e160")], ids=["zeta", "rho"]
@@ -530,7 +550,7 @@ class TestWorkers:
             (["mc", "--samples", "1000", "--set", "M=36"], [16]),
             (["mc", "--samples", "1000", "--set", "M=1024"], [1]),
             (["sweep", "--variable", "M", "--values", "4,1024", "--samples", "1000",
-              "--outputs", "ergodic_mc"], [1, 1]),
+              "--outputs", "ergodic_mc"], [16, 1]),
             (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--samples", "1000",
               "--outputs", "outage_mc", "--set", "M=64"], [15]),
         ],
@@ -682,13 +702,13 @@ def test_figure_files_equal_direct_library_calls(tmp_path, capsys, sets):
 
 
 class TestVariantEvaluation:
-    """Closed-form cells are evaluated per variant config over arrays of alpha and P_p."""
+    """Every output's cells are evaluated per variant config over arrays of alpha and P_p."""
 
     def test_cells_equal_scalar_functions_on_per_point_configs(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         scalars = {"ergodic_cf": ergodic_rate, "outage_cf": outage_probability, "effective": effective_rate,
-                   "power": expected_power}
+                   "power": expected_power, "alpha_star": lambda point, _: optimize_alpha_ergodic(point).alpha_opt}
 
         @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
         @hypothesis.given(
@@ -708,7 +728,7 @@ class TestVariantEvaluation:
             alphas, hub_powers = map(list, zip(*points))
             per_point = [replace_config(cfg, P_p_dbm=pp) for pp in hub_powers]
             for output, scalar in scalars.items():
-                cells = cli._OUTPUTS[output][1](cfg, alphas, hub_powers)
+                [cells] = cli._OUTPUTS[output][1](cfg, alphas, hub_powers, 0).values()
                 expected = [scalar(point, alpha).hex() for point, alpha in zip(per_point, alphas)]
                 assert [float(cell).hex() for cell in cells] == expected, output
 
@@ -726,23 +746,27 @@ class TestVariantEvaluation:
         # --set, the eight variants, and the rho and M grids of fig5 and fig6
         assert len(replaces) == 1 + 8 + len(cli._RHO_GRID) + len(cli._M_GRID) <= 60
 
-    def test_hub_power_sweep_builds_one_link_model(self, monkeypatch):
+    def test_hub_power_sweep_builds_one_link_model(self, monkeypatch, sample_batch_sizes):
+        # every output, Monte Carlo and alpha* included: one link model, and one draw per chunk for all points
         builds, build = [], closedform._build_link_model
         monkeypatch.setattr(closedform, "_build_link_model", lambda cfg: builds.append(cfg) or build(cfg))
-        spec = SweepSpec(variable="P_p_dbm", values=(0, 10, 20, 30), outputs=("ergodic_cf", "outage_cf", "effective"))
-        cfg = SystemConfig()
+        spec = SweepSpec(variable="P_p_dbm", values=(0, 10, 20, 30), outputs=cli.SWEEP_OUTPUTS)
+        cfg = replace_config(SystemConfig(), mc_samples=32_768)
         run_sweep(cfg, spec)
         assert builds == [cfg]
+        assert sample_batch_sizes == [16384, 16384]
 
     def test_first_failing_point_then_first_failing_output(self, capsys):
-        # alpha=0.9 fails power (nu1 overflows), and every point fails ergodic_cf (K overflows): the
-        # error is ergodic_cf's at the first point, as a point-by-point evaluation would raise it
-        argv = ["sweep", "--variable", "alpha", "--values", "0.1,0.9", "--outputs", "power,ergodic_cf",
-                "--set", "P_p_dbm=3080"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.1: {_K_OVERFLOWS}\n"
-        assert main([*argv[:4], "0.9,0.1", *argv[5:]]) == 1
-        assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.9: {_NU1_OVERFLOWS}\n"
+        # alpha=0.9 fails power and the MC checks (nu1 overflows), and every point fails ergodic_cf and
+        # the MC checks (K overflows): the error is the first point's first failing output, as a
+        # point-by-point evaluation would raise it
+        for outputs in ("power,ergodic_cf", "power,ergodic_mc", "ergodic_mc,power"):
+            argv = ["sweep", "--variable", "alpha", "--values", "0.1,0.9", "--outputs", outputs,
+                    "--samples", "1000", "--set", "P_p_dbm=3080"]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.1: {_K_OVERFLOWS}\n", outputs
+            assert main([*argv[:4], "0.9,0.1", *argv[5:]]) == 1
+            assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.9: {_NU1_OVERFLOWS}\n", outputs
 
     def test_optimize_runs_each_unconstrained_optimizer_once(self, monkeypatch, capsys):
         calls = []

@@ -65,11 +65,24 @@ _MC_SWEEP = ("sweep", "--samples", "2000", "--outputs",
              "ergodic_cf,ergodic_mc,outage_cf,outage_mc,effective,power,alpha_star,alpha_dagger")
 _MC_VALUES = {"P_p_dbm": "0,10,20,30", "alpha": "0.1,0.419,0.9", "M": "0,4,16", "b": "1,4,8", "rho": "1,3,6",
               "P_R_mw": "1,10,100"}
+# error lines that name the failing sweep value: a Monte Carlo rate that overflows at a
+# later point, and an alpha* without an interior maximum
+_LABELLED_ERRORS = (
+    ("sweep", "--variable", "alpha", "--values", "0.05,0.5", "--outputs", "ergodic_mc", "--samples", "100000",
+     "--set", "P_p_dbm=3070"),
+    ("sweep", "--variable", "P_p_dbm", "--values", "3000,3070", "--outputs", "ergodic_mc", "--samples", "100000",
+     "--set", "alpha=0.5"),
+    ("sweep", "--variable", "alpha", "--values", "0.1,0.9", "--outputs", "power,ergodic_mc", "--samples", "1000",
+     "--set", "P_p_dbm=3080"),
+    ("sweep", "--variable", "P_p_dbm", "--values=-300,-200,0", "--outputs", "alpha_star"),
+    ("sweep", "--variable", "M", "--values", "0,4", "--outputs", "alpha_star", "--set", "d_f=inf"),
+)
 ARGVS = (
     [(*command, *sets) for sets in _CONFIGS.values() for command in _COMMANDS]
     + list(_EXTRA)
     + [(*_MC_SWEEP, "--variable", variable, "--values", values, *_CONFIGS[name])
        for name in ("defaults", "passive", "M0") for variable, values in _MC_VALUES.items()]
+    + list(_LABELLED_ERRORS)
 )
 
 

@@ -12,6 +12,7 @@ from ariswpc import (
     effective_alpha_closed_form,
     effective_rate,
     effective_rate_derivative,
+    ergodic_optima,
     ergodic_rate,
     ergodic_rate_derivative,
     expected_power,
@@ -74,6 +75,13 @@ class TestOptimizeErgodic:
             for p in (10, 15, 20, 25, 30)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(stars, stars[1:]))
+
+    def test_optima_equal_the_optimizer_at_each_hub_power(self, default_cfg):
+        hub_powers = [-20.0, 0.0, default_cfg.P_p_dbm, 17.5, 30.0]
+        expected = [optimize_alpha_ergodic(replace_config(default_cfg, P_p_dbm=pp)) for pp in hub_powers]
+        assert ergodic_optima(default_cfg, hub_powers) == expected
+        with pytest.raises(NoInteriorMaximumError, match=r"alpha=1\.000e\+00 \(K="):
+            ergodic_optima(default_cfg, [0.0, -300.0])
 
     def test_no_interior_maximum_flagged(self, default_cfg):
         # K = 6.2e-30, and K = 0 with no link at all: alpha* rounds to its limit 1
