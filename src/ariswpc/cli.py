@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import _checked_point, _coverages, _ergodic_rates, effective_rate, ergodic_rate
+from .closedform import _Run, effective_rate, ergodic_rate
 from .config import _KNOWN_KEYS, RisMode, SystemConfig, _coerce, load_config_file, replace_config
 from .montecarlo import _default_workers, mc_rate_and_outage
 from .optimize import (
@@ -48,37 +48,36 @@ def _at(cfg: SystemConfig, **moves) -> tuple[SystemConfig, float, float]:
     return cfg, moves.get("alpha", cfg.alpha), moves.get("P_p_dbm", cfg.P_p_dbm)
 
 
-def _mc_cells(cfg: SystemConfig, alphas, P_p_dbms, seed: int) -> dict[str, list]:
-    """Both Monte Carlo outputs' columns at the points, from one mc_rate_and_outage call at the root seed.
+def _mc_cells(run: _Run, seed: int) -> dict[str, list]:
+    """Both Monte Carlo outputs' columns at the run's points, from one mc_rate_and_outage call at the root seed.
 
-    Each point first passes the closed forms' overflow checks. No cell depends on the workers
-    (montecarlo._default_workers): each equals mc_ergodic_rate / mc_outage at its point.
+    Each point first passes the closed forms' overflow checks, as the run's mean SINRs are read. No cell
+    depends on the workers (montecarlo._default_workers): each equals mc_ergodic_rate / mc_outage at its point.
     """
-    points = [(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms)]
-    for point in points:
-        _checked_point(*point)
-    rates, outages = zip(*mc_rate_and_outage(points, cfg.mc_samples, seed=seed, workers=_default_workers(cfg.M)))
+    run.mean_sinrs
+    points = [(run.cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(run.alphas, run.P_p_dbms)]
+    rates, outages = zip(*mc_rate_and_outage(points, run.cfg.mc_samples, seed, _default_workers(run.cfg.M)))
     return {"ergodic_mc_bits_per_s_hz": [r.value for r in rates], "outage_mc_prob": [o.value for o in outages],
             "ergodic_mc_stderr_bits_per_s_hz": [r.stderr for r in rates],
             "outage_mc_stderr_prob": [o.stderr for o in outages]}
 
 
 def _one_column(header: str, cells) -> tuple[tuple[str], object]:
-    return (header,), lambda c, a, p, s: {header: cells(c, a, p)}
+    return (header,), lambda run, seed: {header: cells(run)}
 
 
-# Every per-point output: its CSV columns and the function of (config, alphas, hub powers,
-# root seed) that gives {column: its cells at those points}; both Monte Carlo outputs share
-# one, so one call fills both. The lambdas look the library functions up when called.
+# Every per-point output: its CSV columns and the function of (run record r, root seed) that gives
+# {column: its cells at r's points}. A run's outputs all read its one closedform._Run; both Monte
+# Carlo outputs share one function, so one call fills both. The lambdas look names up when called.
 _OUTPUTS = {
-    "ergodic_cf": _one_column("ergodic_cf_bits_per_s_hz", lambda c, a, p: _ergodic_rates(c, a, p)),
+    "ergodic_cf": _one_column("ergodic_cf_bits_per_s_hz", lambda r: r.rates),
     "ergodic_mc": (("ergodic_mc_bits_per_s_hz", "ergodic_mc_stderr_bits_per_s_hz"), _mc_cells),
-    "outage_cf": _one_column("outage_cf_prob", lambda c, a, p: 1.0 - _coverages(c, a, p)),
+    "outage_cf": _one_column("outage_cf_prob", lambda r: 1.0 - r.coverages),
     "outage_mc": (("outage_mc_prob", "outage_mc_stderr_prob"), _mc_cells),
-    "effective": _one_column("effective_rate_bits_per_s_hz", lambda c, a, p: _coverages(c, a, p) * c.r_v),
-    "power": _one_column("expected_power_mw", lambda c, a, p: _expected_powers(c, a, p)),
-    "alpha_star": _one_column("alpha_star", lambda c, a, p: [opt.alpha_opt for opt in ergodic_optima(c, p)]),
-    "alpha_dagger": _one_column("alpha_dagger", lambda c, a, p: [effective_alpha_closed_form(c.r_v)] * len(a)),
+    "effective": _one_column("effective_rate_bits_per_s_hz", lambda r: r.coverages * r.cfg.r_v),
+    "power": _one_column("expected_power_mw", lambda r: _expected_powers(r)),
+    "alpha_star": _one_column("alpha_star", lambda r: [opt.alpha_opt for opt in ergodic_optima(r.cfg, r.P_p_dbms)]),
+    "alpha_dagger": _one_column("alpha_dagger", lambda r: [effective_alpha_closed_form(r.cfg.r_v)] * len(r.alphas)),
 }
 SWEEP_OUTPUTS = tuple(_OUTPUTS)
 
@@ -134,25 +133,27 @@ def _labelled(label: str | None):
 def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels=None) -> list[tuple]:
     """The cells of `outputs` at each point (config, alpha, P_p_dbm), one row per point.
 
-    Each output's function runs once per run of consecutive points on one
-    config object, so those points share its link model and Monte Carlo
-    draws (root seed `seed`). Should any fail, the points are evaluated one
-    by one: the error is the first failing point's first failing output, and
-    a ValueError or NoInteriorMaximumError at point i is labelled labels[i].
+    Each output's function runs once per run of consecutive points on one config object,
+    on the run's one record (closedform._Run), so those points share its link model, nu1,
+    K, outage quadrature and Monte Carlo draws (root seed `seed`). Should any fail, each
+    point is evaluated on a record of its own: the error is the first failing point's first
+    failing output, and a ValueError or NoInteriorMaximumError at point i is labelled labels[i].
     """
     functions = dict.fromkeys(_OUTPUTS[o][1] for o in outputs)
     columns: dict[str, list] = {}
     try:
         for _, run in itertools.groupby(points, key=lambda point: id(point[0])):
             run_configs, alphas, hub_powers = zip(*run)
+            record = _Run(run_configs[0], alphas, hub_powers)
             for function in functions:
-                for header, cells in function(run_configs[0], alphas, hub_powers, seed).items():
+                for header, cells in function(record, seed).items():
                     columns.setdefault(header, []).extend(cells)
     except Exception:
         for label, (cfg, alpha, hub_power) in zip(labels or [None] * len(points), points):
             with _labelled(label):
+                record = _Run(cfg, (alpha,), (hub_power,))
                 for function in functions:
-                    function(cfg, [alpha], [hub_power], seed)
+                    function(record, seed)
         raise
     return list(zip(*(columns[header] for header in _columns(outputs))))
 

@@ -5,10 +5,9 @@ power P_p, composed with the harvested-power coefficient nu1(alpha, P_p).
 Those statistics form the config's link model (_link_model): the
 channel-moment aggregates t1..t6, the Gamma fit of the composite amplitude,
 and the outage quadrature's nodes with the alpha-free part of their log
-terms. _ergodic_rates and _coverages evaluate one config at arrays of alpha
-and P_p: nu1, kappa(alpha) and the overflow checks per point, then the
-quadrature as one (points x nodes) array. The public functions are their
-one-point views.
+terms. A run record (_Run) holds the points (alpha, P_p) of a run on one
+config and computes once what its outputs read: nu1, K, mean SINR, rate and
+the (points x nodes) outage quadrature. Public functions use one-point runs.
 
 The ergodic rate uses the expectation-ratio approximation
 E{log2(1+x/y)} ~ log2(1+E{x}/E{y}) with exact channel moments on both
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,42 +158,77 @@ def _link_model(cfg: SystemConfig) -> _LinkModel:
     return model
 
 
-def _checked_model(cfg: SystemConfig, P_p_dbm: float) -> tuple[_LinkModel, float]:
-    """cfg's link model and K = eta*P_p*signal/t6 at hub power P_p_dbm, which must be finite."""
-    model = _link_model(cfg)
-    k = cfg.eta * dbm_to_linear(P_p_dbm) * model.signal / model.t6
-    if not math.isfinite(k):
-        raise ConfigValidationError("P_p_dbm", "K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite")
-    return model, k
+class _Run:
+    """The points (alpha, P_p_dbm) of one run on one config, and what its outputs read of them.
 
+    Each quantity is computed on first use, checked as it is computed, and kept for
+    the run: at one point the checks come in the order nu1, K, mean SINR, Gamma fit.
+    """
 
-def _checked_point(cfg: SystemConfig, alpha: float, P_p_dbm: float) -> tuple[float, _LinkModel]:
-    """nu1 at (alpha, P_p_dbm) and cfg's link model checked there: nu1, K and the mean SINR must be finite."""
-    nu1, model = harvested_power_coefficient(cfg, alpha, P_p_dbm), _checked_model(cfg, P_p_dbm)[0]
-    if not math.isfinite(nu1 * model.signal / model.t6):
-        raise ConfigValidationError(
-            "P_p_dbm", f"the mean SINR nu1*(t1 + t2 t3 + t4 + t5)/t6 overflows at alpha={alpha}; it must be finite"
-        )
-    return nu1, model
+    def __init__(self, cfg: SystemConfig, alphas, P_p_dbms):
+        self.cfg, self.alphas, self.P_p_dbms = cfg, alphas, P_p_dbms
+
+    @cached_property
+    def nu1s(self) -> list[float]:
+        return [harvested_power_coefficient(self.cfg, alpha, P_p) for alpha, P_p in zip(self.alphas, self.P_p_dbms)]
+
+    @cached_property
+    def ks(self) -> list[float]:
+        """K = eta*P_p*signal/t6 at each hub power, which must be finite."""
+        model = _link_model(self.cfg)
+        ks = [self.cfg.eta * dbm_to_linear(P_p) * model.signal / model.t6 for P_p in self.P_p_dbms]
+        if not all(map(math.isfinite, ks)):
+            raise ConfigValidationError("P_p_dbm", "K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite")
+        return ks
+
+    @cached_property
+    def mean_sinrs(self) -> list[float]:
+        """nu1*signal/t6 at each point, after the nu1 and K checks; each must be finite."""
+        nu1s, model = self.nu1s, _link_model(self.cfg)
+        self.ks  # K is checked before the mean SINR
+        sinrs = [nu1 * model.signal / model.t6 for nu1 in nu1s]
+        for alpha, sinr in zip(self.alphas, sinrs):
+            if not math.isfinite(sinr):
+                raise ConfigValidationError("P_p_dbm", "the mean SINR nu1*(t1 + t2 t3 + t4 + t5)/t6 overflows "
+                                                       f"at alpha={alpha}; it must be finite")
+        return sinrs
+
+    @cached_property
+    def rates(self) -> list[float]:
+        return [(1.0 - alpha) * math.log2(1.0 + sinr) for alpha, sinr in zip(self.alphas, self.mean_sinrs)]
+
+    @cached_property
+    def quadrature(self):
+        """Terms exp(... - c/t_u^2) of 1 - outage and their c/t_u^2, a row per point; None where r_v = 0."""
+        if self.cfg.r_v == 0.0:
+            self.nu1s  # kappa = 0, so there is no outage: only nu1 is checked
+            return None
+        self.mean_sinrs  # nu1, K and the mean SINR are checked first
+        gamma_fit(self.cfg)  # raises where X has no Gamma fit, hence no nodes
+        model = _link_model(self.cfg)
+        # exponent scale of the hub-link exponential CDF: exp(-c / t^2); c is +inf where nu1 zeta_p underflows to 0
+        log_c = [_log_outage_threshold(self.cfg.r_v, alpha) + math.log(model.t6) - math.log(nu1 * self.cfg.zeta_p)
+                 if nu1 * self.cfg.zeta_p > 0.0 else math.inf for alpha, nu1 in zip(self.alphas, self.nu1s)]
+        # the outermost nodes overflow c / t^2 to inf; their terms are exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            suppression = np.exp(np.array(log_c)[:, None] - 2.0 * model.log_t)  # c / t^2
+        return np.exp(model.log_base - suppression), suppression
+
+    @cached_property
+    def coverages(self) -> np.ndarray:
+        """I = 1 - P_O at each point: the quadrature's row sum clamped to at most 1; 1 where kappa == 0."""
+        return np.ones(len(self.alphas)) if self.quadrature is None else np.minimum(self.quadrature[0].sum(axis=1), 1.0)
 
 
 def ergodic_terms(cfg: SystemConfig) -> ErgodicTerms:
-    model = _checked_model(cfg, cfg.P_p_dbm)[0]
+    _Run(cfg, (), (cfg.P_p_dbm,)).ks  # K at cfg's hub power must be finite
+    model = _link_model(cfg)
     return ErgodicTerms(*model.moments, model.t6, cfg.eta * cfg.p_p_mw * model.signal)
-
-
-def _ergodic_rates(cfg: SystemConfig, alphas, P_p_dbms) -> list[float]:
-    """ergodic_rate at each point (alpha, P_p_dbm)."""
-    rates = []
-    for alpha, P_p_dbm in zip(alphas, P_p_dbms):
-        nu1, model = _checked_point(cfg, alpha, P_p_dbm)
-        rates.append((1.0 - alpha) * math.log2(1.0 + nu1 * model.signal / model.t6))
-    return rates
 
 
 def ergodic_rate(cfg: SystemConfig, alpha: float) -> float:
     """Approximate ergodic rate (1-alpha) log2(1 + nu1 * signal / noise), bits/s/Hz."""
-    return _ergodic_rates(cfg, [alpha], [cfg.P_p_dbm])[0]
+    return _Run(cfg, (alpha,), (cfg.P_p_dbm,)).rates[0]
 
 
 def gamma_fit(cfg: SystemConfig) -> GammaFit:
@@ -212,30 +247,6 @@ def _log_outage_threshold(r_v: float, alpha: float) -> float:
     return x + (math.log(-math.expm1(-x)) if x <= _LN2 else math.log1p(-math.exp(-x)))
 
 
-def _outage_terms(cfg: SystemConfig, alphas, P_p_dbms):
-    """Terms exp(... - c/t_u^2) of 1 - outage and their c/t_u^2, a row per point; None (only nu1 checked) if r_v = 0."""
-    if cfg.r_v == 0.0:
-        for alpha, P_p_dbm in zip(alphas, P_p_dbms):
-            harvested_power_coefficient(cfg, alpha, P_p_dbm)
-        return None
-    log_c = []
-    for alpha, P_p_dbm in zip(alphas, P_p_dbms):
-        nu1, model = _checked_point(cfg, alpha, P_p_dbm)
-        gamma_fit(cfg)  # raises where X has no Gamma fit, hence no nodes
-        # exponent scale of the hub-link exponential CDF: exp(-c / t^2)
-        log_c.append(_log_outage_threshold(cfg.r_v, alpha) + math.log(model.t6) - math.log(nu1 * cfg.zeta_p))
-    # the outermost nodes overflow c / t^2 to inf; their terms are exp(-inf) = 0
-    with np.errstate(over="ignore"):
-        suppression = np.exp(np.array(log_c)[:, None] - 2.0 * model.log_t)  # c / t^2
-    return np.exp(model.log_base - suppression), suppression
-
-
-def _coverages(cfg: SystemConfig, alphas, P_p_dbms) -> np.ndarray:
-    """I = 1 - P_O at each point: the quadrature's row sum clamped to at most 1; 1 where kappa == 0."""
-    quadrature = _outage_terms(cfg, alphas, P_p_dbms)
-    return np.ones(len(alphas)) if quadrature is None else np.minimum(quadrature[0].sum(axis=1), 1.0)
-
-
 def outage_probability(cfg: SystemConfig, alpha: float) -> float:
     """Probability that the instantaneous rate falls below the target r_v.
 
@@ -249,7 +260,7 @@ def outage_probability(cfg: SystemConfig, alpha: float) -> float:
     (and 4096 at the default geometry), passive and active surfaces,
     distances of 2-80 m and hub powers of -20 to 80 dBm.
     """
-    return float(1.0 - _coverages(cfg, [alpha], [cfg.P_p_dbm])[0])
+    return float(1.0 - _Run(cfg, (alpha,), (cfg.P_p_dbm,)).coverages[0])
 
 
 def effective_rate(cfg: SystemConfig, alpha: float) -> float:
@@ -258,7 +269,7 @@ def effective_rate(cfg: SystemConfig, alpha: float) -> float:
     It is taken from the quadrature's sum I itself, so it keeps its relative
     accuracy where the outage rounds to 1.
     """
-    return float(_coverages(cfg, [alpha], [cfg.P_p_dbm])[0]) * cfg.r_v
+    return float(_Run(cfg, (alpha,), (cfg.P_p_dbm,)).coverages[0]) * cfg.r_v
 
 
 def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
@@ -268,7 +279,7 @@ def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
     grows. With c = kappa/nu1 up to alpha-free factors and x = r_v ln 2/(1-alpha),
     it is -r_v sum_u I_u c/t_u^2 times d ln c/d alpha = (x/(1 - e^-x) - 1/alpha)/(1-alpha).
     """
-    quadrature = _outage_terms(cfg, [alpha], [cfg.P_p_dbm])
+    quadrature = _Run(cfg, (alpha,), (cfg.P_p_dbm,)).quadrature
     if quadrature is None:
         return 0.0
     terms, exponents = quadrature[0][0], quadrature[1][0]

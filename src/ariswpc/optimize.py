@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .closedform import (
-    _LN2, _checked_model, _ergodic_rates, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
-)
+from .closedform import _LN2, _Run, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
 from .config import SystemConfig
 from .power import expected_power, inverse_power
 
@@ -124,7 +122,7 @@ def _w_plus_one(d: float) -> float:
 
 def ergodic_optima(cfg: SystemConfig, P_p_dbms) -> list[OptResult]:
     """optimize_alpha_ergodic(cfg at hub power P_p_dbm) for each P_p_dbm, all from cfg's one link model."""
-    ks = [_checked_model(cfg, P_p_dbm)[1] for P_p_dbm in P_p_dbms]
+    ks = _Run(cfg, (), P_p_dbms).ks
     zs = [math.expm1(_w_plus_one(k)) for k in ks]
     alphas = [z / (k + z) if k != 0.0 else 1.0 for k, z in zip(ks, zs)]  # 1 is the limit as K -> 0
     for k, alpha in zip(ks, alphas):
@@ -133,7 +131,7 @@ def ergodic_optima(cfg: SystemConfig, P_p_dbms) -> list[OptResult]:
                 f"the ergodic rate has no interior maximum on ({_ALPHA_LO}, {_ALPHA_HI}): "
                 f"the stationary point is alpha={alpha:.3e} (K={k:.3e})"
             )
-    rates = _ergodic_rates(cfg, alphas, P_p_dbms)
+    rates = _Run(cfg, alphas, P_p_dbms).rates
     return [OptResult(a, rate, Binding.INTERIOR, 0, abs(_ergodic_slope(k, a))) for k, a, rate in zip(ks, alphas, rates)]
 
 

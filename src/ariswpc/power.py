@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelDraw
+from .closedform import _Run
 from .config import ConfigValidationError, RisMode, SystemConfig, harvested_power_coefficient
 
 __all__ = [
@@ -71,22 +72,20 @@ def power_model(cfg: SystemConfig, mode: str = "nominal") -> PowerModel:
     return PowerModel(amp_signal, amp_noise, static)
 
 
-def _expected_powers(cfg: SystemConfig, alphas, P_p_dbms, mode: str = "nominal") -> list[float]:
-    """expected_power at each point (alpha, P_p_dbm): nu1 times amp_signal, plus the alpha-free terms."""
-    nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms)]
-    model = power_model(cfg, mode)
+def _expected_powers(run: _Run, mode: str = "nominal") -> list[float]:
+    """expected_power at each point of the run: nu1 times amp_signal, plus the alpha-free terms."""
+    nu1s, model = run.nu1s, power_model(run.cfg, mode)
     powers = [nu1 * model.amp_signal_term + model.amp_noise_term + model.static_term for nu1 in nu1s]
-    for alpha, power in zip(alphas, powers):
+    for alpha, power in zip(run.alphas, powers):
         if not math.isfinite(power):
-            raise ConfigValidationError(
-                "P_p_dbm", f"the expected RIS power overflows at alpha={alpha}; it must be finite"
-            )
+            raise ConfigValidationError("P_p_dbm",
+                                        f"the expected RIS power overflows at alpha={alpha}; it must be finite")
     return powers
 
 
 def expected_power(cfg: SystemConfig, alpha: float, mode: str = "nominal") -> float:
     """Expected RIS consumption at a given time-switching factor, mW."""
-    return _expected_powers(cfg, [alpha], [cfg.P_p_dbm], mode)[0]
+    return _expected_powers(_Run(cfg, (alpha,), (cfg.P_p_dbm,)), mode)[0]
 
 
 def instantaneous_power(

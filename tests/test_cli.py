@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import warnings
@@ -19,7 +20,7 @@ from ariswpc import (
     outage_probability,
     replace_config,
 )
-from ariswpc import cli, closedform, optimize
+from ariswpc import cli, closedform, config, montecarlo, optimize, power
 from ariswpc.cli import SweepSpec, compare_active_passive, main, reproduce_figure, run_sweep
 
 
@@ -343,6 +344,25 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare"], ["sweep", "--variable", "b", "--values", "1,2", "--outputs", "effective,outage_cf,ergodic_cf"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("sets", [("d_p=1e107", "P_p_dbm=-20"), ("P_p_dbm=-3000", "alpha=1e-300")],
+                             ids=["far-hub", "tiny-nu1"])
+    def test_underflowing_hub_link_gain_is_certain_outage(self, capsys, argv, sets):
+        # nu1 * zeta_p rounds to 0 on these valid configs: once a math domain error, now outage 1 and rate 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, *(arg for s in sets for arg in ("--set", s))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, rows = _parse(captured.out)
+        outage = header.index("outage_prob" if argv[0] == "compare" else "outage_cf_prob")
+        effective = header.index("effective_rate_bits_per_s_hz")
+        assert [(row[outage], row[effective]) for row in rows] == [("1.00000000e+00", "0.00000000e+00")] * len(rows)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -728,7 +748,7 @@ class TestVariantEvaluation:
             alphas, hub_powers = map(list, zip(*points))
             per_point = [replace_config(cfg, P_p_dbm=pp) for pp in hub_powers]
             for output, scalar in scalars.items():
-                [cells] = cli._OUTPUTS[output][1](cfg, alphas, hub_powers, 0).values()
+                [cells] = cli._OUTPUTS[output][1](closedform._Run(cfg, alphas, hub_powers), 0).values()
                 expected = [scalar(point, alpha).hex() for point, alpha in zip(per_point, alphas)]
                 assert [float(cell).hex() for cell in cells] == expected, output
 
@@ -747,14 +767,28 @@ class TestVariantEvaluation:
         assert len(replaces) == 1 + 8 + len(cli._RHO_GRID) + len(cli._M_GRID) <= 60
 
     def test_hub_power_sweep_builds_one_link_model(self, monkeypatch, sample_batch_sizes):
-        # every output, Monte Carlo and alpha* included: one link model, and one draw per chunk for all points
+        # every output, Monte Carlo and alpha* included: one link model, and one draw per chunk for all points.
+        # The run record computes nu1 once per point; alpha*'s rate at alpha* and the MC engine take one each.
+        # One Gamma fit and one quadrature array serve both outage_cf and effective
         builds, build = [], closedform._build_link_model
         monkeypatch.setattr(closedform, "_build_link_model", lambda cfg: builds.append(cfg) or build(cfg))
+        nu1s, nu1 = [], config.harvested_power_coefficient
+        for module in (closedform, montecarlo, power):
+            monkeypatch.setattr(module, "harvested_power_coefficient", lambda *args: nu1s.append(args) or nu1(*args))
+        fits, fit = [], closedform.gamma_fit
+        monkeypatch.setattr(closedform, "gamma_fit", lambda cfg: fits.append(cfg) or fit(cfg))
+        quadratures, quadrature = [], closedform._Run.quadrature.func
+        counted = functools.cached_property(lambda run: quadratures.append(run) or quadrature(run))
+        counted.__set_name__(closedform._Run, "quadrature")
+        monkeypatch.setattr(closedform._Run, "quadrature", counted)
         spec = SweepSpec(variable="P_p_dbm", values=(0, 10, 20, 30), outputs=cli.SWEEP_OUTPUTS)
         cfg = replace_config(SystemConfig(), mc_samples=32_768)
         run_sweep(cfg, spec)
         assert builds == [cfg]
         assert sample_batch_sizes == [16384, 16384]
+        assert len(nu1s) <= 3 * len(spec.values)
+        assert fits == [cfg]
+        assert len(quadratures) == 1
 
     def test_first_failing_point_then_first_failing_output(self, capsys):
         # alpha=0.9 fails power and the MC checks (nu1 overflows), and every point fails ergodic_cf and

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,7 @@ from ariswpc import (
     ergodic_rate,
     ergodic_terms,
     gamma_fit,
+    harvested_power_coefficient,
     mc_outage,
     outage_probability,
     replace_config,
@@ -243,6 +245,17 @@ class TestEffectiveRate:
         cfg = replace_config(default_cfg, P_p_dbm=-150.0)
         assert effective_rate(cfg, 0.419) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("changes", [{"d_p": 1e107, "P_p_dbm": -20.0}, {"P_p_dbm": -3000.0, "alpha": 1e-300}],
+                             ids=["far-hub", "tiny-nu1"])
+    def test_underflowing_hub_link_gain_is_certain_outage(self, changes):
+        # nu1 * zeta_p rounds to 0 (zeta_p is 1e-321, or nu1 is 0), so c = kappa t6/(nu1 zeta_p) is +inf
+        cfg = SystemConfig(**changes)
+        assert harvested_power_coefficient(cfg, cfg.alpha) * cfg.zeta_p == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [f(cfg, cfg.alpha) for f in (outage_probability, effective_rate, effective_rate_derivative)]
+        assert values == [1.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("P_p_dbm", [-20.0, -15.0])
     def test_keeps_relative_accuracy_deep_in_outage(self, default_cfg, P_p_dbm):
         # r_v I is about 6e-28 and 2e-14 here; through 1 - outage it would round to 0 and to a
@@ -303,13 +316,13 @@ class TestLinkModel:
             lambda: ergodic_terms(huge),
             lambda: ergodic_rate(huge, 0.5),
             lambda: outage_probability(huge, 0.5),
-            lambda: closedform._ergodic_rates(cfg, [0.5, 0.5], [20.0, 3080.0]),
-            lambda: closedform._coverages(cfg, [0.5, 0.5], [20.0, 3080.0]),
+            lambda: closedform._Run(cfg, [0.5, 0.5], [20.0, 3080.0]).rates,
+            lambda: closedform._Run(cfg, [0.5, 0.5], [20.0, 3080.0]).coverages,
         ):
             with pytest.raises(ConfigValidationError, match=r"^P_p_dbm: K = ") as err:
                 evaluate()
             assert err.value.field == "P_p_dbm"
-        assert closedform._ergodic_rates(cfg, [0.5], [20.0]) == [ergodic_rate(cfg, 0.5)]
+        assert closedform._Run(cfg, [0.5], [20.0]).rates == [ergodic_rate(cfg, 0.5)]
 
     def test_alpha_free_statistics_are_built_once_per_config(self, monkeypatch):
         calls = []
