@@ -2,10 +2,10 @@
 
 Sweeps the power hub's transmit power and prints closed-form values next to
 seeded Monte Carlo estimates, for an active surface (amplifying, with
-quantized phases) and the passive baseline. All estimates come from one
-mc_rate_and_outage call: a sweep puts its points (config, alpha, P_p) on one
-config, so they share one set of draws (common random numbers) and cost one
-sampling pass.
+quantized phases) and the passive baseline. Each sweep's estimates come from
+one mc_rate_and_outage call on its config, at its points (alpha, P_p), so
+they share one set of draws (common random numbers) and cost one sampling
+pass.
 """
 from ariswpc import (
     RisMode,
@@ -32,18 +32,13 @@ def main():
         "passive, 16 elements": replace_config(base, M=16, ris_mode=RisMode.PASSIVE),
         "active, 36 elements": base,
     }
-    estimates = iter(
-        mc_rate_and_outage(
-            [(cfg, ALPHA, float(pp)) for cfg in sweeps.values() for pp in POWERS_DBM], SAMPLES, seed=SEED
-        )
-    )
-
+    hub_powers = [float(pp) for pp in POWERS_DBM]
     for label, cfg in sweeps.items():
+        estimates = mc_rate_and_outage(cfg, [ALPHA] * len(hub_powers), hub_powers, SAMPLES, seed=SEED)
         print(f"\n--- {label} (M={cfg.M}, b={cfg.b}, mode={cfg.ris_mode.value}) ---")
         print(f"{'P_p dBm':>8} {'rate cf':>9} {'rate mc':>9} {'gap':>7}   "
               f"{'P_O cf':>9} {'P_O mc':>9} {'gap':>7}")
-        for pp in POWERS_DBM:
-            rate_mc, po_mc = next(estimates)
+        for pp, (rate_mc, po_mc) in zip(POWERS_DBM, estimates):
             point = replace_config(cfg, P_p_dbm=float(pp))  # the closed forms read P_p from the config
             rate_cf = ergodic_rate(point, ALPHA)
             po_cf = outage_probability(point, ALPHA)

@@ -80,11 +80,11 @@ class ChannelStream(NamedTuple):
     phase_tiles: Iterable[tuple[slice, np.ndarray]]   # phase residuals, tile by tile
 
 
-def chunk_sizes(n: int, chunk: int = CHUNK_SAMPLES) -> list[int]:
+def chunk_sizes(n: int) -> list[int]:
     """Split n samples into the fixed chunk widths (last one ragged)."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    return [min(chunk, n - start) for start in range(0, n, chunk)]
+    return [min(CHUNK_SAMPLES, n - start) for start in range(0, n, CHUNK_SAMPLES)]
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -94,9 +94,9 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-def chunk_rngs(seed: int, n: int, chunk: int = CHUNK_SAMPLES):
+def chunk_rngs(seed: int, n: int):
     """Yield (generator, chunk_size) pairs covering n samples in order."""
-    for i, size in enumerate(chunk_sizes(n, chunk)):
+    for i, size in enumerate(chunk_sizes(n)):
         yield chunk_rng(seed, i), size
 
 

@@ -38,7 +38,7 @@ from .optimize import (
     optimize_alpha_effective,
     optimize_alpha_ergodic,
 )
-from .power import _expected_powers, expected_power
+from .power import _expected_powers
 
 __all__ = ["SweepSpec", "run_sweep", "reproduce_figure", "compare_active_passive", "main"]
 
@@ -55,8 +55,9 @@ def _mc_cells(run: _Run, seed: int) -> dict[str, list]:
     depends on the workers (montecarlo._default_workers): each equals mc_ergodic_rate / mc_outage at its point.
     """
     run.mean_sinrs
-    points = [(run.cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(run.alphas, run.P_p_dbms)]
-    rates, outages = zip(*mc_rate_and_outage(points, run.cfg.mc_samples, seed, _default_workers(run.cfg.M)))
+    cfg = run.cfg
+    rates, outages = zip(*mc_rate_and_outage(cfg, run.alphas, run.P_p_dbms, cfg.mc_samples, seed,
+                                             _default_workers(cfg.M)))
     return {"ergodic_mc_bits_per_s_hz": [r.value for r in rates], "outage_mc_prob": [o.value for o in outages],
             "ergodic_mc_stderr_bits_per_s_hz": [r.stderr for r in rates],
             "outage_mc_stderr_prob": [o.stderr for o in outages]}
@@ -135,26 +136,27 @@ def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels
 
     Each output's function runs once per run of consecutive points on one config object,
     on the run's one record (closedform._Run), so those points share its link model, nu1,
-    K, outage quadrature and Monte Carlo draws (root seed `seed`). Should any fail, each
-    point is evaluated on a record of its own: the error is the first failing point's first
-    failing output, and a ValueError or NoInteriorMaximumError at point i is labelled labels[i].
+    K, outage quadrature and Monte Carlo draws (root seed `seed`). Should a run fail, each of
+    its points is evaluated on a record of its own (earlier runs passed): the error is the first
+    failing point's first failing output, and a ValueError or NoInteriorMaximumError at point i is labelled labels[i].
     """
     functions = dict.fromkeys(_OUTPUTS[o][1] for o in outputs)
     columns: dict[str, list] = {}
-    try:
-        for _, run in itertools.groupby(points, key=lambda point: id(point[0])):
-            run_configs, alphas, hub_powers = zip(*run)
+    for _, run in itertools.groupby(zip(points, labels or itertools.repeat(None)), key=lambda item: id(item[0][0])):
+        run_points, run_labels = zip(*run)
+        run_configs, alphas, hub_powers = zip(*run_points)
+        try:
             record = _Run(run_configs[0], alphas, hub_powers)
             for function in functions:
                 for header, cells in function(record, seed).items():
                     columns.setdefault(header, []).extend(cells)
-    except Exception:
-        for label, (cfg, alpha, hub_power) in zip(labels or [None] * len(points), points):
-            with _labelled(label):
-                record = _Run(cfg, (alpha,), (hub_power,))
-                for function in functions:
-                    function(record, seed)
-        raise
+        except Exception:
+            for label, (cfg, alpha, hub_power) in zip(run_labels, run_points):
+                with _labelled(label):
+                    record = _Run(cfg, (alpha,), (hub_power,))
+                    for function in functions:
+                        function(record, seed)
+            raise
     return list(zip(*(columns[header] for header in _columns(outputs))))
 
 
@@ -379,10 +381,11 @@ def _optimize(cfg: SystemConfig, args) -> dict[str, str]:
         "objective", "alpha_opt", "objective_value_bits_per_s_hz", "binding",
         "iterations", "residual", "alpha_closed_form", "expected_power_mw",
     ]
+    powers = _evaluate([_at(cfg, alpha=res.alpha_opt) for _, res in runs], ("power",), seed=0)
     rows = [
         [name, res.alpha_opt, res.objective_value, res.binding.value, res.iterations,
-         res.residual, res.alpha_closed_form, expected_power(cfg, res.alpha_opt)]
-        for name, res in runs
+         res.residual, res.alpha_closed_form, power]
+        for (name, res), [power] in zip(runs, powers)
     ]
     return {"optimize.csv": _csv_table(header, rows)}
 

@@ -6,9 +6,10 @@ merged in index order, so a given (cfg, alpha, n, seed) always produces the
 bit-identical estimate, with any number of workers.
 
 mc_rate_and_outage is the one rate/outage engine: it samples each chunk
-once for both estimates and for every requested point on one config object,
-each point at its own alpha and hub power. mc_ergodic_rate and mc_outage are
-single-point views of it.
+once for both estimates and for every requested point of one config, each
+point at its own alpha and hub power. mc_ergodic_rate and mc_outage are
+one-point calls of it; cli._evaluate groups a command's points into runs on
+one config, one engine call per run.
 """
 from __future__ import annotations
 
@@ -183,57 +184,52 @@ class RateOutage(NamedTuple):
 
 
 def mc_rate_and_outage(
-    points: Sequence[tuple[SystemConfig, float, float]],
+    cfg: SystemConfig,
+    alphas: Sequence[float],
+    P_p_dbms: Sequence[float],
     n: int,
     seed: int = 0,
     workers: int = 1,
 ) -> list[RateOutage]:
-    """Ergodic-rate and outage estimates at many (cfg, alpha, P_p_dbm) points in one pass.
+    """Ergodic-rate and outage estimates at cfg's points (alphas[i], P_p_dbms[i]) in one pass.
 
-    Points on the same config object share each chunk: it is sampled once,
-    its alpha-free gain terms are computed once, and every point on the
-    config then pays one SINR scaling by its nu1(alpha, P_p) and one log2.
-    Each result is bit-identical to mc_ergodic_rate / mc_outage at the same
-    (cfg, alpha, n, seed) with cfg's hub power set to P_p_dbm, whatever the
-    grouping or worker count. Raises ConfigValidationError on P_p_dbm at the
-    first point whose rate estimate is not finite (its SINR overflows).
+    The points share each chunk: it is sampled once, its alpha-free gain
+    terms are computed once, and every point then pays one SINR scaling by
+    its nu1(alpha, P_p) and one log2. Each result is bit-identical to
+    mc_ergodic_rate / mc_outage at the same (cfg, alpha, n, seed) with cfg's
+    hub power set to P_p_dbm, whatever the worker count. Raises
+    ConfigValidationError on P_p_dbm at the first point whose rate estimate
+    is not finite (its SINR overflows).
     """
-    nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for cfg, alpha, P_p_dbm in points]
+    nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms, strict=True)]
     if n < 100:
         raise ValueError("n must be >= 100")
-    groups: dict[int, list[int]] = {}
-    for index, (cfg, _, _) in enumerate(points):
-        groups.setdefault(id(cfg), []).append(index)
 
-    results: list[RateOutage | None] = [None] * len(points)
-    for members in groups.values():
-        cfg = points[members[0]][0]
+    def one_chunk(rng, m):
+        # gains or an SINR that overflow give an inf or nan estimate, rejected
+        # below; numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            hp2, amp, denom = _gain_terms(cfg, sample_batch(cfg, rng, m, tile_rows=_TILE_ROWS))
+            out = []
+            for alpha, nu1 in zip(alphas, nu1s):
+                rate = (1.0 - alpha) * np.log2(1.0 + nu1 * hp2 * amp / denom)
+                mean = float(rate.mean())
+                m2 = float(((rate - mean) ** 2).sum())
+                out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
+        return out
 
-        def one_chunk(rng, m, members=members, cfg=cfg):
-            # gains or an SINR that overflow give an inf or nan estimate, rejected
-            # below; numpy's warnings would only repeat it
-            with np.errstate(over="ignore", invalid="ignore"):
-                hp2, amp, denom = _gain_terms(cfg, sample_batch(cfg, rng, m, tile_rows=_TILE_ROWS))
-                out = []
-                for i in members:
-                    rate = (1.0 - points[i][1]) * np.log2(1.0 + nu1s[i] * hp2 * amp / denom)
-                    mean = float(rate.mean())
-                    m2 = float(((rate - mean) ** 2).sum())
-                    out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
-            return out
-
-        chunks = _run_chunks(one_chunk, seed, n, workers)
-        for k, i in enumerate(members):
-            total, mean, m2 = _merge_mean_var([chunk[k][0] for chunk in chunks])
-            p = sum(chunk[k][1] for chunk in chunks) / n
-            rate = Estimate(value=mean, stderr=math.sqrt(m2 / (total - 1) / total), n=total, seed=seed)
-            outage = Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n, seed=seed)
-            results[i] = RateOutage(rate=rate, outage=outage)
-    for (_, alpha, _), (rate, _) in zip(points, results):
+    chunks = _run_chunks(one_chunk, seed, n, workers) if nu1s else []
+    results = []
+    for k, alpha in enumerate(alphas):
+        total, mean, m2 = _merge_mean_var([chunk[k][0] for chunk in chunks])
+        rate = Estimate(value=mean, stderr=math.sqrt(m2 / (total - 1) / total), n=total, seed=seed)
         if not (math.isfinite(rate.value) and math.isfinite(rate.stderr)):
             raise ConfigValidationError(
                 "P_p_dbm", f"the Monte Carlo rate (1-alpha) log2(1+SINR) overflows at alpha={alpha}; it must be finite"
             )
+        p = sum(chunk[k][1] for chunk in chunks) / n
+        outage = Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n, seed=seed)
+        results.append(RateOutage(rate=rate, outage=outage))
     return results
 
 
@@ -246,7 +242,7 @@ def mc_ergodic_rate(
 ) -> Estimate:
     """Sample mean of (1-alpha) log2(1 + SINR) over n realizations."""
     n = cfg.mc_samples if n is None else n
-    return mc_rate_and_outage([(cfg, alpha, cfg.P_p_dbm)], n, seed, workers)[0].rate
+    return mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed, workers)[0].rate
 
 
 def mc_outage(
@@ -258,7 +254,7 @@ def mc_outage(
 ) -> Estimate:
     """Fraction of realizations with (1-alpha) log2(1 + SINR) < r_v."""
     n = cfg.mc_samples if n is None else n
-    return mc_rate_and_outage([(cfg, alpha, cfg.P_p_dbm)], n, seed, workers)[0].outage
+    return mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed, workers)[0].outage
 
 
 def mc_moments_x(

@@ -524,6 +524,16 @@ class TestSharedDrawEngine:
         run_sweep(replace_config(SystemConfig(), mc_samples=2000), spec)
         assert sample_batch_sizes == [2000, 2000, 2000]
 
+    def test_failing_sweep_samples_only_its_failing_run_again(self, capsys, monkeypatch, sample_batch_sizes):
+        # one CPU: with more, the chunks' sample_batch calls may interleave in any order
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        argv = ["sweep", "--variable", "rho", "--values", "1,2,4,6", "--outputs", "ergodic_mc", "--samples", "20000",
+                "--set", "P_p_dbm=3065", "--set", "alpha=0.5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: ValueError: sweep rho=6: {_MC_RATE_OVERFLOWS}\n"
+        # four runs of one point draw 2 chunks each; only the failing run at rho=6 is evaluated again
+        assert sample_batch_sizes == [16384, 3616] * 5
+
 
 _MC_ARGV = ["mc", "--samples", "40000", "--seed", "5", "--set", "M=16"]
 _SWEEP_ARGV = [
@@ -817,6 +827,16 @@ class TestVariantEvaluation:
         header, rows = _parse(capsys.readouterr().out)
         assert [row[0] for row in rows] == ["ergodic", "ergodic_constrained", "effective", "effective_constrained"]
         assert calls == ["optimize_alpha_ergodic", "optimize_alpha_effective"]
+
+    def test_optimize_builds_power_model_once_for_its_power_column(self, monkeypatch, capsys):
+        # one build for the four rows' power column; the others are the power constraint's
+        builds, build = [], power.power_model
+        monkeypatch.setattr(power, "power_model", lambda cfg, mode="nominal": builds.append(cfg) or build(cfg, mode))
+        for argv, most in ((["optimize", "--power-budget", "12"], 5), (["optimize"], 7)):
+            builds.clear()
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert len(builds) <= most, argv
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -84,6 +84,8 @@ _LABELLED_ERRORS = (
      "--set", "P_p_dbm=3080"),
     ("sweep", "--variable", "P_p_dbm", "--values=-300,-200,0", "--outputs", "alpha_star"),
     ("sweep", "--variable", "M", "--values", "0,4", "--outputs", "alpha_star", "--set", "d_f=inf"),
+    ("sweep", "--variable", "rho", "--values", "1,2,4,6", "--outputs", "ergodic_mc", "--samples", "20000",
+     "--set", "P_p_dbm=3065", "--set", "alpha=0.5"),
 )
 # valid configs where nu1 * zeta_p underflows to 0, so the outage is 1: a path loss of 1e-321 and a tiny nu1
 _UNDERFLOWS = (("--set", "d_p=1e107", "--set", "P_p_dbm=-20"), ("--set", "P_p_dbm=-3000", "--set", "alpha=1e-300"))
@@ -95,6 +97,21 @@ _UNDERFLOWING_OUTAGE = (
     *(("sweep", "--variable", "b", "--values", "1,2", "--outputs", "effective,outage_cf,ergodic_cf", *sets)
       for sets in _UNDERFLOWS),
 )
+# the first five random design points (M, b, P_p_dbm, r_v, d_f, d_h, d_g, rho, ris_mode) of perfbench's seed-1
+# cf-scan workload, each with its power budget P_R in mW: figure all, optimize --power-budget P_R and compare
+_DESIGN_POINTS = (
+    ((48, 2, 23.8053503, 3.04820276, 35.7598407, 24.0358166, 26.927691, 5.22368309, "active"), 18.2876916),
+    ((0, 3, 24.7465445, 2.57560307, 31.1590179, 24.911986, 25.9521702, 3.7123179, "active"), 0.0),
+    ((0, 4, 26.8419311, 3.87977566, 26.1273557, 16.9230567, 35.4811424, 5.65388527, "passive"), 0.0),
+    ((40, 4, 19.9869446, 1.42294812, 24.38917, 14.0664422, 11.334715, 4.21807056, "passive"), 11.094794),
+    ((40, 1, 17.7305456, 0.68411284, 37.914518, 35.8849594, 21.0445019, 4.20139723, "passive"), 29.5426201),
+)
+_DESIGN_KEYS = ("M", "b", "P_p_dbm", "r_v", "d_f", "d_h", "d_g", "rho", "ris_mode")
+_DESIGN_ARGVS = [
+    (*command, *itertools.chain(*(("--set", f"{key}={value}") for key, value in zip(_DESIGN_KEYS, values))))
+    for values, P_R in _DESIGN_POINTS
+    for command in (("figure", "all"), ("optimize", "--power-budget", repr(P_R)), ("compare",))
+]
 ARGVS = (
     [(*command, *sets) for sets in _CONFIGS.values() for command in _COMMANDS]
     + list(_EXTRA)
@@ -102,6 +119,7 @@ ARGVS = (
        for name in ("defaults", "passive", "M0") for variable, values in _MC_VALUES.items()]
     + list(_LABELLED_ERRORS)
     + list(_UNDERFLOWING_OUTAGE)
+    + _DESIGN_ARGVS
 )
 
 

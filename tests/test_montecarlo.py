@@ -127,15 +127,13 @@ class TestMcOutage:
         assert abs(est.value - outage_probability(cfg, 0.419)) <= 0.03
 
 
-def _engine_points(cfg):
-    """(config, alpha, P_p_dbm): three points on cfg (alpha and P_p vary), then three on configs of their own."""
+def _engine_runs(cfg):
+    """(config, alphas, P_p_dbms): three points on cfg (alpha and P_p vary), then one on each of three other configs."""
     return [
-        (cfg, 0.419, cfg.P_p_dbm),
-        (cfg, 0.419, 5.0),
-        (cfg, 0.1, cfg.P_p_dbm),
-        (replace_config(cfg, P_R_mw=50.0, r_v=1.0), 0.6, cfg.P_p_dbm),
-        (replace_config(cfg, M=8), 0.419, cfg.P_p_dbm),
-        (replace_config(cfg, ris_mode=RisMode.PASSIVE), 0.419, cfg.P_p_dbm),
+        (cfg, (0.419, 0.419, 0.1), (cfg.P_p_dbm, 5.0, cfg.P_p_dbm)),
+        (replace_config(cfg, P_R_mw=50.0, r_v=1.0), (0.6,), (cfg.P_p_dbm,)),
+        (replace_config(cfg, M=8), (0.419,), (cfg.P_p_dbm,)),
+        (replace_config(cfg, ris_mode=RisMode.PASSIVE), (0.419,), (cfg.P_p_dbm,)),
     ]
 
 
@@ -145,25 +143,26 @@ def _put_rate(queue, cfg):
 
 class TestMcRateAndOutage:
     def test_each_point_equals_single_point_estimators(self, default_cfg):
-        points = _engine_points(default_cfg)
-        results = mc_rate_and_outage(points, n=40_000, seed=21)
-        assert len(results) == len(points)
-        for (cfg, alpha, P_p_dbm), (rate, outage) in zip(points, results):
-            point = replace_config(cfg, P_p_dbm=P_p_dbm)
-            assert rate == mc_ergodic_rate(point, alpha, n=40_000, seed=21)
-            assert outage == mc_outage(point, alpha, n=40_000, seed=21)
+        for cfg, alphas, hub_powers in _engine_runs(default_cfg):
+            results = mc_rate_and_outage(cfg, alphas, hub_powers, n=40_000, seed=21)
+            assert len(results) == len(alphas)
+            for alpha, P_p_dbm, (rate, outage) in zip(alphas, hub_powers, results):
+                point = replace_config(cfg, P_p_dbm=P_p_dbm)
+                assert rate == mc_ergodic_rate(point, alpha, n=40_000, seed=21)
+                assert outage == mc_outage(point, alpha, n=40_000, seed=21)
 
     def test_matches_plain_chunk_loop(self, default_cfg):
-        points = _engine_points(default_cfg)
-        for (cfg, alpha, P_p_dbm), (rate, outage) in zip(points, mc_rate_and_outage(points, n=40_000, seed=26)):
-            point = replace_config(cfg, P_p_dbm=P_p_dbm)
-            assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(point, alpha, 40_000, 26)
+        for cfg, alphas, hub_powers in _engine_runs(default_cfg):
+            results = mc_rate_and_outage(cfg, alphas, hub_powers, n=40_000, seed=26)
+            for alpha, P_p_dbm, (rate, outage) in zip(alphas, hub_powers, results):
+                point = replace_config(cfg, P_p_dbm=P_p_dbm)
+                assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(point, alpha, 40_000, 26)
 
     def test_workers_do_not_change_result(self, default_cfg):
-        points = _engine_points(default_cfg)
-        solo = mc_rate_and_outage(points, n=60_000, seed=22, workers=1)
-        trio = mc_rate_and_outage(points, n=60_000, seed=22, workers=3)
-        assert solo == trio
+        for run in _engine_runs(default_cfg):
+            solo = mc_rate_and_outage(*run, n=60_000, seed=22, workers=1)
+            trio = mc_rate_and_outage(*run, n=60_000, seed=22, workers=3)
+            assert solo == trio
 
     def test_at_most_workers_chunks_in_flight(self):
         lock = threading.Lock()
@@ -192,13 +191,13 @@ class TestMcRateAndOutage:
 
     def test_concurrent_callers_get_serial_results(self, default_cfg):
         # more worker threads than cores, shared thread pools, frequent GIL switches
-        points = _engine_points(default_cfg)[:2]
-        expected = mc_rate_and_outage(points, n=40_000, seed=27, workers=1)
+        run = (default_cfg, (0.419, 0.419), (default_cfg.P_p_dbm, 5.0))
+        expected = mc_rate_and_outage(*run, n=40_000, seed=27, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as callers:
-                futures = [callers.submit(mc_rate_and_outage, points, 40_000, 27, w) for w in (2, 3, 4) * 2]
+                futures = [callers.submit(mc_rate_and_outage, *run, 40_000, 27, w) for w in (2, 3, 4) * 2]
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -219,20 +218,22 @@ class TestMcRateAndOutage:
         assert not alive
         assert queue.get(timeout=10) == expected
 
-    def test_samples_each_chunk_once_per_draw_group(self, default_cfg, sample_batch_sizes):
-        mc_rate_and_outage(_engine_points(default_cfg), n=40_000, seed=23)
-        # 4 config objects (cfg's three points share theirs) x 3 chunks of 40000 samples
-        assert sample_batch_sizes == [16384, 16384, 7232] * 4
+    def test_samples_each_chunk_once_for_all_points(self, default_cfg, sample_batch_sizes):
+        cfg, alphas, hub_powers = _engine_runs(default_cfg)[0]
+        mc_rate_and_outage(cfg, alphas, hub_powers, n=40_000, seed=23)
+        # the config's three points share each of the 3 chunks of 40000 samples; no points sample nothing
+        assert mc_rate_and_outage(cfg, (), (), n=40_000, seed=23) == []
+        assert sample_batch_sizes == [16384, 16384, 7232]
 
     @pytest.mark.parametrize("m", [36, 64])
     def test_chunk_holds_one_block_of_draws(self, m):
         # |h| is the one (CHUNK_SAMPLES, M) block a chunk holds; |g| and the phases come in row tiles
         cfg = SystemConfig(M=m)
-        points = [(cfg, 0.419, cfg.P_p_dbm), (cfg, 0.6, 5.0)]
-        mc_rate_and_outage(points, n=CHUNK_SAMPLES, seed=24)  # warm: nothing cached is counted below
+        run = (cfg, (0.419, 0.6), (cfg.P_p_dbm, 5.0))
+        mc_rate_and_outage(*run, n=CHUNK_SAMPLES, seed=24)  # warm: nothing cached is counted below
         tracemalloc.start()
         try:
-            mc_rate_and_outage(points, n=CHUNK_SAMPLES, seed=24, workers=1)
+            mc_rate_and_outage(*run, n=CHUNK_SAMPLES, seed=24, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,11 +241,15 @@ class TestMcRateAndOutage:
 
     def test_rejects_tiny_n(self, default_cfg):
         with pytest.raises(ValueError, match="n must be >= 100"):
-            mc_rate_and_outage([(default_cfg, 0.419, 20.0)], n=10)
+            mc_rate_and_outage(default_cfg, (0.419,), (20.0,), n=10)
 
     def test_rejects_bad_alpha(self, default_cfg):
         with pytest.raises(ValueError, match="alpha"):
-            mc_rate_and_outage([(default_cfg, 0.419, 20.0), (default_cfg, 1.0, 20.0)], n=1000)
+            mc_rate_and_outage(default_cfg, (0.419, 1.0), (20.0, 20.0), n=1000)
+
+    def test_rejects_unpaired_alphas_and_hub_powers(self, default_cfg):
+        with pytest.raises(ValueError, match="zip"):
+            mc_rate_and_outage(default_cfg, (0.419, 0.5), (20.0,), n=1000)
 
     def test_rejects_overflowing_rate(self, default_cfg):
         # nu1 and the mean SINR are finite at 3070 dBm and alpha = 0.5, but some sampled SINR is not
@@ -255,9 +260,8 @@ class TestMcRateAndOutage:
         with pytest.raises(ConfigValidationError, match="at alpha=0.5;"):
             mc_outage(huge, 0.5, n=100_000, seed=0)
         # the first point whose rate overflows is named
-        points = [(default_cfg, 0.1, 20.0), (default_cfg, 0.6, 3070.0), (default_cfg, 0.5, 3070.0)]
         with pytest.raises(ConfigValidationError, match="at alpha=0.6;"):
-            mc_rate_and_outage(points, n=100_000, seed=0)
+            mc_rate_and_outage(default_cfg, (0.1, 0.6, 0.5), (20.0, 3070.0, 3070.0), n=100_000, seed=0)
 
 
 class TestMcMomentsX:
@@ -330,7 +334,7 @@ class TestTiledKernel:
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
     def test_rate_and_outage_match_plain_loop(self, cfg, alpha, n):
-        [(rate, outage)] = mc_rate_and_outage([(cfg, alpha, cfg.P_p_dbm)], n, seed=31)
+        [(rate, outage)] = mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed=31)
         assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, n, 31)
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
