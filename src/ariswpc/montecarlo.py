@@ -3,7 +3,9 @@
 Estimators stream over fixed-width chunks (see channel.CHUNK_SAMPLES);
 chunk i draws from SeedSequence((seed, i)) and per-chunk accumulators are
 merged in index order, so a given (cfg, alpha, n, seed) always produces the
-bit-identical estimate, with any number of workers.
+bit-identical estimate, with any number of workers. The SINR kernel
+(_row_sums) takes the phase residuals' cos and sin in float32 and everything
+else in float64; see its docstring for the error bound.
 
 mc_rate_and_outage is the one rate/outage engine: it samples each chunk
 once for both estimates and for every requested point of one config, each
@@ -60,6 +62,14 @@ def _row_sums(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, np.
     The |g| tiles come first: each one adds its rows' sum rho^2|g|^2 and turns
     those rows of stream.h_mag into the cascade amplitudes rho|g||h| in place.
     The phase tiles then reduce against them. Tiles and h_mag are overwritten.
+
+    The cosines and sines are taken in float32, of each phase residual
+    rounded to float32, where numpy runs them on SIMD loops (about 9x faster
+    than float64's on an AVX-512 x86-64 CPU with numpy 2.4). Each is within
+    2^-21 of its float64 value (rounding the residual, |phase| <= pi, moves it
+    by at most pi 2^-24, and the float32 function adds a few 2^-24), so each
+    sum is within 2^-21 sum rho|g||h| of the float64-trig sum. Products and
+    sums stay float64.
     """
     rho = cfg.rho_effective
     rho2 = rho**2
@@ -74,15 +84,19 @@ def _row_sums(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, np.
         np.sum(term, axis=1, out=gain2[rows])
         g *= rho
         cascade[rows] *= g
+    # the phase pass holds its float32 residuals and their cos or sin in the
+    # work tile's bytes, and each float64 product in the phase tile it came from
+    angles, trig_values = work.view(np.float32).reshape(2, *work.shape)
     for rows, phase in stream.phase_tiles:
-        term, amplitude = work[: len(phase)], cascade[rows]
-        np.cos(phase, out=term)
-        term *= amplitude
-        np.sum(term, axis=1, out=in_phase[rows])
+        angle, trig, amplitude = angles[: len(phase)], trig_values[: len(phase)], cascade[rows]
+        np.copyto(angle, phase, casting="same_kind")
+        np.cos(angle, out=trig)
+        np.multiply(trig, amplitude, out=phase)
+        np.sum(phase, axis=1, out=in_phase[rows])
         in_phase[rows] += stream.f_mag[rows]
-        np.sin(phase, out=term)
-        term *= amplitude
-        np.sum(term, axis=1, out=quadrature[rows])
+        np.sin(angle, out=trig)
+        np.multiply(trig, amplitude, out=phase)
+        np.sum(phase, axis=1, out=quadrature[rows])
     return in_phase, quadrature, gain2
 
 
@@ -144,8 +158,9 @@ def _run_chunks(chunk_fn, seed: int, n: int, workers: int) -> list:
 
 #: Bytes of chunk draws that _default_workers lets be alive at once. A chunk
 #: holds its |h| block, (CHUNK_SAMPLES, M) float64, and two (_TILE_ROWS, M)
-#: tiles (a |g| or phase tile and the kernel's work tile): 5 MB at M=36, so
-#: up to 26 chunks run at once there; from M=482 on, one chunk runs at a time.
+#: float64 tiles (a |g| or phase tile and the kernel's work tile, whose bytes
+#: the phase pass uses as its two float32 tiles): 5 MB at M=36, so up to 26
+#: chunks run at once there; from M=482 on, one chunk runs at a time.
 _INFLIGHT_BYTES = 128 * 2**20
 
 

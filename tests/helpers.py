@@ -8,6 +8,8 @@ bracketing root-finder or a golden-section search, both Lambert-W optima via
 bisection on the equation they share, channel draws via the numpy calls of the
 documented draw order, and Monte Carlo rate, outage and moments of X via plain
 per-point chunk loops over those draws with the SINR and X written out in full.
+The SINR and X helpers take the dtype of their phase cosines and sines: float32
+states the engine's kernel bit for bit, float64 is the exact-trig reference.
 """
 import math
 
@@ -158,32 +160,41 @@ def sample_batch_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int) ->
     )
 
 
-def in_phase_amplitude(cfg: SystemConfig, batch) -> np.ndarray:
-    """X = |f| + sum rho|g||h| cos(phase error), one full-width expression per batch."""
+def in_phase_amplitude(cfg: SystemConfig, batch, *, trig) -> np.ndarray:
+    """X = |f| + sum rho|g||h| cos(phase error), one full-width expression per batch.
+
+    The cosine is taken in dtype `trig` of the phase error cast to it; the
+    products and the sum are float64.
+    """
     cascade = cfg.rho_effective * batch.g_mag * batch.h_mag
-    return batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
+    return batch.f_mag + np.sum(cascade * np.cos(batch.phase_err.astype(trig)), axis=1)
 
 
-def sinr_full_width(cfg: SystemConfig, batch, nu1: float) -> np.ndarray:
-    """Instantaneous SINR of every draw of a batch, written out in full."""
+def quadrature_sum(cfg: SystemConfig, batch, *, trig) -> np.ndarray:
+    """sum rho|g||h| sin(phase error), the sine taken in dtype `trig` as in in_phase_amplitude."""
+    cascade = cfg.rho_effective * batch.g_mag * batch.h_mag
+    return np.sum(cascade * np.sin(batch.phase_err.astype(trig)), axis=1)
+
+
+def sinr_full_width(cfg: SystemConfig, batch, nu1: float, *, trig) -> np.ndarray:
+    """Instantaneous SINR of every draw of a batch, written out in full, phase trig in dtype `trig`."""
     rho = cfg.rho_effective
-    cascade = rho * batch.g_mag * batch.h_mag
-    re = batch.f_mag + np.sum(cascade * np.cos(batch.phase_err), axis=1)
-    im = np.sum(cascade * np.sin(batch.phase_err), axis=1)
+    re = in_phase_amplitude(cfg, batch, trig=trig)
+    im = quadrature_sum(cfg, batch, trig=trig)
     denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
     return nu1 * batch.h_p_mag**2 * (re**2 + im**2) / denom
 
 
-def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):
+def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int, *, trig):
     """(rate mean, rate stderr, outage probability) by one chunk loop per point.
 
     Same chunk streams, arithmetic order and chunk merge as the library's
-    engine, so the results must agree bit for bit.
+    engine, so with trig=np.float32 the results must agree bit for bit.
     """
     nu1 = harvested_power_coefficient(cfg, alpha)
     parts, outages = [], 0
     for rng, m in chunk_rngs(seed, n):
-        rate = (1.0 - alpha) * np.log2(1.0 + sinr_full_width(cfg, sample_batch_by_hand(cfg, rng, m), nu1))
+        rate = (1.0 - alpha) * np.log2(1.0 + sinr_full_width(cfg, sample_batch_by_hand(cfg, rng, m), nu1, trig=trig))
         mean = float(rate.mean())
         parts.append((m, mean, float(((rate - mean) ** 2).sum())))
         outages += int(np.count_nonzero(rate < cfg.r_v))
@@ -191,11 +202,11 @@ def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):
     return mean, math.sqrt(m2 / (total - 1) / total), outages / n
 
 
-def mc_moments_x_loop(cfg: SystemConfig, n: int, seed: int) -> tuple[float, float]:
+def mc_moments_x_loop(cfg: SystemConfig, n: int, seed: int, *, trig) -> tuple[float, float]:
     """(mean, unbiased variance) of X over the engine's chunk streams, summed per chunk."""
     sums = np.zeros(4)
     for rng, m in chunk_rngs(seed, n):
-        x = in_phase_amplitude(cfg, sample_batch_by_hand(cfg, rng, m))
+        x = in_phase_amplitude(cfg, sample_batch_by_hand(cfg, rng, m), trig=trig)
         sums += np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
     mean = float(sums[0] / n)
     return mean, float(sums[1] / n - mean**2) * n / (n - 1)

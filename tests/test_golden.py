@@ -4,8 +4,8 @@ tests/golden/cf_commands.json holds, for each argv below, the exit code, the
 stdout and the first stderr line of ``ariswpc.cli.main``. The test fails on
 any changed exit code, stdout layout or error line, and on a CSV cell that
 moves by more than 2 units in its 9th significant digit. Exact byte changes
-within that rule are allowed: numpy's SIMD exp and log may differ in the last
-bit between CPUs.
+within that rule are allowed: numpy's SIMD exp and log, and the Monte Carlo
+kernel's float32 cos and sin, may differ in the last bit between CPUs.
 
 Before regenerating after an intended change of published values, list
 what moved, argv by argv (identical; the moved cells with their largest
@@ -112,6 +112,12 @@ _DESIGN_ARGVS = [
     for values, P_R in _DESIGN_POINTS
     for command in (("figure", "all"), ("optimize", "--power-budget", repr(P_R)), ("compare",))
 ]
+# Monte Carlo at the edges of the phase residuals' range: the widest (b=1) and narrowest (b=32) residuals,
+# passive mode, and many elements per draw
+_TRIG_EDGES = tuple(
+    ("mc", "--samples", "20000", "--seed", "3", "--set", setting)
+    for setting in ("b=1", "b=32", "ris_mode=passive", "M=256")
+)
 ARGVS = (
     [(*command, *sets) for sets in _CONFIGS.values() for command in _COMMANDS]
     + list(_EXTRA)
@@ -120,6 +126,7 @@ ARGVS = (
     + list(_LABELLED_ERRORS)
     + list(_UNDERFLOWING_OUTAGE)
     + _DESIGN_ARGVS
+    + list(_TRIG_EDGES)
 )
 
 

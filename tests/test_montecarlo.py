@@ -23,10 +23,20 @@ from ariswpc import (
     montecarlo,
     replace_config,
 )
-from ariswpc.channel import CHUNK_SAMPLES, ChannelBatch
-from ariswpc.montecarlo import _TILE_ROWS, _default_workers, _run_chunks
+from ariswpc.channel import CHUNK_SAMPLES, ChannelBatch, chunk_rngs, sample_batch
+from ariswpc.montecarlo import _TILE_ROWS, _default_workers, _row_sums, _run_chunks
 
-from helpers import mc_moments_x_loop, mc_rate_outage_loop, sinr_full_width
+from helpers import (
+    in_phase_amplitude,
+    mc_moments_x_loop,
+    mc_rate_outage_loop,
+    quadrature_sum,
+    sample_batch_by_hand,
+    sinr_full_width,
+)
+
+#: The dtype in which the SINR kernel takes the phase residuals' cos and sin.
+KERNEL_TRIG = np.float32
 
 
 def _one_row(M, h_p=1.0, f=1.0, h=1.0, g=1.0, phase=0.0) -> ChannelBatch:
@@ -48,13 +58,14 @@ class TestSimulateSinr:
 
     def test_zero_magnitudes(self, default_cfg):
         nu1 = harvested_power_coefficient(default_cfg, 0.419)
-        assert sinr_full_width(default_cfg, _one_row(36, h_p=0, f=0, h=0, g=0), nu1)[0] == 0.0
+        assert sinr_full_width(default_cfg, _one_row(36, h_p=0, f=0, h=0, g=0), nu1, trig=KERNEL_TRIG)[0] == 0.0
 
     def test_direct_link_only(self):
         cfg = SystemConfig(M=0)
         nu1 = harvested_power_coefficient(cfg, 0.419)
         expected = nu1 * 0.3**2 * 0.7**2 / cfg.sigma_n2_mw
-        assert sinr_full_width(cfg, _one_row(0, h_p=0.3, f=0.7), nu1)[0] == pytest.approx(expected, rel=1e-12)
+        sinr = sinr_full_width(cfg, _one_row(0, h_p=0.3, f=0.7), nu1, trig=KERNEL_TRIG)[0]
+        assert sinr == pytest.approx(expected, rel=1e-12)
 
     def test_ideal_passive_coherent_combining(self):
         # perfect alignment, unit gain, no amplifier noise
@@ -62,7 +73,7 @@ class TestSimulateSinr:
         batch = _one_row(4, h_p=0.5, f=0.2, h=0.3, g=0.4, phase=0.0)
         nu1 = harvested_power_coefficient(cfg, 0.419)
         expected = nu1 * 0.5**2 * (0.2 + 4 * 0.3 * 0.4) ** 2 / cfg.sigma_n2_mw
-        assert sinr_full_width(cfg, batch, nu1)[0] == pytest.approx(expected, rel=1e-12)
+        assert sinr_full_width(cfg, batch, nu1, trig=KERNEL_TRIG)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestMcErgodicRate:
@@ -156,7 +167,9 @@ class TestMcRateAndOutage:
             results = mc_rate_and_outage(cfg, alphas, hub_powers, n=40_000, seed=26)
             for alpha, P_p_dbm, (rate, outage) in zip(alphas, hub_powers, results):
                 point = replace_config(cfg, P_p_dbm=P_p_dbm)
-                assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(point, alpha, 40_000, 26)
+                assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(
+                    point, alpha, 40_000, 26, trig=KERNEL_TRIG
+                )
 
     def test_workers_do_not_change_result(self, default_cfg):
         for run in _engine_runs(default_cfg):
@@ -328,17 +341,93 @@ def _kernel_cases():
 
 _CASES = _kernel_cases()
 
+_BASE = SystemConfig()
+_PER_ELEMENT = replace_config(_BASE, M=3, rho=(1.5, 0.0, 4.0), d_h=(2.0, 9.0, 30.0), d_g=(5.0, 20.0, 3.0))
+# the widest (b=1) to narrowest (b=32) phase residuals, one to 1024 elements, passive and per-element
+_TRIG_CASES = [
+    *(pytest.param(replace_config(_BASE, M=m, b=b), id=f"M{m}-b{b}") for b in (1, 4, 16, 32) for m in (1, 36, 1024)),
+    pytest.param(replace_config(_BASE, ris_mode=RisMode.PASSIVE), id="passive"),
+    pytest.param(_PER_ELEMENT, id="per-element"),
+]
+_TRIG_ESTIMATOR_CASES = [
+    pytest.param(_BASE, 0.419, CHUNK_SAMPLES + 3000, id="defaults"),
+    pytest.param(replace_config(_BASE, b=1), 0.2, 20_000, id="b1"),
+    pytest.param(replace_config(_BASE, b=32), 0.6, 20_000, id="b32"),
+    pytest.param(replace_config(_BASE, ris_mode=RisMode.PASSIVE), 0.419, 20_000, id="passive"),
+    pytest.param(replace_config(_BASE, M=1024, b=16), 0.3, 2000, id="M1024-b16"),
+    pytest.param(_PER_ELEMENT, 0.5, 20_000, id="per-element"),
+]
+
 
 class TestTiledKernel:
-    """The tiled kernel against the full-width formulas of tests/helpers.py, bit for bit."""
+    """The tiled kernel against the full-width formulas of tests/helpers.py: bit for bit with
+    float32 phase trig, as the kernel takes it, and within stated bounds of float64 trig."""
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
     def test_rate_and_outage_match_plain_loop(self, cfg, alpha, n):
         [(rate, outage)] = mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed=31)
-        assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, n, 31)
+        assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, n, 31, trig=KERNEL_TRIG)
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
     def test_moments_x_match_plain_loop(self, cfg, alpha, n):
         n = max(n, 1000)
         mean_est, var_est = mc_moments_x(cfg, n=n, seed=32)
-        assert (mean_est.value, var_est.value) == mc_moments_x_loop(cfg, n, 32)
+        assert (mean_est.value, var_est.value) == mc_moments_x_loop(cfg, n, 32, trig=KERNEL_TRIG)
+
+    # The float32 phase trig against float64 trig, with bounds stated before the run. Per element,
+    # rounding a residual |phase| <= pi to float32 moves it by at most pi 2^-24, and the float32 cos
+    # or sin adds at most 4 units of 2^-24, so each differs from its float64 value by under 2^-21.
+    # Each sum over the elements therefore moves by at most 2^-21 sum rho|g||h|, and X by that plus
+    # one rounding of adding |f|.
+
+    @pytest.mark.parametrize("cfg", _TRIG_CASES)
+    def test_phase_sums_within_float32_trig_bound(self, cfg):
+        n = 2000  # three full tiles and a ragged one
+        in_phase, quadrature, _ = _row_sums(cfg, sample_batch(cfg, np.random.default_rng(41), n, _TILE_ROWS))
+        batch = sample_batch_by_hand(cfg, np.random.default_rng(41), n)
+        budget = 2.0**-21 * np.sum(cfg.rho_effective * batch.g_mag * batch.h_mag, axis=1)
+        x_error = np.abs(in_phase - in_phase_amplitude(cfg, batch, trig=np.float64))
+        assert np.all(x_error <= budget + 2.0**-52 * np.abs(in_phase))
+        assert np.all(np.abs(quadrature - quadrature_sum(cfg, batch, trig=np.float64)) <= budget)
+
+    @pytest.mark.parametrize(("cfg", "alpha", "n"), _TRIG_ESTIMATOR_CASES)
+    def test_estimates_within_float32_trig_bound(self, cfg, alpha, n):
+        [(rate, outage)] = mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed=33)
+        mean64, _, outage64 = mc_rate_outage_loop(cfg, alpha, n, 33, trig=np.float64)
+        mean_bound, draws_near_target = _float32_trig_budget(cfg, alpha, n, 33)
+        assert abs(rate.value - mean64) <= mean_bound
+        assert abs(round(outage.value * n) - round(outage64 * n)) <= draws_near_target
+        # the trig's worst case is far inside the estimator's own error
+        assert mean_bound <= 0.01 * rate.stderr
+
+
+def _float32_trig_budget(cfg: SystemConfig, alpha: float, n: int, seed: int) -> tuple[float, int]:
+    """Worst-case effect of the float32 phase trig on a run's rate mean and outage count.
+
+    Per draw, X and the quadrature sum each move by at most d (the bound
+    above), so X^2 + quadrature^2 moves by at most 2(|X| + |quadrature|)d + 2d^2,
+    and the SINR s by gain times that, ds. log(1 + s) has slope at most
+    1/(1 + s - ds) between s - ds and s + ds, so the rate moves by at most
+    (1 - alpha)/ln 2 ds/(1 + max(s - ds, 0)). The mean moves by at most the mean
+    of those (plus its own float64 rounding), and only draws whose float64
+    rate lies within their bound of r_v can cross it. Returns (bound on the
+    mean's move, count of such draws).
+    """
+    nu1 = harvested_power_coefficient(cfg, alpha)
+    rho = cfg.rho_effective
+    bound_sum, rate_sum, near = 0.0, 0.0, 0
+    for rng, m in chunk_rngs(seed, n):
+        batch = sample_batch_by_hand(cfg, rng, m)
+        re, im = in_phase_amplitude(cfg, batch, trig=np.float64), quadrature_sum(cfg, batch, trig=np.float64)
+        d = 2.0**-21 * np.sum(rho * batch.g_mag * batch.h_mag, axis=1) + 2.0**-52 * np.abs(re)
+        denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
+        gain = nu1 * batch.h_p_mag**2 / denom
+        sinr = gain * (re**2 + im**2)
+        rate = (1.0 - alpha) * np.log2(1.0 + sinr)
+        ds = gain * (2.0 * (np.abs(re) + np.abs(im)) * d + 2.0 * d**2)
+        # plus float64 rounding: 4 units in the last place of the rate, and 2^-50 for those of 1 + s
+        move = (1.0 - alpha) / math.log(2.0) * ds / (1.0 + np.maximum(sinr - ds, 0.0)) + 2.0**-50 * (rate + 1.0)
+        bound_sum += float(move.sum())
+        rate_sum += float(rate.sum())
+        near += int(np.count_nonzero(np.abs(rate - cfg.r_v) <= move))
+    return bound_sum / n + 2.0**-40 * abs(rate_sum / n), near
