@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import _Run, effective_rate, ergodic_rate
-from .config import _KNOWN_KEYS, RisMode, SystemConfig, _coerce, load_config_file, replace_config
+from .config import _KNOWN_KEYS, ConfigParseError, RisMode, SystemConfig, _coerce, load_config_file, replace_config
 from .montecarlo import _default_workers, mc_rate_and_outage
 from .optimize import (
     NoInteriorMaximumError,
@@ -121,14 +121,13 @@ def _csv_table(header: Sequence[str], rows) -> str:
 
 @contextmanager
 def _labelled(label: str | None):
-    """Re-raise a ValueError, or a NoInteriorMaximumError as one, with ``label: `` in front of its message."""
+    """Put ``label: `` in front of a caught error's message and re-raise it, its type and fields kept."""
     try:
         yield
     except (ValueError, NoInteriorMaximumError) as exc:
-        if label is None:
-            raise
-        kind = NoInteriorMaximumError if isinstance(exc, NoInteriorMaximumError) else ValueError
-        raise kind(f"{label}: {exc}") from exc
+        if label is not None:
+            exc.args = (f"{label}: {exc}",)
+        raise
 
 
 def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels=None) -> list[tuple]:
@@ -204,7 +203,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
     variable each point is ``cfg`` with the swept field set to the value. Each
     value is validated as a config field either way. All Monte Carlo outputs
     use the sweep's root seed (common random numbers, see _evaluate). A
-    failure names the sweep value it happened at.
+    failure raises the failing point's own error, labelled with its value.
     """
     labels = [f"sweep {spec.variable}={value:g}" for value in spec.values]
     points = []
@@ -323,11 +322,11 @@ def _build_config(args) -> SystemConfig:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
+            raise ConfigParseError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
         if key not in _KNOWN_KEYS:
-            raise ValueError(f"unknown config key: {key!r}")
+            raise ConfigParseError(f"unknown config key: {key!r}")
         overrides[key] = _coerce(key, raw)
     dedicated = {"mc_samples": args.samples, "quadrature_points": args.quadrature_points,
                  "P_R_mw": getattr(args, "power_budget", None)}  # only optimize has --power-budget

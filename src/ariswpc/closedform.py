@@ -232,10 +232,13 @@ def ergodic_rate(cfg: SystemConfig, alpha: float) -> float:
 
 
 def gamma_fit(cfg: SystemConfig) -> GammaFit:
-    """Match mean and variance of X = |f| + sum rho|g||h| cos(phase error)."""
+    """Match mean and variance of X = |f| + sum rho|g||h| cos(phase error).
+
+    ConfigValidationError where the variance is zero: no direct term (d_f) and no RIS term (M, rho, d_h, d_g).
+    """
     fit = _link_model(cfg).fit
     if fit is None:
-        raise ValueError("degenerate composite amplitude: variance is zero")
+        raise ConfigValidationError("d_f, M, rho, d_h, d_g", "degenerate composite amplitude: variance is zero")
     return fit
 
 

@@ -15,7 +15,7 @@ concave in alpha, and the effective rate is unimodal in alpha, as c is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .closedform import _LN2, _Run, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
@@ -205,14 +205,8 @@ def _apply_power_constraint(cfg, unconstrained: OptResult, rate, P_R=None, mode=
     if expected_power(cfg, unconstrained.alpha_opt, mode) <= P_R:
         return unconstrained
     alpha = inverse_power(cfg, P_R, mode)
-    return OptResult(
-        alpha_opt=alpha,
-        objective_value=rate(cfg, alpha),
-        binding=Binding.POWER_CONSTRAINED,
-        iterations=unconstrained.iterations,
-        residual=abs(expected_power(cfg, alpha, mode) - P_R),
-        alpha_closed_form=unconstrained.alpha_closed_form,
-    )
+    return replace(unconstrained, alpha_opt=alpha, objective_value=rate(cfg, alpha),
+                   binding=Binding.POWER_CONSTRAINED, residual=abs(expected_power(cfg, alpha, mode) - P_R))
 
 
 def optimize_alpha_ergodic_constrained(

@@ -49,14 +49,10 @@ class PowerModel:
     static_term: float
 
 
-def _check_mode(mode: str):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
 def power_model(cfg: SystemConfig, mode: str = "nominal") -> PowerModel:
     """cfg's coefficients; ConfigValidationError on the fields of a term, or of the floor, that overflows."""
-    _check_mode(mode)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     static = cfg.M * (cfg.p1_mw + cfg.p2_mw)
     amp_signal = amp_noise = 0.0
     if cfg.ris_mode is RisMode.ACTIVE:

@@ -294,17 +294,17 @@ class TestMainEntry:
             # at 10^307 mW nu1 and K are finite, but at alpha = 0.9 the mean SINR K alpha/(1-alpha) overflows
             (["compare", "--set", "P_p_dbm=3070", "--set", "alpha=0.9"], "ConfigValidationError: " + _SINR_OVERFLOWS),
             (["sweep", "--variable", "alpha", "--values", "0.9", "--samples", "1000", "--outputs", "ergodic_mc",
-              "--set", "P_p_dbm=3070"], "ValueError: sweep alpha=0.9: " + _SINR_OVERFLOWS),
+              "--set", "P_p_dbm=3070"], "ConfigValidationError: sweep alpha=0.9: " + _SINR_OVERFLOWS),
             # fig4's alpha grid holds numpy floats, whose arithmetic warned on overflow
             (["figure", "all", "--set", "P_p_dbm=3070"],
              "ConfigValidationError: " + _SINR_OVERFLOWS.replace("alpha=0.9", "alpha=0.75")),
             (["sweep", "--variable", "rho", "--values", "1e160", "--outputs", "power", "--set", "rho_max=1e160"],
-             "ValueError: sweep rho=1e+160: rho, d_h: " + _POWER_OVERFLOWS),
+             "ConfigValidationError: sweep rho=1e+160: rho, d_h: " + _POWER_OVERFLOWS),
             (["sweep", "--variable", "P_p_dbm", "--values", "3050", "--outputs", "power", "--set", "d_h=0.01"],
-             "ValueError: sweep P_p_dbm=3050: P_p_dbm: "
+             "ConfigValidationError: sweep P_p_dbm=3050: P_p_dbm: "
              + _POWER_OVERFLOWS.replace("overflows;", "overflows at alpha=0.1;")),
             (["sweep", "--variable", "M", "--values", "4,8", "--outputs", "power", "--set", "P1_dbm=3080"],
-             "ValueError: sweep M=4: M, P1_dbm, P2_dbm: " + _POWER_OVERFLOWS),
+             "ConfigValidationError: sweep M=4: M, P1_dbm, P2_dbm: " + _POWER_OVERFLOWS),
             (["compare", "--set", "P1_dbm=3080", "--set", "M=1000"],
              "ConfigValidationError: M, P1_dbm, P2_dbm: " + _POWER_OVERFLOWS),
         ],
@@ -329,10 +329,10 @@ class TestMainEntry:
             (["mc", "--samples", "1000", "--alpha", "0.1"], "ConfigValidationError: " + _K_OVERFLOWS),
             (["mc", "--samples", "1000", "--alpha", "0.9"], "ConfigValidationError: " + _NU1_OVERFLOWS),
             (["sweep", "--variable", "alpha", "--values", "0.9", "--samples", "1000", "--outputs", "ergodic_mc"],
-             "ValueError: sweep alpha=0.9: " + _NU1_OVERFLOWS),
+             "ConfigValidationError: sweep alpha=0.9: " + _NU1_OVERFLOWS),
             # MC-only runs make the closed forms' checks too; here only K overflows, which MC would print as inf
             (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "1000", "--outputs", "ergodic_mc"],
-             "ValueError: sweep alpha=0.5: " + _K_OVERFLOWS),
+             "ConfigValidationError: sweep alpha=0.5: " + _K_OVERFLOWS),
         ],
         ids=["optimize", "compare", "figure", "mc", "mc-alpha-0.9", "sweep-mc-only", "sweep-mc-only-alpha-0.5"],
     )
@@ -368,14 +368,14 @@ class TestMainEntry:
         "argv, message",
         [
             (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "100000", "--outputs", "ergodic_mc"],
-             "ValueError: sweep alpha=0.5: " + _MC_RATE_OVERFLOWS),
+             "ConfigValidationError: sweep alpha=0.5: " + _MC_RATE_OVERFLOWS),
             (["mc", "--samples", "1000", "--alpha", "0.5"], "ConfigValidationError: " + _MC_RATE_OVERFLOWS),
             # the error names the failing point, not the run's first
             (["sweep", "--variable", "alpha", "--values", "0.05,0.5", "--samples", "100000", "--outputs", "ergodic_mc"],
-             "ValueError: sweep alpha=0.5: " + _MC_RATE_OVERFLOWS),
+             "ConfigValidationError: sweep alpha=0.5: " + _MC_RATE_OVERFLOWS),
             (["sweep", "--variable", "P_p_dbm", "--values", "3000,3070", "--samples", "100000",
               "--outputs", "ergodic_mc", "--set", "alpha=0.5"],
-             "ValueError: sweep P_p_dbm=3070: " + _MC_RATE_OVERFLOWS),
+             "ConfigValidationError: sweep P_p_dbm=3070: " + _MC_RATE_OVERFLOWS),
         ],
         ids=["sweep", "mc", "sweep-second-alpha", "sweep-second-hub-power"],
     )
@@ -413,10 +413,10 @@ class TestMainEntry:
             (["optimize"], "ConfigValidationError: "),
             (["mc", "--samples", "1000"], "ConfigValidationError: "),
             (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "ergodic_cf,alpha_star"],
-             "ValueError: sweep P_p_dbm=0: "),
+             "ConfigValidationError: sweep P_p_dbm=0: "),
             # an MC-only run fails on the config too, not as a nan or inf cell
             (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "1000", "--outputs", "ergodic_mc"],
-             "ValueError: sweep alpha=0.5: "),
+             "ConfigValidationError: sweep alpha=0.5: "),
         ],
         ids=["compare", "figure", "optimize", "mc", "sweep", "sweep-mc-only"],
     )
@@ -455,6 +455,76 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ValueError: repeated outputs: ['power']\n"
+
+
+def _raised(argv) -> Exception:
+    """The exception that the command `argv` raises, before main turns it into an error line."""
+    args = cli._make_parser().parse_args(argv)
+    with pytest.raises(Exception) as caught:
+        args.func(cli._build_config(args), args)
+    return caught.value
+
+
+class TestErrorContract:
+    """One error type per failure: a sweep raises its failing point's own error, labelled with the value."""
+
+    @pytest.mark.parametrize(
+        "sweep, point, label, kind",
+        [
+            (["sweep", "--variable", "M", "--values", "-1", "--outputs", "power"], ["compare", "--set", "M=-1"],
+             "sweep M=-1", "ConfigValidationError"),
+            (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "ergodic_cf",
+              "--set", "d_g=1e-100", "--set", "d_h=1e-100"],
+             ["compare", "--set", "P_p_dbm=0", "--set", "d_g=1e-100", "--set", "d_h=1e-100"],
+             "sweep P_p_dbm=0", "ConfigValidationError"),
+            (["sweep", "--variable", "M", "--values", "4,8", "--outputs", "power", "--set", "P1_dbm=3080"],
+             ["compare", "--set", "M=4", "--set", "P1_dbm=3080"], "sweep M=4", "ConfigValidationError"),
+            (["sweep", "--variable", "alpha", "--values", "0.5", "--samples", "1000", "--outputs", "ergodic_mc",
+              "--set", "P_p_dbm=3080"],
+             ["mc", "--alpha", "0.5", "--samples", "1000", "--set", "P_p_dbm=3080"],
+             "sweep alpha=0.5", "ConfigValidationError"),
+            (["sweep", "--variable", "alpha", "--values", "0.9", "--samples", "1000", "--outputs", "ergodic_mc",
+              "--set", "P_p_dbm=3080"],
+             ["mc", "--alpha", "0.9", "--samples", "1000", "--set", "P_p_dbm=3080"],
+             "sweep alpha=0.9", "ConfigValidationError"),
+            (["sweep", "--variable", "P_p_dbm", "--values", "3000,3070", "--samples", "1000",
+              "--outputs", "ergodic_mc", "--set", "alpha=0.5"],
+             ["mc", "--samples", "1000", "--set", "alpha=0.5", "--set", "P_p_dbm=3070"],
+             "sweep P_p_dbm=3070", "ConfigValidationError"),
+            (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "outage_cf",
+              "--set", "M=0", "--set", "d_f=inf"],
+             ["compare", "--set", "P_p_dbm=0", "--set", "M=0", "--set", "d_f=inf"],
+             "sweep P_p_dbm=0", "ConfigValidationError"),
+            (["sweep", "--variable", "M", "--values", "0,4", "--outputs", "alpha_star", "--set", "d_f=inf"],
+             ["optimize", "--set", "M=0", "--set", "d_f=inf"], "sweep M=0", "NoInteriorMaximumError"),
+        ],
+        ids=["bad-field", "aggregates", "power", "K", "nu1", "mc-rate", "degenerate-amplitude",
+             "no-interior-maximum"],
+    )
+    def test_sweep_error_is_its_point_error_labelled(self, capsys, sweep, point, label, kind):
+        assert main(point) == 1
+        point_line = capsys.readouterr().err
+        assert point_line.startswith(f"error: {kind}: ")
+        assert main(sweep) == 1
+        assert capsys.readouterr().err == point_line.replace(f"error: {kind}: ", f"error: {kind}: {label}: ", 1)
+        # the point's error itself: its type and fields, not a new error raised from it
+        point_error, sweep_error = _raised(point), _raised(sweep)
+        assert type(sweep_error) is type(point_error)
+        assert vars(sweep_error) == vars(point_error)
+        assert sweep_error.__cause__ is None
+
+    def test_run_sweep_error_names_its_field(self):
+        with pytest.raises(config.ConfigValidationError) as caught:
+            run_sweep(SystemConfig(), SweepSpec("M", (-1.0,), ("power",)))
+        assert caught.value.field == "M"
+        assert str(caught.value) == "sweep M=-1: M: must be >= 0"
+
+    @pytest.mark.parametrize("item", ["M", "bogus=1"])
+    def test_set_item_fails_as_the_same_line_of_a_config_file(self, capsys, item):
+        with pytest.raises(config.ConfigError) as in_file:
+            config.load_config(item)
+        assert main(["compare", "--set", item]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {type(in_file.value).__name__}: ")
 
 
 def _sci(x) -> str:
@@ -530,7 +600,7 @@ class TestSharedDrawEngine:
         argv = ["sweep", "--variable", "rho", "--values", "1,2,4,6", "--outputs", "ergodic_mc", "--samples", "20000",
                 "--set", "P_p_dbm=3065", "--set", "alpha=0.5"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: ValueError: sweep rho=6: {_MC_RATE_OVERFLOWS}\n"
+        assert capsys.readouterr().err == f"error: ConfigValidationError: sweep rho=6: {_MC_RATE_OVERFLOWS}\n"
         # four runs of one point draw 2 chunks each; only the failing run at rho=6 is evaluated again
         assert sample_batch_sizes == [16384, 3616] * 5
 
@@ -808,9 +878,11 @@ class TestVariantEvaluation:
             argv = ["sweep", "--variable", "alpha", "--values", "0.1,0.9", "--outputs", outputs,
                     "--samples", "1000", "--set", "P_p_dbm=3080"]
             assert main(argv) == 1
-            assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.1: {_K_OVERFLOWS}\n", outputs
+            err = capsys.readouterr().err
+            assert err == f"error: ConfigValidationError: sweep alpha=0.1: {_K_OVERFLOWS}\n", outputs
             assert main([*argv[:4], "0.9,0.1", *argv[5:]]) == 1
-            assert capsys.readouterr().err == f"error: ValueError: sweep alpha=0.9: {_NU1_OVERFLOWS}\n", outputs
+            err = capsys.readouterr().err
+            assert err == f"error: ConfigValidationError: sweep alpha=0.9: {_NU1_OVERFLOWS}\n", outputs
 
     def test_optimize_runs_each_unconstrained_optimizer_once(self, monkeypatch, capsys):
         calls = []

@@ -118,6 +118,14 @@ _TRIG_EDGES = tuple(
     ("mc", "--samples", "20000", "--seed", "3", "--set", setting)
     for setting in ("b=1", "b=32", "ris_mode=passive", "M=256")
 )
+# error types: a bad field at a sweep value, an unknown --set key, and the other two configs whose
+# composite amplitude X has zero variance (no RIS term, and no direct term)
+_ERROR_TYPES = (
+    ("sweep", "--variable", "M", "--values", "-1", "--outputs", "power"),
+    ("compare", "--set", "bogus=1"),
+    ("compare", "--set", "rho=0", "--set", "d_f=inf"),
+    ("compare", "--set", "d_h=inf", "--set", "d_f=inf"),
+)
 ARGVS = (
     [(*command, *sets) for sets in _CONFIGS.values() for command in _COMMANDS]
     + list(_EXTRA)
@@ -127,6 +135,7 @@ ARGVS = (
     + list(_UNDERFLOWING_OUTAGE)
     + _DESIGN_ARGVS
     + list(_TRIG_EDGES)
+    + list(_ERROR_TYPES)
 )
 
 
