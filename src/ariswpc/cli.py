@@ -6,10 +6,10 @@ digits), so identical seeds and flags reproduce byte-identical files; a
 non-finite cell fails the command. Each per-config number, in a sweep, mc or
 compare row or a figure column, is an _OUTPUTS cell, Monte Carlo and
 alpha* included; a figure column or a sweep over P_p or alpha evaluates one
-config at all its points. Precedence of settings: built-in
-defaults < --config file < --set KEY=VALUE < dedicated flags (--samples,
---quadrature-points, --power-budget). Monte Carlo chunks run on one thread
-per usable CPU (fewer at large M); that never changes the output.
+config at all its points. Precedence of settings: built-in defaults <
+--config file < --set KEY=VALUE < dedicated flags (--quadrature-points, and
+--samples of mc and sweep, --power-budget of optimize). Monte Carlo runs on
+the engine's default threads; that never changes the output.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .closedform import _Run, effective_rate, ergodic_rate
 from .config import _KNOWN_KEYS, ConfigParseError, RisMode, SystemConfig, _coerce, load_config_file, replace_config
-from .montecarlo import _default_workers, mc_rate_and_outage
+from .montecarlo import mc_rate_and_outage
 from .optimize import (
     NoInteriorMaximumError,
     _apply_power_constraint,
@@ -51,13 +51,12 @@ def _at(cfg: SystemConfig, **moves) -> tuple[SystemConfig, float, float]:
 def _mc_cells(run: _Run, seed: int) -> dict[str, list]:
     """Both Monte Carlo outputs' columns at the run's points, from one mc_rate_and_outage call at the root seed.
 
-    Each point first passes the closed forms' overflow checks, as the run's mean SINRs are read. No cell
-    depends on the workers (montecarlo._default_workers): each equals mc_ergodic_rate / mc_outage at its point.
+    Each point first passes the closed forms' overflow checks, as the run's mean SINRs are read. The call takes
+    the engine's defaults, mc_samples draws on its default threads; each cell equals mc_ergodic_rate /
+    mc_outage at its point, whatever the thread count.
     """
     run.mean_sinrs
-    cfg = run.cfg
-    rates, outages = zip(*mc_rate_and_outage(cfg, run.alphas, run.P_p_dbms, cfg.mc_samples, seed,
-                                             _default_workers(cfg.M)))
+    rates, outages = zip(*mc_rate_and_outage(run.cfg, run.alphas, run.P_p_dbms, seed=seed))
     return {"ergodic_mc_bits_per_s_hz": [r.value for r in rates], "outage_mc_prob": [o.value for o in outages],
             "ergodic_mc_stderr_bits_per_s_hz": [r.stderr for r in rates],
             "outage_mc_stderr_prob": [o.stderr for o in outages]}
@@ -328,8 +327,8 @@ def _build_config(args) -> SystemConfig:
         if key not in _KNOWN_KEYS:
             raise ConfigParseError(f"unknown config key: {key!r}")
         overrides[key] = _coerce(key, raw)
-    dedicated = {"mc_samples": args.samples, "quadrature_points": args.quadrature_points,
-                 "P_R_mw": getattr(args, "power_budget", None)}  # only optimize has --power-budget
+    dedicated = {"mc_samples": getattr(args, "samples", None), "quadrature_points": args.quadrature_points,
+                 "P_R_mw": getattr(args, "power_budget", None)}  # --samples: mc, sweep; --power-budget: optimize
     overrides.update((key, value) for key, value in dedicated.items() if value is not None)
     return replace_config(cfg, **overrides) if overrides else cfg
 
@@ -413,14 +412,15 @@ def _make_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a config field (repeatable; lists comma-separated)",
     )
-    common.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
-    common.add_argument("--samples", type=int, help="override mc_samples")
     common.add_argument("--quadrature-points", type=int, help="override quadrature_points")
     common.add_argument("--out-dir", help="write CSVs here instead of stdout")
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampling.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
+    sampling.add_argument("--samples", type=int, help="override mc_samples")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", parents=[common], help="sweep one variable, CSV out")
+    p = sub.add_parser("sweep", parents=[sampling], help="sweep one variable, CSV out")
     p.add_argument("--variable", required=True, choices=SWEEP_VARIABLES)
     p.add_argument("--values", required=True, help="comma-separated, strictly monotone")
     p.add_argument(
@@ -447,7 +447,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[common], help="active vs passive summary")
     p.set_defaults(func=lambda cfg, args: {"compare.csv": compare_active_passive(cfg)})
 
-    p = sub.add_parser("mc", parents=[common], help="Monte Carlo vs closed form at one alpha")
+    p = sub.add_parser("mc", parents=[sampling], help="Monte Carlo vs closed form at one alpha")
     p.add_argument("--alpha", type=float, help="time-switching factor (default: config alpha)")
     p.set_defaults(func=_mc)
     return parser

@@ -286,10 +286,12 @@ def load_config(text: str) -> SystemConfig:
 
     Syntax: one assignment per line, ``#`` comments, an optional ``[config]``
     section header, and comma-separated lists for rho / d_h / d_g. Keys are
-    the SystemConfig field names; unknown keys are rejected; absent keys take
-    the defaults. An empty document yields the default configuration.
+    the SystemConfig field names; unknown keys and keys set twice, in one
+    section or across sections, are rejected; absent keys take the defaults.
+    Every section, [DEFAULT] too, is read as written (no header is "[]").
+    An empty document yields the default configuration.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     parser.optionxform = str
     if not text.lstrip().startswith("["):
         text = "[config]\n" + text
@@ -303,13 +305,20 @@ def load_config(text: str) -> SystemConfig:
         for key, raw in parser.items(section):
             if key not in _KNOWN_KEYS:
                 raise ConfigParseError(f"unknown config key: {key!r}")
+            if key in data:
+                raise ConfigParseError(f"malformed config document: option {key!r} is set again in section {section!r}")
             data[key] = _coerce(key, raw)
     return SystemConfig(**data)
 
 
 def load_config_file(path) -> SystemConfig:
+    """load_config of a UTF-8 file; other bytes are a ConfigParseError, a path that cannot be opened an OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"malformed config document: not UTF-8 text: {exc}") from None
+    return load_config(text)
 
 
 # The cached properties of a config, with the fields each is computed from.

@@ -1,11 +1,13 @@
 """Monte Carlo oracle: direct simulation of the instantaneous SINR.
 
-Estimators stream over fixed-width chunks (see channel.CHUNK_SAMPLES);
-chunk i draws from SeedSequence((seed, i)) and per-chunk accumulators are
-merged in index order, so a given (cfg, alpha, n, seed) always produces the
-bit-identical estimate, with any number of workers. The SINR kernel
-(_row_sums) takes the phase residuals' cos and sin in float32 and everything
-else in float64; see its docstring for the error bound.
+Estimators stream over fixed-width chunks (see channel.CHUNK_SAMPLES), all
+on a thread pool (_run_chunks, the one chunk loop); chunk i draws from
+SeedSequence((seed, i)) and per-chunk accumulators are merged in index
+order, so a given (cfg, alpha, n, seed) always produces the bit-identical
+estimate, with any number of workers. n=None means cfg.mc_samples and
+workers=None one thread per usable CPU within a memory budget
+(_default_workers). The SINR kernel (_row_sums) takes the phase residuals'
+cos and sin in float32 and everything else in float64; see its docstring.
 
 mc_rate_and_outage is the one rate/outage engine: it samples each chunk
 once for both estimates and for every requested point of one config, each
@@ -24,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import CHUNK_SAMPLES, ChannelStream, chunk_rng, chunk_sizes, sample_batch
+from .channel import CHUNK_SAMPLES, ChannelStream, chunk_rngs, sample_batch
 from .config import ConfigValidationError, SystemConfig, harvested_power_coefficient
 
 __all__ = [
@@ -141,18 +143,14 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 
 def _run_chunks(chunk_fn, seed: int, n: int, workers: int) -> list:
-    """Evaluate chunk_fn(rng, size) per chunk; results in chunk order.
+    """Evaluate chunk_fn(rng, size) per chunk of channel.chunk_rngs(seed, n) on _pool(workers).
 
-    At most `workers` chunks are in flight, on threads: the sampler and the
-    kernel spend their time in numpy calls that release the GIL.
+    Results come in chunk order. Every chunk, one chunk or one worker too, runs
+    on the pool's threads, at most `workers` (>= 1) at a time: the sampler and
+    the kernel spend their time in numpy calls that release the GIL.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    sizes = chunk_sizes(n)
-    if workers == 1 or len(sizes) == 1:
-        return [chunk_fn(chunk_rng(seed, i), m) for i, m in enumerate(sizes)]
     pool = _pool(workers)
-    futures = [pool.submit(chunk_fn, chunk_rng(seed, i), m) for i, m in enumerate(sizes)]
+    futures = [pool.submit(chunk_fn, rng, m) for rng, m in chunk_rngs(seed, n)]
     return [f.result() for f in futures]
 
 
@@ -202,21 +200,23 @@ def mc_rate_and_outage(
     cfg: SystemConfig,
     alphas: Sequence[float],
     P_p_dbms: Sequence[float],
-    n: int,
+    n: int | None = None,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[RateOutage]:
     """Ergodic-rate and outage estimates at cfg's points (alphas[i], P_p_dbms[i]) in one pass.
 
     The points share each chunk: it is sampled once, its alpha-free gain
     terms are computed once, and every point then pays one SINR scaling by
-    its nu1(alpha, P_p) and one log2. Each result is bit-identical to
+    its nu1(alpha, P_p) and one log2. n defaults to cfg.mc_samples and
+    workers to _default_workers(cfg.M). Each result is bit-identical to
     mc_ergodic_rate / mc_outage at the same (cfg, alpha, n, seed) with cfg's
     hub power set to P_p_dbm, whatever the worker count. Raises
     ConfigValidationError on P_p_dbm at the first point whose rate estimate
     is not finite (its SINR overflows).
     """
     nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms, strict=True)]
+    n = cfg.mc_samples if n is None else n
     if n < 100:
         raise ValueError("n must be >= 100")
 
@@ -233,6 +233,7 @@ def mc_rate_and_outage(
                 out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
         return out
 
+    workers = _default_workers(cfg.M) if workers is None else workers
     chunks = _run_chunks(one_chunk, seed, n, workers) if nu1s else []
     results = []
     for k, alpha in enumerate(alphas):
@@ -249,42 +250,28 @@ def mc_rate_and_outage(
 
 
 def mc_ergodic_rate(
-    cfg: SystemConfig,
-    alpha: float,
-    n: int | None = None,
-    seed: int = 0,
-    workers: int = 1,
+    cfg: SystemConfig, alpha: float, n: int | None = None, seed: int = 0, workers: int | None = None
 ) -> Estimate:
     """Sample mean of (1-alpha) log2(1 + SINR) over n realizations."""
-    n = cfg.mc_samples if n is None else n
     return mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed, workers)[0].rate
 
 
 def mc_outage(
-    cfg: SystemConfig,
-    alpha: float,
-    n: int | None = None,
-    seed: int = 0,
-    workers: int = 1,
+    cfg: SystemConfig, alpha: float, n: int | None = None, seed: int = 0, workers: int | None = None
 ) -> Estimate:
     """Fraction of realizations with (1-alpha) log2(1 + SINR) < r_v."""
-    n = cfg.mc_samples if n is None else n
     return mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed, workers)[0].outage
 
 
 def mc_moments_x(
-    cfg: SystemConfig,
-    n: int | None = None,
-    seed: int = 0,
-    workers: int = 1,
+    cfg: SystemConfig, n: int | None = None, seed: int = 0, workers: int | None = None
 ) -> tuple[Estimate, Estimate]:
     """Empirical (mean, variance) of X = |f| + sum rho|g||h| cos(phase error).
 
     The variance estimate's standard error uses the asymptotic
     fourth-central-moment formula sqrt((m4 - m2^2)/n).
     """
-    if n is None:
-        n = cfg.mc_samples
+    n = cfg.mc_samples if n is None else n
     if n < 1000:
         raise ValueError("n must be >= 1000")
 
@@ -292,6 +279,7 @@ def mc_moments_x(
         x = _row_sums(cfg, sample_batch(cfg, rng, m, tile_rows=_TILE_ROWS))[0]
         return np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
 
+    workers = _default_workers(cfg.M) if workers is None else workers
     sums = np.sum(_run_chunks(one_chunk, seed, n, workers), axis=0)
     mean = float(sums[0] / n)
     m2 = float(sums[1] / n - mean**2)

@@ -526,6 +526,25 @@ class TestErrorContract:
         assert main(["compare", "--set", item]) == 1
         assert capsys.readouterr().err.startswith(f"error: {type(in_file.value).__name__}: ")
 
+    @pytest.mark.parametrize("text", [b"M = 4\n\xff\n", b"[a]\nM = 4\n[b]\nM = 8\n"], ids=["non-utf8", "repeated-key"])
+    def test_malformed_config_file_is_one_parse_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(text)
+        assert main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigParseError: malformed config document: ") and err.count("\n") == 1
+
+
+class TestMcFlags:
+    @pytest.mark.parametrize(
+        "argv", [["figure", "all", "--seed", "1"], ["optimize", "--samples", "1000"], ["compare", "--seed", "3"]]
+    )
+    def test_commands_that_draw_nothing_reject_seed_and_samples(self, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def _sci(x) -> str:
     return f"{float(x):.8e}"

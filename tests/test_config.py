@@ -13,6 +13,7 @@ from ariswpc import (
     ergodic_terms,
     harvested_power_coefficient,
     load_config,
+    load_config_file,
     path_loss,
     replace_config,
 )
@@ -73,6 +74,30 @@ class TestLoadConfig:
     def test_purity(self):
         text = "M = 12\nrho = 2.5\nalpha = 0.3\n"
         assert load_config(text) == load_config(text)
+
+
+class TestConfigFile:
+    """A malformed config document or file is a ConfigParseError; a path that cannot be opened is not."""
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"M = 4\n\xff\n")
+        with pytest.raises(ConfigParseError, match="not UTF-8"):
+            load_config_file(path)
+
+    def test_missing_file_stays_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            load_config_file(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize(
+        "text", ["[a]\nM = 4\n[b]\nM = 8\n", "M = 4\n[b]\nM = 8\n", "[DEFAULT]\nM = 4\n[config]\nM = 8\n"]
+    )
+    def test_key_repeated_across_sections(self, text):
+        with pytest.raises(ConfigParseError, match="option 'M' is set again"):
+            load_config(text)
+
+    def test_a_lone_default_section_is_read(self):
+        assert load_config("[DEFAULT]\nM = 4\n") == SystemConfig(M=4)
 
 
 class TestValidation:

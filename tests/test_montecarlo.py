@@ -277,6 +277,38 @@ class TestMcRateAndOutage:
             mc_rate_and_outage(default_cfg, (0.1, 0.6, 0.5), (20.0, 3070.0, 3070.0), n=100_000, seed=0)
 
 
+class TestChunkLoop:
+    """One chunk loop: every chunk runs on the pool, whose size and the sample count the engine defaults."""
+
+    def test_default_workers_are_the_engines(self, default_cfg, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+        pools = []
+        pool = montecarlo._pool
+
+        def recording(threads):
+            pools.append(threads)
+            return pool(threads)
+
+        monkeypatch.setattr(montecarlo, "_pool", recording)
+        mc_ergodic_rate(default_cfg, 0.419, n=40_000, seed=1)
+        assert pools == [_default_workers(default_cfg.M)] == [3]
+
+    @pytest.mark.parametrize("n, workers", [(2 * CHUNK_SAMPLES, 1), (1000, 3)], ids=["one-worker", "one-chunk"])
+    def test_every_chunk_runs_on_the_pool(self, n, workers):
+        threads = _run_chunks(lambda rng, m: threading.current_thread().name, 0, n, workers)
+        assert threads and all(name.startswith("ariswpc-mc") for name in threads)
+        assert threading.current_thread().name not in threads
+
+    def test_rejects_no_workers(self, default_cfg):
+        with pytest.raises(ValueError, match="max_workers"):
+            mc_ergodic_rate(default_cfg, 0.419, n=1000, workers=0)
+
+    def test_default_sample_count_is_the_configs(self, default_cfg):
+        cfg = replace_config(default_cfg, mc_samples=20_000)
+        run = (cfg, (0.419, 0.6), (cfg.P_p_dbm, 5.0))
+        assert mc_rate_and_outage(*run, seed=29) == mc_rate_and_outage(*run, n=cfg.mc_samples, seed=29)
+
+
 class TestMcMomentsX:
     def test_direct_link_mean(self):
         cfg = SystemConfig(M=0)
