@@ -7,17 +7,18 @@ the RIS elements are uniform on [-pi*2^-b, pi*2^-b).
 
 Sampling uses numpy's seedable PCG64 generator. For one generator, the
 draw order is fixed, and sample_batch is the one place that states it: hub
-magnitudes, direct magnitudes, the device->RIS block, the RIS->receiver
-block, the phase-residual block (each block in C order), so a fixed seed
-reproduces the identical realization sequence on any platform. The last two
-blocks may also be drawn in row tiles (see ChannelStream): the generator
-consumes its stream in the same order, so the draws are the same bit for bit.
+magnitudes, direct magnitudes, then, tile by tile of TILE_SAMPLES rows (the
+last one ragged), the tile's device->RIS block, its RIS->receiver block and
+its phase-residual block, each block in C order. So a fixed seed reproduces
+the identical realization sequence on any platform, and a consumer that
+reads the tiles as they are drawn (see ChannelStream) holds one tile of the
+(n, M) draws at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .config import SystemConfig
 
 __all__ = [
     "CHUNK_SAMPLES",
+    "TILE_SAMPLES",
     "ChannelDraw",
     "ChannelBatch",
     "ChannelStream",
@@ -40,6 +42,11 @@ __all__ = [
 #: from default_rng(SeedSequence((s, i))); estimates are therefore functions
 #: of (seed, n) alone, independent of how chunks are scheduled.
 CHUNK_SAMPLES = 16384
+
+#: Rows per tile of a batch's (n, M) draws, part of the draw order like
+#: CHUNK_SAMPLES. A (512, M) float64 tile is 147 KB at M=36, so the SINR
+#: kernel's working set stays in a core's L2 cache.
+TILE_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -64,20 +71,16 @@ class ChannelBatch(NamedTuple):
 
 
 class ChannelStream(NamedTuple):
-    """A batch whose |g| and phase residuals arrive in row tiles, drawn as they are read.
+    """A batch whose (n, M) draws arrive in row tiles, each drawn as it is read.
 
-    Each tile is a (rows, array) pair: a slice of the sample axis and that
-    slice's (rows, M) block. All of g_tiles must be read before phase_tiles,
-    because that is the order in which the generator produces them; reading
-    a phase tile earlier raises RuntimeError. A consumer may overwrite the
-    tiles and h_mag: nothing else holds them.
+    Each tile is (rows, h_mag, g_mag, phase_err): a slice of at most
+    TILE_SAMPLES rows and that slice's (rows, M) blocks. A consumer may
+    overwrite a tile: nothing else holds it.
     """
 
-    h_p_mag: np.ndarray                               # (n,)
-    f_mag: np.ndarray                                 # (n,)
-    h_mag: np.ndarray                                 # (n, M)
-    g_tiles: Iterable[tuple[slice, np.ndarray]]       # |g|, tile by tile
-    phase_tiles: Iterable[tuple[slice, np.ndarray]]   # phase residuals, tile by tile
+    h_p_mag: np.ndarray                                                 # (n,)
+    f_mag: np.ndarray                                                   # (n,)
+    tiles: Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]   # read once, in order
 
 
 def chunk_sizes(n: int) -> list[int]:
@@ -112,46 +115,40 @@ def rayleigh_magnitudes(rng: np.random.Generator, zeta, size) -> np.ndarray:
     return magnitudes
 
 
-def _row_tiles(draw, n: int, m: int, tile_rows: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, draw((len(rows), m))) for consecutive tiles of tile_rows rows, the last ragged."""
-    for start in range(0, n, tile_rows):
-        size = min(tile_rows, n - start)
-        yield slice(start, start + size), draw((size, m))
+def _tiles(cfg: SystemConfig, rng: np.random.Generator, n: int):
+    """(rows, |h|, |g|, phase residuals) for each tile of n rows, drawn as it is read.
 
-
-def _after(first: Iterator, then: Iterator) -> Iterator:
-    """Yield from `then` once `first` is exhausted; raise if it is not."""
-    if next(first, None) is not None:
-        raise RuntimeError("read every g tile before the first phase tile")
-    yield from then
+    No local names a tile, so none is alive here while the next is drawn.
+    """
+    tau = math.pi * 2.0 ** (-cfg.b)
+    for start in range(0, n, TILE_SAMPLES):
+        shape = (min(TILE_SAMPLES, n - start), cfg.M)
+        yield (
+            slice(start, start + shape[0]),
+            rayleigh_magnitudes(rng, cfg.zeta_h, shape),
+            rayleigh_magnitudes(rng, cfg.zeta_g, shape),
+            rng.uniform(-tau, tau, size=shape),
+        )
 
 
 def sample_batch(
-    cfg: SystemConfig, rng: np.random.Generator, n: int, tile_rows: int | None = None
+    cfg: SystemConfig, rng: np.random.Generator, n: int, stream: bool = False
 ) -> ChannelBatch | ChannelStream:
     """Draw n independent joint realizations.
 
-    Without tile_rows the result is a ChannelBatch of whole arrays. With it,
-    only |h_p|, |f| and |h| are drawn here; the result is a ChannelStream that
-    draws |g| and then the phase residuals tile_rows rows at a time as they
-    are read, so no (n, M) block of them is ever held. Both give the same draws.
+    With stream=True the result is a ChannelStream, whose (n, M) blocks are
+    drawn tile by tile as they are read, so none is ever held whole;
+    otherwise it is a ChannelBatch of the same tiles joined into whole arrays.
     """
-    tau = math.pi * 2.0 ** (-cfg.b)
     h_p_mag = rayleigh_magnitudes(rng, cfg.zeta_p, n)
     f_mag = rayleigh_magnitudes(rng, cfg.zeta_f, n)
-    h_mag = rayleigh_magnitudes(rng, cfg.zeta_h, (n, cfg.M))
-
-    def gains(size):
-        return rayleigh_magnitudes(rng, cfg.zeta_g, size)
-
-    def phases(size):
-        return rng.uniform(-tau, tau, size=size)
-
-    if tile_rows is None:
-        return ChannelBatch(h_p_mag, f_mag, h_mag, gains((n, cfg.M)), phases((n, cfg.M)))
-    g_tiles = _row_tiles(gains, n, cfg.M, tile_rows)
-    phase_tiles = _after(g_tiles, _row_tiles(phases, n, cfg.M, tile_rows))
-    return ChannelStream(h_p_mag, f_mag, h_mag, g_tiles, phase_tiles)
+    tiles = _tiles(cfg, rng, n)
+    if stream:
+        return ChannelStream(h_p_mag, f_mag, tiles)
+    h_mag, g_mag, phase_err = (np.empty((n, cfg.M)) for _ in range(3))
+    for rows, *blocks in tiles:
+        h_mag[rows], g_mag[rows], phase_err[rows] = blocks
+    return ChannelBatch(h_p_mag, f_mag, h_mag, g_mag, phase_err)
 
 
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelDraw:

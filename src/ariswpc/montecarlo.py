@@ -6,8 +6,9 @@ SeedSequence((seed, i)) and per-chunk accumulators are merged in index
 order, so a given (cfg, alpha, n, seed) always produces the bit-identical
 estimate, with any number of workers. n=None means cfg.mc_samples and
 workers=None one thread per usable CPU within a memory budget
-(_default_workers). The SINR kernel (_row_sums) takes the phase residuals'
-cos and sin in float32 and everything else in float64; see its docstring.
+(_default_workers). The SINR kernel (_row_sums) reduces a chunk tile by
+tile as the sampler draws it, and takes the phase residuals' cos and sin in
+float32 and everything else in float64; see its docstring.
 
 mc_rate_and_outage is the one rate/outage engine: it samples each chunk
 once for both estimates and for every requested point of one config, each
@@ -26,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import CHUNK_SAMPLES, ChannelStream, chunk_rngs, sample_batch
+from .channel import CHUNK_SAMPLES, TILE_SAMPLES, ChannelStream, chunk_rngs, sample_batch
 from .config import ConfigValidationError, SystemConfig, harvested_power_coefficient
 
 __all__ = [
@@ -49,21 +50,14 @@ class Estimate:
     seed: int
 
 
-#: Rows of a chunk the SINR kernel processes at a time. Each (rows, M)
-#: tile is then about 147 KB at M=36, so the kernel's working set stays in a
-#: core's L2 cache. Each row is summed on its own, so estimates do not depend
-#: on the tile size.
-_TILE_ROWS = 512
-
-
 def _row_sums(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-draw sums over the RIS elements, one tile of at most _TILE_ROWS rows at a time.
+    """Per-draw sums over the RIS elements, one tile of the stream at a time.
 
     Returns the in-phase amplitude X = |f| + sum rho|g||h| cos(phase error),
     the quadrature sum sum rho|g||h| sin(phase error) and sum rho^2 |g|^2.
-    The |g| tiles come first: each one adds its rows' sum rho^2|g|^2 and turns
-    those rows of stream.h_mag into the cascade amplitudes rho|g||h| in place.
-    The phase tiles then reduce against them. Tiles and h_mag are overwritten.
+    Each tile adds its rows' sum rho^2|g|^2, turns its |h| block into the
+    cascade amplitudes rho|g||h| in place and reduces its phase residuals
+    against them, overwriting the tile.
 
     The cosines and sines are taken in float32, of each phase residual
     rounded to float32, where numpy runs them on SIMD loops (about 9x faster
@@ -75,30 +69,29 @@ def _row_sums(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, np.
     """
     rho = cfg.rho_effective
     rho2 = rho**2
-    cascade = stream.h_mag
-    n, m = cascade.shape
+    n = len(stream.f_mag)
     in_phase, quadrature, gain2 = np.empty(n), np.empty(n), np.empty(n)
-    work = np.empty((min(n, _TILE_ROWS), m))
-    for rows, g in stream.g_tiles:
+    # the work tile holds rho^2|g|^2, then, in the same bytes, the float32
+    # residuals and their cos or sin; each float64 product goes to the phase tile
+    work = np.empty((min(n, TILE_SAMPLES), cfg.M))
+    angles, trig_values = work.view(np.float32).reshape(2, *work.shape)
+    for rows, cascade, g, phase in stream.tiles:
         term = work[: len(g)]
         np.square(g, out=term)
         term *= rho2
         np.sum(term, axis=1, out=gain2[rows])
         g *= rho
-        cascade[rows] *= g
-    # the phase pass holds its float32 residuals and their cos or sin in the
-    # work tile's bytes, and each float64 product in the phase tile it came from
-    angles, trig_values = work.view(np.float32).reshape(2, *work.shape)
-    for rows, phase in stream.phase_tiles:
-        angle, trig, amplitude = angles[: len(phase)], trig_values[: len(phase)], cascade[rows]
+        cascade *= g
+        angle, trig = angles[: len(phase)], trig_values[: len(phase)]
         np.copyto(angle, phase, casting="same_kind")
         np.cos(angle, out=trig)
-        np.multiply(trig, amplitude, out=phase)
+        np.multiply(trig, cascade, out=phase)
         np.sum(phase, axis=1, out=in_phase[rows])
         in_phase[rows] += stream.f_mag[rows]
         np.sin(angle, out=trig)
-        np.multiply(trig, amplitude, out=phase)
+        np.multiply(trig, cascade, out=phase)
         np.sum(phase, axis=1, out=quadrature[rows])
+        del cascade, g, phase  # free this tile before the sampler draws the next
     return in_phase, quadrature, gain2
 
 
@@ -106,7 +99,7 @@ def _gain_terms(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, n
     """Alpha-free SINR factors of a stream: (|h_p|^2, |received amplitude|^2, noise).
 
     The SINR is nu1 * hp2 * amp / denom. Returning only these three vectors
-    lets the chunk's |h| block be freed before the SINR is reduced.
+    lets the chunk's other (n,) vectors be freed before the SINR is reduced.
     """
     re, im, gain2 = _row_sums(cfg, stream)
     denom = cfg.sigma_v2_mw * gain2 + cfg.sigma_n2_mw
@@ -142,24 +135,29 @@ def _pool(threads: int) -> ThreadPoolExecutor:
         return _POOLS[threads]
 
 
-def _run_chunks(chunk_fn, seed: int, n: int, workers: int) -> list:
+def _run_chunks(chunk_fn, cfg: SystemConfig, seed: int, n: int, workers: int | None) -> list:
     """Evaluate chunk_fn(rng, size) per chunk of channel.chunk_rngs(seed, n) on _pool(workers).
 
-    Results come in chunk order. Every chunk, one chunk or one worker too, runs
-    on the pool's threads, at most `workers` (>= 1) at a time: the sampler and
-    the kernel spend their time in numpy calls that release the GIL.
+    workers=None means _default_workers(cfg.M). Results come in chunk order.
+    Every chunk, one chunk or one worker too, runs on the pool's threads, at
+    most `workers` (>= 1) at a time: the sampler and the kernel spend their
+    time in numpy calls that release the GIL.
     """
-    pool = _pool(workers)
+    pool = _pool(_default_workers(cfg.M) if workers is None else workers)
     futures = [pool.submit(chunk_fn, rng, m) for rng, m in chunk_rngs(seed, n)]
     return [f.result() for f in futures]
 
 
-#: Bytes of chunk draws that _default_workers lets be alive at once. A chunk
-#: holds its |h| block, (CHUNK_SAMPLES, M) float64, and two (_TILE_ROWS, M)
-#: float64 tiles (a |g| or phase tile and the kernel's work tile, whose bytes
-#: the phase pass uses as its two float32 tiles): 5 MB at M=36, so up to 26
-#: chunks run at once there; from M=482 on, one chunk runs at a time.
+#: Bytes of chunk draws and sums that _default_workers lets be alive at once.
 _INFLIGHT_BYTES = 128 * 2**20
+
+
+def _chunk_bytes(m: int) -> int:
+    """Most bytes one chunk holds at once for M elements: four (TILE_SAMPLES, M)
+    float64 tiles (the |h|, |g| and phase tile being reduced and the kernel's
+    work tile) and eleven (CHUNK_SAMPLES,) float64 vectors, one more than it
+    holds as _gain_terms returns. 2.0 MB at M=36 and 18 MB at M=1024."""
+    return (4 * TILE_SAMPLES * m + 11 * CHUNK_SAMPLES) * 8
 
 
 def _available_cpus() -> int:
@@ -172,9 +170,8 @@ def _available_cpus() -> int:
 
 def _default_workers(m: int) -> int:
     """Chunks to run at once for M elements: one per usable CPU, but no more
-    chunks' draws than fit in _INFLIGHT_BYTES, and at least one."""
-    chunk_bytes = (CHUNK_SAMPLES + 2 * _TILE_ROWS) * max(m, 1) * 8
-    return max(1, min(_available_cpus(), _INFLIGHT_BYTES // chunk_bytes))
+    chunks than fit in _INFLIGHT_BYTES, and at least one."""
+    return max(1, min(_available_cpus(), _INFLIGHT_BYTES // _chunk_bytes(m)))
 
 
 def _merge_mean_var(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -224,7 +221,7 @@ def mc_rate_and_outage(
         # gains or an SINR that overflow give an inf or nan estimate, rejected
         # below; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            hp2, amp, denom = _gain_terms(cfg, sample_batch(cfg, rng, m, tile_rows=_TILE_ROWS))
+            hp2, amp, denom = _gain_terms(cfg, sample_batch(cfg, rng, m, stream=True))
             out = []
             for alpha, nu1 in zip(alphas, nu1s):
                 rate = (1.0 - alpha) * np.log2(1.0 + nu1 * hp2 * amp / denom)
@@ -233,8 +230,7 @@ def mc_rate_and_outage(
                 out.append(((m, mean, m2), int(np.count_nonzero(rate < cfg.r_v))))
         return out
 
-    workers = _default_workers(cfg.M) if workers is None else workers
-    chunks = _run_chunks(one_chunk, seed, n, workers) if nu1s else []
+    chunks = _run_chunks(one_chunk, cfg, seed, n, workers) if nu1s else []
     results = []
     for k, alpha in enumerate(alphas):
         total, mean, m2 = _merge_mean_var([chunk[k][0] for chunk in chunks])
@@ -276,11 +272,10 @@ def mc_moments_x(
         raise ValueError("n must be >= 1000")
 
     def one_chunk(rng, m):
-        x = _row_sums(cfg, sample_batch(cfg, rng, m, tile_rows=_TILE_ROWS))[0]
+        x = _row_sums(cfg, sample_batch(cfg, rng, m, stream=True))[0]
         return np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
 
-    workers = _default_workers(cfg.M) if workers is None else workers
-    sums = np.sum(_run_chunks(one_chunk, seed, n, workers), axis=0)
+    sums = np.sum(_run_chunks(one_chunk, cfg, seed, n, workers), axis=0)
     mean = float(sums[0] / n)
     m2 = float(sums[1] / n - mean**2)
     m4 = float(sums[3] / n - 4 * mean * sums[2] / n + 6 * mean**2 * sums[1] / n - 3 * mean**4)

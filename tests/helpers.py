@@ -147,17 +147,22 @@ def w_plus_one_bisection(ell: float) -> float:
     return lo
 
 
-def sample_batch_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int) -> ChannelBatch:
-    """n joint draws by the numpy calls of the documented draw order, one call per block:
-    |h_p|, |f|, |h| and |g| (Rayleigh, E{|.|^2} = zeta), then the phase residuals."""
+def sample_batch_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int, tile_rows: int = 512) -> ChannelBatch:
+    """n joint draws by the numpy calls of the documented draw order: |h_p| and |f|, then, for
+    each tile of tile_rows rows (the last one ragged), its |h| and |g| blocks (Rayleigh,
+    E{|.|^2} = zeta) and its phase residuals. tile_rows=n gives the whole-block order: one
+    call each for |h|, |g| and the phase residuals."""
     tau = math.pi * 2.0**-cfg.b
-    return ChannelBatch(
-        h_p_mag=rng.rayleigh(scale=math.sqrt(cfg.zeta_p / 2.0), size=n),
-        f_mag=rng.rayleigh(scale=math.sqrt(cfg.zeta_f / 2.0), size=n),
-        h_mag=rng.rayleigh(scale=np.sqrt(cfg.zeta_h / 2.0), size=(n, cfg.M)),
-        g_mag=rng.rayleigh(scale=np.sqrt(cfg.zeta_g / 2.0), size=(n, cfg.M)),
-        phase_err=rng.uniform(-tau, tau, size=(n, cfg.M)),
-    )
+    h_p_mag = rng.rayleigh(scale=math.sqrt(cfg.zeta_p / 2.0), size=n)
+    f_mag = rng.rayleigh(scale=math.sqrt(cfg.zeta_f / 2.0), size=n)
+    tiles = []
+    for start in range(0, n, tile_rows):
+        shape = (min(tile_rows, n - start), cfg.M)
+        h_mag = rng.rayleigh(scale=np.sqrt(cfg.zeta_h / 2.0), size=shape)
+        g_mag = rng.rayleigh(scale=np.sqrt(cfg.zeta_g / 2.0), size=shape)
+        tiles.append((h_mag, g_mag, rng.uniform(-tau, tau, size=shape)))
+    h_mag, g_mag, phase_err = (np.concatenate(blocks) for blocks in zip(*tiles))
+    return ChannelBatch(h_p_mag, f_mag, h_mag, g_mag, phase_err)
 
 
 def in_phase_amplitude(cfg: SystemConfig, batch, *, trig) -> np.ndarray:

@@ -98,12 +98,12 @@ _ORDER_SIZES = [pytest.param(301, id="under-one-tile"), pytest.param(7232, id="r
 
 
 def _streamed(stream) -> ChannelBatch:
-    """A stream's tiles joined back into whole blocks, g tiles read first."""
-    g, phase = list(stream.g_tiles), list(stream.phase_tiles)
-    for tiles in (g, phase):
-        assert [rows.start for rows, _ in tiles] == list(range(0, len(stream.f_mag), 512))
-    return ChannelBatch(stream.h_p_mag, stream.f_mag, stream.h_mag,
-                        np.concatenate([t for _, t in g]), np.concatenate([t for _, t in phase]))
+    """A stream's tiles, each of 512 rows but the last, joined back into whole blocks."""
+    tiles, n = list(stream.tiles), len(stream.f_mag)
+    assert [rows for rows, *_ in tiles] == [slice(start, min(start + 512, n)) for start in range(0, n, 512)]
+    assert all(len(block) == rows.stop - rows.start for rows, *blocks in tiles for block in blocks)
+    h_mag, g_mag, phase_err = (np.concatenate(blocks) for blocks in zip(*(blocks for _, *blocks in tiles)))
+    return ChannelBatch(stream.h_p_mag, stream.f_mag, h_mag, g_mag, phase_err)
 
 
 class TestDrawOrder:
@@ -120,17 +120,18 @@ class TestDrawOrder:
     @pytest.mark.parametrize("cfg", _ORDER_CONFIGS)
     def test_stream_matches_numpy_calls(self, cfg, n):
         rng, by_hand = np.random.default_rng(42), np.random.default_rng(42)
-        batch = _streamed(sample_batch(cfg, rng, n, tile_rows=512))
+        batch = _streamed(sample_batch(cfg, rng, n, stream=True))
         expected = sample_batch_by_hand(cfg, by_hand, n)
         assert all(np.array_equal(a, b) for a, b in zip(batch, expected, strict=True))
         assert rng.random() == by_hand.random()  # both consumed the same stream
 
-    def test_stream_refuses_phase_tiles_before_g_tiles(self, default_cfg):
-        stream = sample_batch(default_cfg, np.random.default_rng(43), 2000, tile_rows=512)
-        next(iter(stream.g_tiles))
-        with pytest.raises(RuntimeError, match="g tile"):
-            next(iter(stream.phase_tiles))
-
+    @pytest.mark.parametrize("n", [pytest.param(301, id="under-one-tile"), pytest.param(512, id="one-tile")])
+    @pytest.mark.parametrize("cfg", _ORDER_CONFIGS)
+    def test_one_tile_is_the_whole_block_order(self, cfg, n):
+        # up to one tile, |h|, |g| and the phases are each one block, as in the whole-block order
+        batch = sample_batch(cfg, np.random.default_rng(43), n)
+        expected = sample_batch_by_hand(cfg, np.random.default_rng(43), n, tile_rows=n)
+        assert all(np.array_equal(a, b) for a, b in zip(batch, expected, strict=True))
 
 class TestChunking:
     def test_chunk_sizes_cover_n(self):

@@ -667,25 +667,25 @@ class TestWorkers:
         "argv, expected",
         [
             (["mc", "--samples", "1000", "--set", "M=36"], [16]),
-            (["mc", "--samples", "1000", "--set", "M=1024"], [1]),
+            (["mc", "--samples", "1000", "--set", "M=1024"], [7]),
             (["sweep", "--variable", "M", "--values", "4,1024", "--samples", "1000",
-              "--outputs", "ergodic_mc"], [16, 1]),
+              "--outputs", "ergodic_mc"], [16, 7]),
             (["sweep", "--variable", "P_p_dbm", "--values", "0,10", "--samples", "1000",
-              "--outputs", "outage_mc", "--set", "M=64"], [15]),
+              "--outputs", "outage_mc", "--set", "M=64"], [16]),
         ],
         ids=["mc-M36", "mc-M1024", "sweep-M-to-1024", "sweep-M64"],
     )
     def test_chunks_in_flight_fit_the_memory_budget(self, argv, expected, capsys, monkeypatch):
-        # a 16-CPU host: one chunk per CPU at most, and no more (16384 + 2*512)*M*8-byte chunks than 128 MiB holds
+        # a 16-CPU host: one chunk per CPU at most, and no more (4*512*M + 11*16384)*8-byte chunks than 128 MiB holds
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 16)
         seen = []
-        run_chunks = montecarlo._run_chunks
+        pool = montecarlo._pool
 
-        def recording(chunk_fn, seed, n, workers):
-            seen.append(workers)
-            return run_chunks(chunk_fn, seed, n, workers)
+        def recording(threads):
+            seen.append(threads)
+            return pool(threads)
 
-        monkeypatch.setattr(montecarlo, "_run_chunks", recording)
+        monkeypatch.setattr(montecarlo, "_pool", recording)
         assert main(argv) == 0
         capsys.readouterr()
         assert seen == expected

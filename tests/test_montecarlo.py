@@ -23,8 +23,8 @@ from ariswpc import (
     montecarlo,
     replace_config,
 )
-from ariswpc.channel import CHUNK_SAMPLES, ChannelBatch, chunk_rngs, sample_batch
-from ariswpc.montecarlo import _TILE_ROWS, _default_workers, _row_sums, _run_chunks
+from ariswpc.channel import CHUNK_SAMPLES, TILE_SAMPLES, ChannelBatch, chunk_rngs, sample_batch
+from ariswpc.montecarlo import _chunk_bytes, _default_workers, _row_sums, _run_chunks
 
 from helpers import (
     in_phase_amplitude,
@@ -190,13 +190,15 @@ class TestMcRateAndOutage:
                 in_flight[0] -= 1
             return m
 
-        assert _run_chunks(chunk, 0, 8 * CHUNK_SAMPLES + 5, 3) == [CHUNK_SAMPLES] * 8 + [5]
+        assert _run_chunks(chunk, SystemConfig(), 0, 8 * CHUNK_SAMPLES + 5, 3) == [CHUNK_SAMPLES] * 8 + [5]
         assert 1 < peak[0] <= 3
 
-    # a chunk holds (CHUNK_SAMPLES + 2 _TILE_ROWS) M float64s: 26 fit in 128 MiB at M=36, 15 at M=64
+    # a chunk holds 4 TILE_SAMPLES M + 11 CHUNK_SAMPLES float64s: 128 MiB holds 93 at M=0, 66 at M=36,
+    # 53 at M=64, 7 at M=1024 and 1 at M=4096
     @pytest.mark.parametrize(
         "cpus, m, expected",
-        [(16, 0, 16), (16, 36, 16), (32, 36, 26), (16, 64, 15), (16, 1024, 1), (2, 36, 2), (1, 4, 1)],
+        [(16, 0, 16), (128, 0, 93), (16, 36, 16), (128, 36, 66), (128, 64, 53), (16, 1024, 7), (16, 4096, 1),
+         (2, 36, 2), (1, 4, 1)],
     )
     def test_default_workers_fit_cpus_and_memory_budget(self, monkeypatch, cpus, m, expected):
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
@@ -238,19 +240,22 @@ class TestMcRateAndOutage:
         assert mc_rate_and_outage(cfg, (), (), n=40_000, seed=23) == []
         assert sample_batch_sizes == [16384, 16384, 7232]
 
-    @pytest.mark.parametrize("m", [36, 64])
-    def test_chunk_holds_one_block_of_draws(self, m):
-        # |h| is the one (CHUNK_SAMPLES, M) block a chunk holds; |g| and the phases come in row tiles
+    @pytest.mark.parametrize("m", [0, 36, 64, 1024])
+    def test_chunk_fits_its_footprint(self, m):
+        # no (CHUNK_SAMPLES, M) block: a chunk holds four (TILE_SAMPLES, M) tiles and its (n,) vectors,
+        # within the footprint _default_workers budgets for it
         cfg = SystemConfig(M=m)
         run = (cfg, (0.419, 0.6), (cfg.P_p_dbm, 5.0))
-        mc_rate_and_outage(*run, n=CHUNK_SAMPLES, seed=24)  # warm: nothing cached is counted below
-        tracemalloc.start()
-        try:
-            mc_rate_and_outage(*run, n=CHUNK_SAMPLES, seed=24, workers=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * CHUNK_SAMPLES * m * 8
+        mc_rate_and_outage(*run, n=1000, seed=24, workers=1)  # warm: nothing cached is counted below
+        for estimate in (lambda: mc_rate_and_outage(*run, n=CHUNK_SAMPLES, seed=24, workers=1),
+                         lambda: mc_moments_x(cfg, n=CHUNK_SAMPLES, seed=24, workers=1)):
+            tracemalloc.start()
+            try:
+                estimate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _chunk_bytes(m)
 
     def test_rejects_tiny_n(self, default_cfg):
         with pytest.raises(ValueError, match="n must be >= 100"):
@@ -295,7 +300,7 @@ class TestChunkLoop:
 
     @pytest.mark.parametrize("n, workers", [(2 * CHUNK_SAMPLES, 1), (1000, 3)], ids=["one-worker", "one-chunk"])
     def test_every_chunk_runs_on_the_pool(self, n, workers):
-        threads = _run_chunks(lambda rng, m: threading.current_thread().name, 0, n, workers)
+        threads = _run_chunks(lambda rng, m: threading.current_thread().name, SystemConfig(), 0, n, workers)
         assert threads and all(name.startswith("ariswpc-mc") for name in threads)
         assert threading.current_thread().name not in threads
 
@@ -346,7 +351,7 @@ def _kernel_cases():
         pytest.param(replace_config(base, M=1), 0.3, 4096, id="M1"),
         pytest.param(replace_config(base, ris_mode=RisMode.PASSIVE), 0.6, 4096, id="passive"),
         pytest.param(replace_config(base, b=1), 0.2, 4096, id="b1"),
-        pytest.param(base, 0.419, _TILE_ROWS // 2 + 45, id="under-one-tile"),
+        pytest.param(base, 0.419, TILE_SAMPLES // 2 + 45, id="under-one-tile"),
         pytest.param(base, 0.419, CHUNK_SAMPLES + 7232, id="ragged-last-tile"),
         pytest.param(
             replace_config(base, M=3, rho=(1.5, 0.0, 4.0), d_h=(2.0, 9.0, 30.0)), 0.5, 3000, id="per-element"
@@ -415,7 +420,7 @@ class TestTiledKernel:
     @pytest.mark.parametrize("cfg", _TRIG_CASES)
     def test_phase_sums_within_float32_trig_bound(self, cfg):
         n = 2000  # three full tiles and a ragged one
-        in_phase, quadrature, _ = _row_sums(cfg, sample_batch(cfg, np.random.default_rng(41), n, _TILE_ROWS))
+        in_phase, quadrature, _ = _row_sums(cfg, sample_batch(cfg, np.random.default_rng(41), n, stream=True))
         batch = sample_batch_by_hand(cfg, np.random.default_rng(41), n)
         budget = 2.0**-21 * np.sum(cfg.rho_effective * batch.g_mag * batch.h_mag, axis=1)
         x_error = np.abs(in_phase - in_phase_amplitude(cfg, batch, trig=np.float64))
