@@ -13,6 +13,14 @@ its phase-residual block, each block in C order. So a fixed seed reproduces
 the identical realization sequence on any platform, and a consumer that
 reads the tiles as they are drawn (see ChannelStream) holds one tile of the
 (n, M) draws at a time.
+
+The RIS blocks are drawn as unit power gains |h|^2/zeta_h and |g|^2/zeta_g,
+standard exponentials. numpy's Rayleigh draw is scale * sqrt(2 E) of one
+standard exponential E, so these are the same draws from the same stream:
+sqrt(2 E) * sqrt(zeta/2) is, bit for bit, the magnitude rayleigh_magnitudes
+draws (checked on numpy 2.4.6 by tests/test_channel.py). The streamed tiles
+carry the gains, which the SINR kernel weighs per element; the whole-array
+ChannelBatch carries the magnitudes.
 """
 from __future__ import annotations
 
@@ -73,9 +81,10 @@ class ChannelBatch(NamedTuple):
 class ChannelStream(NamedTuple):
     """A batch whose (n, M) draws arrive in row tiles, each drawn as it is read.
 
-    Each tile is (rows, h_mag, g_mag, phase_err): a slice of at most
-    TILE_SAMPLES rows and that slice's (rows, M) blocks. A consumer may
-    overwrite a tile: nothing else holds it.
+    Each tile is (rows, h_gain, g_gain, phase_err): a slice of at most
+    TILE_SAMPLES rows and that slice's (rows, M) blocks, the unit power gains
+    |h|^2/zeta_h and |g|^2/zeta_g (standard exponentials) and the phase
+    residuals. A consumer may overwrite a tile: nothing else holds it.
     """
 
     h_p_mag: np.ndarray                                                 # (n,)
@@ -116,7 +125,7 @@ def rayleigh_magnitudes(rng: np.random.Generator, zeta, size) -> np.ndarray:
 
 
 def _tiles(cfg: SystemConfig, rng: np.random.Generator, n: int):
-    """(rows, |h|, |g|, phase residuals) for each tile of n rows, drawn as it is read.
+    """(rows, |h|^2/zeta_h, |g|^2/zeta_g, phase residuals) for each tile of n rows, drawn as it is read.
 
     No local names a tile, so none is alive here while the next is drawn.
     """
@@ -125,10 +134,15 @@ def _tiles(cfg: SystemConfig, rng: np.random.Generator, n: int):
         shape = (min(TILE_SAMPLES, n - start), cfg.M)
         yield (
             slice(start, start + shape[0]),
-            rayleigh_magnitudes(rng, cfg.zeta_h, shape),
-            rayleigh_magnitudes(rng, cfg.zeta_g, shape),
+            rng.standard_exponential(size=shape),
+            rng.standard_exponential(size=shape),
             rng.uniform(-tau, tau, size=shape),
         )
+
+
+def _magnitudes(gain: np.ndarray, zeta) -> np.ndarray:
+    """|h| of a unit power gain |h|^2/zeta, bit for bit rayleigh_magnitudes' draw."""
+    return np.sqrt(2.0 * gain) * np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
 
 
 def sample_batch(
@@ -137,8 +151,9 @@ def sample_batch(
     """Draw n independent joint realizations.
 
     With stream=True the result is a ChannelStream, whose (n, M) blocks are
-    drawn tile by tile as they are read, so none is ever held whole;
-    otherwise it is a ChannelBatch of the same tiles joined into whole arrays.
+    drawn tile by tile as they are read, so none is ever held whole, and
+    whose RIS tiles are unit power gains; otherwise it is a ChannelBatch of
+    the same tiles joined into whole arrays, the gains turned into magnitudes.
     """
     h_p_mag = rayleigh_magnitudes(rng, cfg.zeta_p, n)
     f_mag = rayleigh_magnitudes(rng, cfg.zeta_f, n)
@@ -146,8 +161,10 @@ def sample_batch(
     if stream:
         return ChannelStream(h_p_mag, f_mag, tiles)
     h_mag, g_mag, phase_err = (np.empty((n, cfg.M)) for _ in range(3))
-    for rows, *blocks in tiles:
-        h_mag[rows], g_mag[rows], phase_err[rows] = blocks
+    for rows, h_gain, g_gain, phase in tiles:
+        h_mag[rows] = _magnitudes(h_gain, cfg.zeta_h)
+        g_mag[rows] = _magnitudes(g_gain, cfg.zeta_g)
+        phase_err[rows] = phase
     return ChannelBatch(h_p_mag, f_mag, h_mag, g_mag, phase_err)
 
 

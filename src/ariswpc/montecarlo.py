@@ -7,8 +7,10 @@ order, so a given (cfg, alpha, n, seed) always produces the bit-identical
 estimate, with any number of workers. n=None means cfg.mc_samples and
 workers=None one thread per usable CPU within a memory budget
 (_default_workers). The SINR kernel (_row_sums) reduces a chunk tile by
-tile as the sampler draws it, and takes the phase residuals' cos and sin in
-float32 and everything else in float64; see its docstring.
+tile as the sampler draws it: the tiles hold the RIS links' unit power
+gains, and each per-draw sum is a row dot against a per-element weight
+vector that carries the config's scales. It takes the phase residuals' cos
+and sin in float32 and everything else in float64; see its docstring.
 
 mc_rate_and_outage is the one rate/outage engine: it samples each chunk
 once for both estimates and for every requested point of one config, each
@@ -55,43 +57,48 @@ def _row_sums(cfg: SystemConfig, stream: ChannelStream) -> tuple[np.ndarray, np.
 
     Returns the in-phase amplitude X = |f| + sum rho|g||h| cos(phase error),
     the quadrature sum sum rho|g||h| sin(phase error) and sum rho^2 |g|^2.
-    Each tile adds its rows' sum rho^2|g|^2, turns its |h| block into the
-    cascade amplitudes rho|g||h| in place and reduces its phase residuals
-    against them, overwriting the tile.
+    The stream's tiles hold the unit gains |h|^2/zeta_h and |g|^2/zeta_g, so
+    each sum is a row dot of a tile against one per-element weight vector,
+    taken once per call: sum rho^2|g|^2 weighs the |g|^2/zeta_g tile by
+    rho^2 zeta_g, and the cascade sums weigh sqrt(|h|^2/zeta_h |g|^2/zeta_g)
+    cos or sin(phase error) by rho sqrt(zeta_g) sqrt(zeta_h) (two roots:
+    zeta_g zeta_h goes subnormal at far distances). Each tile turns its |h|
+    tile into that square root in place and its phase tile into the products,
+    overwriting the tile.
 
-    The cosines and sines are taken in float32, of each phase residual
-    rounded to float32, where numpy runs them on SIMD loops (about 9x faster
-    than float64's on an AVX-512 x86-64 CPU with numpy 2.4). Each is within
-    2^-21 of its float64 value (rounding the residual, |phase| <= pi, moves it
-    by at most pi 2^-24, and the float32 function adds a few 2^-24), so each
-    sum is within 2^-21 sum rho|g||h| of the float64-trig sum. Products and
-    sums stay float64.
+    The row dots are np.einsum's, which sums each row in its own loop, the
+    same bits for a row of a tile or of a whole array; a matrix product would
+    go to BLAS, whose threads and blocking change the bits. The cosines and
+    sines are taken in float32, of each phase residual rounded to float32,
+    where numpy runs them on SIMD loops (about 9x faster than float64's on an
+    AVX-512 x86-64 CPU with numpy 2.4). Each is within 2^-21 of its float64
+    value (rounding the residual, |phase| <= pi, moves it by at most pi 2^-24,
+    and the float32 function adds a few 2^-24), so each sum is within 2^-21
+    sum rho|g||h| of the float64-trig sum. Products and sums stay float64.
     """
     rho = cfg.rho_effective
-    rho2 = rho**2
+    w_gain = np.full(cfg.M, rho**2 * cfg.zeta_g)
+    w_cascade = np.full(cfg.M, rho * np.sqrt(cfg.zeta_g) * np.sqrt(cfg.zeta_h))
     n = len(stream.f_mag)
     in_phase, quadrature, gain2 = np.empty(n), np.empty(n), np.empty(n)
-    # the work tile holds rho^2|g|^2, then, in the same bytes, the float32
-    # residuals and their cos or sin; each float64 product goes to the phase tile
+    # the work tile holds the float32 residuals and their cos or sin; each
+    # float64 product goes to the phase tile
     work = np.empty((min(n, TILE_SAMPLES), cfg.M))
     angles, trig_values = work.view(np.float32).reshape(2, *work.shape)
-    for rows, cascade, g, phase in stream.tiles:
-        term = work[: len(g)]
-        np.square(g, out=term)
-        term *= rho2
-        np.sum(term, axis=1, out=gain2[rows])
-        g *= rho
-        cascade *= g
+    for rows, root, g, phase in stream.tiles:
+        np.einsum("ij,j->i", g, w_gain, out=gain2[rows])
+        root *= g
+        np.sqrt(root, out=root)
         angle, trig = angles[: len(phase)], trig_values[: len(phase)]
         np.copyto(angle, phase, casting="same_kind")
         np.cos(angle, out=trig)
-        np.multiply(trig, cascade, out=phase)
-        np.sum(phase, axis=1, out=in_phase[rows])
+        np.multiply(trig, root, out=phase)
+        np.einsum("ij,j->i", phase, w_cascade, out=in_phase[rows])
         in_phase[rows] += stream.f_mag[rows]
         np.sin(angle, out=trig)
-        np.multiply(trig, cascade, out=phase)
-        np.sum(phase, axis=1, out=quadrature[rows])
-        del cascade, g, phase  # free this tile before the sampler draws the next
+        np.multiply(trig, root, out=phase)
+        np.einsum("ij,j->i", phase, w_cascade, out=quadrature[rows])
+        del root, g, phase  # free this tile before the sampler draws the next
     return in_phase, quadrature, gain2
 
 
@@ -154,9 +161,10 @@ _INFLIGHT_BYTES = 128 * 2**20
 
 def _chunk_bytes(m: int) -> int:
     """Most bytes one chunk holds at once for M elements: four (TILE_SAMPLES, M)
-    float64 tiles (the |h|, |g| and phase tile being reduced and the kernel's
-    work tile) and eleven (CHUNK_SAMPLES,) float64 vectors, one more than it
-    holds as _gain_terms returns. 2.0 MB at M=36 and 18 MB at M=1024."""
+    float64 tiles (the |h|^2/zeta_h, |g|^2/zeta_g and phase tile being reduced
+    and the kernel's work tile of float32 residuals and their cos or sin) and
+    eleven (CHUNK_SAMPLES,) float64 vectors, one more than it holds as
+    _gain_terms returns. 2.0 MB at M=36 and 18 MB at M=1024."""
     return (4 * TILE_SAMPLES * m + 11 * CHUNK_SAMPLES) * 8
 
 

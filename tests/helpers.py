@@ -8,10 +8,14 @@ bracketing root-finder or a golden-section search, both Lambert-W optima via
 bisection on the equation they share, channel draws via the numpy calls of the
 documented draw order, and Monte Carlo rate, outage and moments of X via plain
 per-point chunk loops over those draws with the SINR and X written out in full.
-The SINR and X helpers take the dtype of their phase cosines and sines: float32
-states the engine's kernel bit for bit, float64 is the exact-trig reference.
+The kernel's statement (kernel_sums and what builds on it) works on the unit
+gains |h|^2/zeta_h and |g|^2/zeta_g with float32 phase trig, as the engine does,
+and must equal it bit for bit; the reference (in_phase_amplitude,
+quadrature_sum, mc_rate_outage_reference) works on the magnitudes in the
+model's own terms, rho|g||h| and rho^2|g|^2, in the dtype of trig it is given.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, optimize, stats
@@ -147,26 +151,47 @@ def w_plus_one_bisection(ell: float) -> float:
     return lo
 
 
-def sample_batch_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int, tile_rows: int = 512) -> ChannelBatch:
-    """n joint draws by the numpy calls of the documented draw order: |h_p| and |f|, then, for
-    each tile of tile_rows rows (the last one ragged), its |h| and |g| blocks (Rayleigh,
-    E{|.|^2} = zeta) and its phase residuals. tile_rows=n gives the whole-block order: one
-    call each for |h|, |g| and the phase residuals."""
+def _draws_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int, tile_rows: int, ris_block):
+    """|h_p|, |f|, then per tile of tile_rows rows ris_block(zeta_h, shape), ris_block(zeta_g, shape)
+    and the phase residuals, the tiles joined into whole (n, M) blocks."""
     tau = math.pi * 2.0**-cfg.b
     h_p_mag = rng.rayleigh(scale=math.sqrt(cfg.zeta_p / 2.0), size=n)
     f_mag = rng.rayleigh(scale=math.sqrt(cfg.zeta_f / 2.0), size=n)
     tiles = []
     for start in range(0, n, tile_rows):
         shape = (min(tile_rows, n - start), cfg.M)
-        h_mag = rng.rayleigh(scale=np.sqrt(cfg.zeta_h / 2.0), size=shape)
-        g_mag = rng.rayleigh(scale=np.sqrt(cfg.zeta_g / 2.0), size=shape)
-        tiles.append((h_mag, g_mag, rng.uniform(-tau, tau, size=shape)))
-    h_mag, g_mag, phase_err = (np.concatenate(blocks) for blocks in zip(*tiles))
-    return ChannelBatch(h_p_mag, f_mag, h_mag, g_mag, phase_err)
+        tiles.append((ris_block(cfg.zeta_h, shape), ris_block(cfg.zeta_g, shape), rng.uniform(-tau, tau, size=shape)))
+    return (h_p_mag, f_mag, *(np.concatenate(blocks) for blocks in zip(*tiles)))
 
 
-def in_phase_amplitude(cfg: SystemConfig, batch, *, trig) -> np.ndarray:
-    """X = |f| + sum rho|g||h| cos(phase error), one full-width expression per batch.
+def sample_batch_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int, tile_rows: int = 512) -> ChannelBatch:
+    """n joint draws by the numpy calls of the documented draw order: |h_p| and |f|, then, for
+    each tile of tile_rows rows (the last one ragged), its |h| and |g| blocks (Rayleigh,
+    E{|.|^2} = zeta) and its phase residuals. tile_rows=n gives the whole-block order: one
+    call each for |h|, |g| and the phase residuals."""
+    return ChannelBatch(*_draws_by_hand(
+        cfg, rng, n, tile_rows, lambda zeta, shape: rng.rayleigh(scale=np.sqrt(zeta / 2.0), size=shape)
+    ))
+
+
+class GainBatch(NamedTuple):
+    """Joint draws with the RIS links as unit power gains, as the streamed tiles carry them."""
+
+    h_p_mag: np.ndarray     # (n,)
+    f_mag: np.ndarray       # (n,)
+    h_gain: np.ndarray      # (n, M), |h|^2 / zeta_h
+    g_gain: np.ndarray      # (n, M), |g|^2 / zeta_g
+    phase_err: np.ndarray   # (n, M)
+
+
+def sample_gains_by_hand(cfg: SystemConfig, rng: np.random.Generator, n: int) -> GainBatch:
+    """The draws of sample_batch_by_hand, each tile's |h| and |g| blocks drawn as the standard
+    exponentials |h|^2/zeta_h and |g|^2/zeta_g that numpy's Rayleigh draws are made of."""
+    return GainBatch(*_draws_by_hand(cfg, rng, n, 512, lambda zeta, shape: rng.standard_exponential(size=shape)))
+
+
+def in_phase_amplitude(cfg: SystemConfig, batch: ChannelBatch, *, trig) -> np.ndarray:
+    """X = |f| + sum rho|g||h| cos(phase error) of a batch of magnitudes, one full-width expression.
 
     The cosine is taken in dtype `trig` of the phase error cast to it; the
     products and the sum are float64.
@@ -175,31 +200,50 @@ def in_phase_amplitude(cfg: SystemConfig, batch, *, trig) -> np.ndarray:
     return batch.f_mag + np.sum(cascade * np.cos(batch.phase_err.astype(trig)), axis=1)
 
 
-def quadrature_sum(cfg: SystemConfig, batch, *, trig) -> np.ndarray:
+def quadrature_sum(cfg: SystemConfig, batch: ChannelBatch, *, trig) -> np.ndarray:
     """sum rho|g||h| sin(phase error), the sine taken in dtype `trig` as in in_phase_amplitude."""
     cascade = cfg.rho_effective * batch.g_mag * batch.h_mag
     return np.sum(cascade * np.sin(batch.phase_err.astype(trig)), axis=1)
 
 
-def sinr_full_width(cfg: SystemConfig, batch, nu1: float, *, trig) -> np.ndarray:
-    """Instantaneous SINR of every draw of a batch, written out in full, phase trig in dtype `trig`."""
-    rho = cfg.rho_effective
-    re = in_phase_amplitude(cfg, batch, trig=trig)
-    im = quadrature_sum(cfg, batch, trig=trig)
-    denom = cfg.sigma_v2_mw * np.sum(rho**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
+def kernel_sums(cfg: SystemConfig, gains: GainBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, quadrature sum, sum rho^2|g|^2) of a GainBatch in the kernel's arithmetic, full width.
+
+    Each sum is a row dot (np.einsum) against a per-element weight vector:
+    rho sqrt(zeta_g) sqrt(zeta_h) times sqrt(|h|^2/zeta_h |g|^2/zeta_g) cos or
+    sin(phase error) for the cascade, the cos and sin in float32, and
+    rho^2 zeta_g times |g|^2/zeta_g for the gain.
+    """
+    rho, ones = cfg.rho_effective, np.ones(cfg.M)
+    w_gain = rho**2 * cfg.zeta_g * ones
+    w_cascade = rho * np.sqrt(cfg.zeta_g) * np.sqrt(cfg.zeta_h) * ones
+    root = np.sqrt(gains.h_gain * gains.g_gain)
+    angle = gains.phase_err.astype(np.float32)
+    re = np.einsum("ij,j->i", np.cos(angle) * root, w_cascade) + gains.f_mag
+    im = np.einsum("ij,j->i", np.sin(angle) * root, w_cascade)
+    return re, im, np.einsum("ij,j->i", gains.g_gain, w_gain)
+
+
+def sinr_full_width(cfg: SystemConfig, gains: GainBatch, nu1: float) -> np.ndarray:
+    """Instantaneous SINR of every draw of a GainBatch in the kernel's arithmetic, written out in full."""
+    re, im, gain2 = kernel_sums(cfg, gains)
+    return nu1 * gains.h_p_mag**2 * (re**2 + im**2) / (cfg.sigma_v2_mw * gain2 + cfg.sigma_n2_mw)
+
+
+def sinr_reference(cfg: SystemConfig, batch: ChannelBatch, nu1: float) -> np.ndarray:
+    """Instantaneous SINR of every draw of a batch of magnitudes, float64 trig."""
+    re = in_phase_amplitude(cfg, batch, trig=np.float64)
+    im = quadrature_sum(cfg, batch, trig=np.float64)
+    denom = cfg.sigma_v2_mw * np.sum(cfg.rho_effective**2 * batch.g_mag**2, axis=1) + cfg.sigma_n2_mw
     return nu1 * batch.h_p_mag**2 * (re**2 + im**2) / denom
 
 
-def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int, *, trig):
-    """(rate mean, rate stderr, outage probability) by one chunk loop per point.
-
-    Same chunk streams, arithmetic order and chunk merge as the library's
-    engine, so with trig=np.float32 the results must agree bit for bit.
-    """
+def _rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int, chunk_sinr):
+    """(rate mean, rate stderr, outage probability) of chunk_sinr(rng, m, nu1) over the engine's chunks."""
     nu1 = harvested_power_coefficient(cfg, alpha)
     parts, outages = [], 0
     for rng, m in chunk_rngs(seed, n):
-        rate = (1.0 - alpha) * np.log2(1.0 + sinr_full_width(cfg, sample_batch_by_hand(cfg, rng, m), nu1, trig=trig))
+        rate = (1.0 - alpha) * np.log2(1.0 + chunk_sinr(rng, m, nu1))
         mean = float(rate.mean())
         parts.append((m, mean, float(((rate - mean) ** 2).sum())))
         outages += int(np.count_nonzero(rate < cfg.r_v))
@@ -207,11 +251,29 @@ def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int, *, t
     return mean, math.sqrt(m2 / (total - 1) / total), outages / n
 
 
-def mc_moments_x_loop(cfg: SystemConfig, n: int, seed: int, *, trig) -> tuple[float, float]:
+def mc_rate_outage_loop(cfg: SystemConfig, alpha: float, n: int, seed: int):
+    """(rate mean, rate stderr, outage probability) by one chunk loop per point.
+
+    Same chunk streams, arithmetic and chunk merge as the library's engine,
+    so the results must agree bit for bit.
+    """
+    return _rate_outage_loop(
+        cfg, alpha, n, seed, lambda rng, m, nu1: sinr_full_width(cfg, sample_gains_by_hand(cfg, rng, m), nu1)
+    )
+
+
+def mc_rate_outage_reference(cfg: SystemConfig, alpha: float, n: int, seed: int):
+    """mc_rate_outage_loop's estimates from the magnitudes of the same draws, with float64 trig."""
+    return _rate_outage_loop(
+        cfg, alpha, n, seed, lambda rng, m, nu1: sinr_reference(cfg, sample_batch_by_hand(cfg, rng, m), nu1)
+    )
+
+
+def mc_moments_x_loop(cfg: SystemConfig, n: int, seed: int) -> tuple[float, float]:
     """(mean, unbiased variance) of X over the engine's chunk streams, summed per chunk."""
     sums = np.zeros(4)
     for rng, m in chunk_rngs(seed, n):
-        x = in_phase_amplitude(cfg, sample_batch_by_hand(cfg, rng, m), trig=trig)
+        x = kernel_sums(cfg, sample_gains_by_hand(cfg, rng, m))[0]
         sums += np.array([float((x**k).sum()) for k in (1, 2, 3, 4)])
     mean = float(sums[0] / n)
     return mean, float(sums[1] / n - mean**2) * n / (n - 1)

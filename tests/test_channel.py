@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ariswpc import ChannelBatch, RisMode, SystemConfig, sample_batch, sample_realization
+from ariswpc import RisMode, SystemConfig, sample_batch, sample_realization
 from ariswpc.channel import CHUNK_SAMPLES, chunk_rngs, chunk_sizes, rayleigh_magnitudes
 
-from helpers import sample_batch_by_hand
+from helpers import GainBatch, sample_batch_by_hand, sample_gains_by_hand
+
+
+# scalar and per-element zeta, an empty block, and the 8e-156 of a 5e51 m link
+_RAYLEIGH_CASES = [(0.37, 1000), (2.5e-7, (300, 4)), (np.array([1e-3, 0.5, 4.0]), (200, 3)), (1.0, (50, 0)),
+                   (8e-156, (64, 2))]
 
 
 class TestSampling:
@@ -29,14 +34,24 @@ class TestSampling:
         tau = math.pi * 2.0**-default_cfg.b
         assert np.all(draw.phase_err >= -tau) and np.all(draw.phase_err < tau)
 
-    @pytest.mark.parametrize(
-        ("zeta", "size"),
-        [(0.37, 1000), (2.5e-7, (300, 4)), (np.array([1e-3, 0.5, 4.0]), (200, 3)), (1.0, (50, 0))],
-    )
+    @pytest.mark.parametrize(("zeta", "size"), _RAYLEIGH_CASES)
     def test_matches_numpy_scaled_rayleigh(self, zeta, size):
         scale = np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
         expected = np.random.default_rng(8).rayleigh(scale=scale, size=size)
         assert np.array_equal(rayleigh_magnitudes(np.random.default_rng(8), zeta, size), expected)
+
+    @pytest.mark.parametrize(("zeta", "size"), _RAYLEIGH_CASES)
+    def test_unit_gain_is_the_rayleigh_draw(self, zeta, size):
+        """sqrt(2 E) sqrt(zeta/2) of a standard exponential E is rayleigh_magnitudes' draw, bit for bit.
+
+        numpy's Generator.rayleigh(s) is s sqrt(2 E) of one standard exponential E (checked on
+        numpy 2.4.6), so the unit gain |h|^2/zeta = E that a stream's tiles carry maps back to
+        the magnitude. On a numpy that drew Rayleigh otherwise this test would fail, and so would
+        TestDrawOrder's batch tests, whose magnitudes are mapped back from the gains.
+        """
+        gain = np.random.default_rng(9).standard_exponential(size=size)
+        magnitudes = np.sqrt(2.0 * gain) * np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
+        assert np.array_equal(magnitudes, rayleigh_magnitudes(np.random.default_rng(9), zeta, size))
 
     def test_zero_scale_is_identically_zero(self):
         rng = np.random.default_rng(1)
@@ -97,17 +112,19 @@ _ORDER_SIZES = [pytest.param(301, id="under-one-tile"), pytest.param(7232, id="r
                 pytest.param(CHUNK_SAMPLES, id="full-chunk")]
 
 
-def _streamed(stream) -> ChannelBatch:
+def _streamed(stream) -> GainBatch:
     """A stream's tiles, each of 512 rows but the last, joined back into whole blocks."""
     tiles, n = list(stream.tiles), len(stream.f_mag)
     assert [rows for rows, *_ in tiles] == [slice(start, min(start + 512, n)) for start in range(0, n, 512)]
     assert all(len(block) == rows.stop - rows.start for rows, *blocks in tiles for block in blocks)
-    h_mag, g_mag, phase_err = (np.concatenate(blocks) for blocks in zip(*(blocks for _, *blocks in tiles)))
-    return ChannelBatch(stream.h_p_mag, stream.f_mag, h_mag, g_mag, phase_err)
+    h_gain, g_gain, phase_err = (np.concatenate(blocks) for blocks in zip(*(blocks for _, *blocks in tiles)))
+    return GainBatch(stream.h_p_mag, stream.f_mag, h_gain, g_gain, phase_err)
 
 
 class TestDrawOrder:
-    """sample_batch, whole and streamed, against the documented numpy calls, bit for bit."""
+    """sample_batch, whole and streamed, against the documented numpy calls, bit for bit: the whole
+    batch's magnitudes against numpy's Rayleigh draws, the stream's unit gains against its
+    standard exponentials."""
 
     @pytest.mark.parametrize("n", _ORDER_SIZES)
     @pytest.mark.parametrize("cfg", _ORDER_CONFIGS)
@@ -121,7 +138,7 @@ class TestDrawOrder:
     def test_stream_matches_numpy_calls(self, cfg, n):
         rng, by_hand = np.random.default_rng(42), np.random.default_rng(42)
         batch = _streamed(sample_batch(cfg, rng, n, stream=True))
-        expected = sample_batch_by_hand(cfg, by_hand, n)
+        expected = sample_gains_by_hand(cfg, by_hand, n)
         assert all(np.array_equal(a, b) for a, b in zip(batch, expected, strict=True))
         assert rng.random() == by_hand.random()  # both consumed the same stream
 

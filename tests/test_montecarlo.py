@@ -23,29 +23,29 @@ from ariswpc import (
     montecarlo,
     replace_config,
 )
-from ariswpc.channel import CHUNK_SAMPLES, TILE_SAMPLES, ChannelBatch, chunk_rngs, sample_batch
+from ariswpc.channel import CHUNK_SAMPLES, TILE_SAMPLES, chunk_rngs, sample_batch
 from ariswpc.montecarlo import _chunk_bytes, _default_workers, _row_sums, _run_chunks
 
 from helpers import (
+    GainBatch,
     in_phase_amplitude,
     mc_moments_x_loop,
     mc_rate_outage_loop,
+    mc_rate_outage_reference,
     quadrature_sum,
     sample_batch_by_hand,
     sinr_full_width,
 )
 
-#: The dtype in which the SINR kernel takes the phase residuals' cos and sin.
-KERNEL_TRIG = np.float32
 
-
-def _one_row(M, h_p=1.0, f=1.0, h=1.0, g=1.0, phase=0.0) -> ChannelBatch:
-    return ChannelBatch(
+def _one_row(cfg, h_p=1.0, f=1.0, h=1.0, g=1.0, phase=0.0) -> GainBatch:
+    """One draw of cfg's elements with the given magnitudes, as the unit gains the kernel reads."""
+    return GainBatch(
         h_p_mag=np.array([float(h_p)]),
         f_mag=np.array([float(f)]),
-        h_mag=np.full((1, M), float(h)),
-        g_mag=np.full((1, M), float(g)),
-        phase_err=np.full((1, M), float(phase)),
+        h_gain=np.full((1, cfg.M), float(h)) ** 2 / cfg.zeta_h,
+        g_gain=np.full((1, cfg.M), float(g)) ** 2 / cfg.zeta_g,
+        phase_err=np.full((1, cfg.M), float(phase)),
     )
 
 
@@ -58,22 +58,22 @@ class TestSimulateSinr:
 
     def test_zero_magnitudes(self, default_cfg):
         nu1 = harvested_power_coefficient(default_cfg, 0.419)
-        assert sinr_full_width(default_cfg, _one_row(36, h_p=0, f=0, h=0, g=0), nu1, trig=KERNEL_TRIG)[0] == 0.0
+        assert sinr_full_width(default_cfg, _one_row(default_cfg, h_p=0, f=0, h=0, g=0), nu1)[0] == 0.0
 
     def test_direct_link_only(self):
         cfg = SystemConfig(M=0)
         nu1 = harvested_power_coefficient(cfg, 0.419)
         expected = nu1 * 0.3**2 * 0.7**2 / cfg.sigma_n2_mw
-        sinr = sinr_full_width(cfg, _one_row(0, h_p=0.3, f=0.7), nu1, trig=KERNEL_TRIG)[0]
+        sinr = sinr_full_width(cfg, _one_row(cfg, h_p=0.3, f=0.7), nu1)[0]
         assert sinr == pytest.approx(expected, rel=1e-12)
 
     def test_ideal_passive_coherent_combining(self):
         # perfect alignment, unit gain, no amplifier noise
         cfg = SystemConfig(M=4, ris_mode=RisMode.PASSIVE)
-        batch = _one_row(4, h_p=0.5, f=0.2, h=0.3, g=0.4, phase=0.0)
+        batch = _one_row(cfg, h_p=0.5, f=0.2, h=0.3, g=0.4, phase=0.0)
         nu1 = harvested_power_coefficient(cfg, 0.419)
         expected = nu1 * 0.5**2 * (0.2 + 4 * 0.3 * 0.4) ** 2 / cfg.sigma_n2_mw
-        assert sinr_full_width(cfg, batch, nu1, trig=KERNEL_TRIG)[0] == pytest.approx(expected, rel=1e-12)
+        assert sinr_full_width(cfg, batch, nu1)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestMcErgodicRate:
@@ -167,9 +167,7 @@ class TestMcRateAndOutage:
             results = mc_rate_and_outage(cfg, alphas, hub_powers, n=40_000, seed=26)
             for alpha, P_p_dbm, (rate, outage) in zip(alphas, hub_powers, results):
                 point = replace_config(cfg, P_p_dbm=P_p_dbm)
-                assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(
-                    point, alpha, 40_000, 26, trig=KERNEL_TRIG
-                )
+                assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(point, alpha, 40_000, 26)
 
     def test_workers_do_not_change_result(self, default_cfg):
         for run in _engine_runs(default_cfg):
@@ -343,6 +341,9 @@ class TestMcMomentsX:
             mc_moments_x(default_cfg, n=100)
 
 
+_FAR = SystemConfig(d_h=5e51, d_g=5e51, d_f=math.inf, P_p_dbm=3000.0)
+
+
 def _kernel_cases():
     """(cfg, alpha, n): edge cases of the tiled kernel, then random geometries."""
     base = SystemConfig()
@@ -356,6 +357,10 @@ def _kernel_cases():
         pytest.param(
             replace_config(base, M=3, rho=(1.5, 0.0, 4.0), d_h=(2.0, 9.0, 30.0)), 0.5, 3000, id="per-element"
         ),
+        pytest.param(replace_config(base, M=1, rho=(2.5,), d_g=(7.0,)), 0.4, 4096, id="M1-per-element"),
+        pytest.param(replace_config(base, rho=tuple(np.linspace(0.0, 6.0, 36))), 0.419, 4096, id="per-element-rho"),
+        # zeta_g zeta_h is subnormal here; the kernel's weights take the two square roots apart
+        pytest.param(_FAR, 0.419, 4096, id="far-subnormal"),
     ]
     rng = np.random.default_rng(2024)
     for i in range(8):
@@ -385,6 +390,7 @@ _TRIG_CASES = [
     *(pytest.param(replace_config(_BASE, M=m, b=b), id=f"M{m}-b{b}") for b in (1, 4, 16, 32) for m in (1, 36, 1024)),
     pytest.param(replace_config(_BASE, ris_mode=RisMode.PASSIVE), id="passive"),
     pytest.param(_PER_ELEMENT, id="per-element"),
+    pytest.param(_FAR, id="far-subnormal"),
 ]
 _TRIG_ESTIMATOR_CASES = [
     pytest.param(_BASE, 0.419, CHUNK_SAMPLES + 3000, id="defaults"),
@@ -393,23 +399,25 @@ _TRIG_ESTIMATOR_CASES = [
     pytest.param(replace_config(_BASE, ris_mode=RisMode.PASSIVE), 0.419, 20_000, id="passive"),
     pytest.param(replace_config(_BASE, M=1024, b=16), 0.3, 2000, id="M1024-b16"),
     pytest.param(_PER_ELEMENT, 0.5, 20_000, id="per-element"),
+    pytest.param(_FAR, 0.419, 20_000, id="far-subnormal"),
 ]
 
 
 class TestTiledKernel:
-    """The tiled kernel against the full-width formulas of tests/helpers.py: bit for bit with
-    float32 phase trig, as the kernel takes it, and within stated bounds of float64 trig."""
+    """The tiled kernel against the full-width formulas of tests/helpers.py: bit for bit against
+    the kernel's arithmetic on unit gains, and within stated bounds of the magnitude formulas with
+    float64 trig."""
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
     def test_rate_and_outage_match_plain_loop(self, cfg, alpha, n):
         [(rate, outage)] = mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed=31)
-        assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, n, 31, trig=KERNEL_TRIG)
+        assert (rate.value, rate.stderr, outage.value) == mc_rate_outage_loop(cfg, alpha, n, 31)
 
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _CASES)
     def test_moments_x_match_plain_loop(self, cfg, alpha, n):
         n = max(n, 1000)
         mean_est, var_est = mc_moments_x(cfg, n=n, seed=32)
-        assert (mean_est.value, var_est.value) == mc_moments_x_loop(cfg, n, 32, trig=KERNEL_TRIG)
+        assert (mean_est.value, var_est.value) == mc_moments_x_loop(cfg, n, 32)
 
     # The float32 phase trig against float64 trig, with bounds stated before the run. Per element,
     # rounding a residual |phase| <= pi to float32 moves it by at most pi 2^-24, and the float32 cos
@@ -430,7 +438,7 @@ class TestTiledKernel:
     @pytest.mark.parametrize(("cfg", "alpha", "n"), _TRIG_ESTIMATOR_CASES)
     def test_estimates_within_float32_trig_bound(self, cfg, alpha, n):
         [(rate, outage)] = mc_rate_and_outage(cfg, (alpha,), (cfg.P_p_dbm,), n, seed=33)
-        mean64, _, outage64 = mc_rate_outage_loop(cfg, alpha, n, 33, trig=np.float64)
+        mean64, _, outage64 = mc_rate_outage_reference(cfg, alpha, n, 33)
         mean_bound, draws_near_target = _float32_trig_budget(cfg, alpha, n, 33)
         assert abs(rate.value - mean64) <= mean_bound
         assert abs(round(outage.value * n) - round(outage64 * n)) <= draws_near_target
