@@ -14,12 +14,11 @@ the identical realization sequence on any platform, and a consumer that
 reads the tiles as they are drawn (see ChannelStream) holds one tile of the
 (n, M) draws at a time.
 
-The RIS blocks are drawn as unit power gains |h|^2/zeta_h and |g|^2/zeta_g,
-standard exponentials. numpy's Rayleigh draw is scale * sqrt(2 E) of one
-standard exponential E, so these are the same draws from the same stream:
-sqrt(2 E) * sqrt(zeta/2) is, bit for bit, the magnitude rayleigh_magnitudes
-draws (checked on numpy 2.4.6 by tests/test_channel.py). The streamed tiles
-carry the gains, which the SINR kernel weighs per element; the whole-array
+Every magnitude is sqrt(2 E) * sqrt(zeta/2) of one standard exponential E,
+which is numpy's Rayleigh draw with scale sqrt(zeta/2), bit for bit (checked
+by tests/test_channel.py). The RIS blocks are drawn as those E, the unit
+power gains |h|^2/zeta_h and |g|^2/zeta_g. The streamed tiles carry the
+gains, which the SINR kernel weighs per element; the whole-array
 ChannelBatch carries the magnitudes.
 """
 from __future__ import annotations
@@ -112,16 +111,20 @@ def chunk_rngs(seed: int, n: int):
         yield chunk_rng(seed, i), size
 
 
+def _magnitudes(gain: np.ndarray, zeta) -> np.ndarray:
+    """|h| = sqrt(2 gain) * sqrt(zeta/2) of a unit power gain |h|^2/zeta."""
+    m = np.multiply(gain, 2.0)
+    np.sqrt(m, out=m)
+    m *= np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
+    return m
+
+
 def rayleigh_magnitudes(rng: np.random.Generator, zeta, size) -> np.ndarray:
     """Draw |h| with E{|h|^2} = zeta (zeta may broadcast over the last axis).
 
-    A unit Rayleigh draw scaled in place by sqrt(zeta/2) is bit-identical to
-    rng.rayleigh(scale=sqrt(zeta/2), size=size) and skips numpy's per-element
-    broadcast of the scale.
+    Bit-identical to rng.rayleigh(scale=sqrt(zeta/2), size=size).
     """
-    magnitudes = rng.rayleigh(size=size)
-    magnitudes *= np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
-    return magnitudes
+    return _magnitudes(rng.standard_exponential(size=size), zeta)
 
 
 def _tiles(cfg: SystemConfig, rng: np.random.Generator, n: int):
@@ -138,11 +141,6 @@ def _tiles(cfg: SystemConfig, rng: np.random.Generator, n: int):
             rng.standard_exponential(size=shape),
             rng.uniform(-tau, tau, size=shape),
         )
-
-
-def _magnitudes(gain: np.ndarray, zeta) -> np.ndarray:
-    """|h| of a unit power gain |h|^2/zeta, bit for bit rayleigh_magnitudes' draw."""
-    return np.sqrt(2.0 * gain) * np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
 
 
 def sample_batch(

@@ -42,16 +42,16 @@ class TestSampling:
 
     @pytest.mark.parametrize(("zeta", "size"), _RAYLEIGH_CASES)
     def test_unit_gain_is_the_rayleigh_draw(self, zeta, size):
-        """sqrt(2 E) sqrt(zeta/2) of a standard exponential E is rayleigh_magnitudes' draw, bit for bit.
+        """sqrt(2 E) sqrt(zeta/2) of a standard exponential E is numpy's Rayleigh draw, bit for bit.
 
-        numpy's Generator.rayleigh(s) is s sqrt(2 E) of one standard exponential E (checked on
-        numpy 2.4.6), so the unit gain |h|^2/zeta = E that a stream's tiles carry maps back to
-        the magnitude. On a numpy that drew Rayleigh otherwise this test would fail, and so would
-        TestDrawOrder's batch tests, whose magnitudes are mapped back from the gains.
+        The sampler states every magnitude by this identity, so it is checked here against
+        Generator.rayleigh itself (numpy 2.4.6), not against the sampler. On a numpy that drew
+        Rayleigh otherwise this test would fail, and so would test_matches_numpy_scaled_rayleigh.
         """
+        scale = np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
         gain = np.random.default_rng(9).standard_exponential(size=size)
-        magnitudes = np.sqrt(2.0 * gain) * np.sqrt(np.asarray(zeta, dtype=float) / 2.0)
-        assert np.array_equal(magnitudes, rayleigh_magnitudes(np.random.default_rng(9), zeta, size))
+        expected = np.random.default_rng(9).rayleigh(scale=scale, size=size)
+        assert np.array_equal(np.sqrt(2.0 * gain) * scale, expected)
 
     def test_zero_scale_is_identically_zero(self):
         rng = np.random.default_rng(1)
