@@ -72,9 +72,9 @@ def _one_column(header: str, cells) -> tuple[tuple[str], object]:
 _OUTPUTS = {
     "ergodic_cf": _one_column("ergodic_cf_bits_per_s_hz", lambda r: r.rates),
     "ergodic_mc": (("ergodic_mc_bits_per_s_hz", "ergodic_mc_stderr_bits_per_s_hz"), _mc_cells),
-    "outage_cf": _one_column("outage_cf_prob", lambda r: 1.0 - r.coverages),
+    "outage_cf": _one_column("outage_cf_prob", lambda r: (1.0 - r.coverages).tolist()),
     "outage_mc": (("outage_mc_prob", "outage_mc_stderr_prob"), _mc_cells),
-    "effective": _one_column("effective_rate_bits_per_s_hz", lambda r: r.coverages * r.cfg.r_v),
+    "effective": _one_column("effective_rate_bits_per_s_hz", lambda r: (r.coverages * r.cfg.r_v).tolist()),
     "power": _one_column("expected_power_mw", lambda r: _expected_powers(r)),
     "alpha_star": _one_column("alpha_star", lambda r: [opt.alpha_opt for opt in ergodic_optima(r.cfg, r.P_p_dbms)]),
     "alpha_dagger": _one_column("alpha_dagger", lambda r: [effective_alpha_closed_form(r.cfg.r_v)] * len(r.alphas)),
@@ -93,17 +93,18 @@ _SWEEP_HEADER_FIRST = {
 SWEEP_VARIABLES = tuple(_SWEEP_HEADER_FIRST)
 
 _PP_GRID = tuple(float(pp) for pp in range(0, 31, 2))  # dBm
-_RHO_GRID = tuple(np.arange(1.0, 6.01, 0.5))
+_RHO_GRID = tuple(np.arange(1.0, 6.01, 0.5).tolist())
 _M_GRID = tuple(range(4, 65, 4))
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
+    if not isinstance(value, float):  # np.float64 is a float
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_, int, np.integer)):
+            return str(int(value))
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {float(value)} in a CSV cell")
     return f"{float(value):.8e}"
@@ -113,8 +114,7 @@ def _csv_table(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -224,11 +224,19 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> str:
 def _grid_table(first: str, grid: Sequence, columns, flags=()) -> str:
     """One row per grid value x: x, each column's cell at x, then each flag (header, function of x).
 
-    A column is (header, _OUTPUTS name, its points along the grid), evaluated by _evaluate.
+    A column is (header, _OUTPUTS name, its points along the grid). Columns on one point list
+    object are evaluated by one _evaluate call, in the order the first of them comes.
     """
-    cells = [[cell for [cell] in _evaluate(points, (output,), seed=0)] for _, output, points in columns]
+    shared: dict[int, tuple[Sequence, list]] = {}
+    for header, output, points in columns:
+        shared.setdefault(id(points), (points, []))[1].append((header, output))
+    cells = {}
+    for points, named in shared.values():
+        rows = _evaluate(points, [output for _, output in named], seed=0)
+        cells.update(zip((header for header, _ in named), zip(*rows)))
     header = [first, *(header for header, _, _ in columns), *(header for header, _ in flags)]
-    return _csv_table(header, ([x, *row, *(flag(x) for _, flag in flags)] for x, row in zip(grid, zip(*cells))))
+    rows = zip(*(cells[header] for header, _, _ in columns))
+    return _csv_table(header, ([x, *row, *(flag(x) for _, flag in flags)] for x, row in zip(grid, rows)))
 
 
 def _pp_columns(variants: dict[str, SystemConfig], output: str) -> list:
@@ -256,7 +264,7 @@ def _fig3(cfg: SystemConfig) -> dict[str, str]:
 def _fig4(cfg: SystemConfig) -> dict[str, str]:
     [[alpha_star, alpha_dagger]] = _evaluate([_at(cfg)], ("alpha_star", "alpha_dagger"), seed=0)
     marked = {alpha_star} if alpha_dagger is None else {alpha_star, alpha_dagger}
-    grid = sorted(set(np.linspace(0.01, 0.99, 99)) | marked)
+    grid = sorted(set(np.linspace(0.01, 0.99, 99).tolist()) | marked)
     points = [_at(cfg, alpha=a) for a in grid]
     outputs = {"ergodic_rate_bits_per_s_hz": "ergodic_cf", "effective_rate_bits_per_s_hz": "effective"}
     columns = [(header, output, points) for header, output in outputs.items()]
@@ -278,7 +286,7 @@ def _fig6(cfg: SystemConfig) -> dict[str, str]:
         (f"expected_power_alpha_{label}_mw", "power", [_at(c, alpha=a) for c in m_configs])
         for label, a in (("0p1", 0.1), ("0p9", 0.9))
     ]
-    alphas = np.linspace(0.1, 0.9, 17)
+    alphas = np.linspace(0.1, 0.9, 17).tolist()
     alpha_column = ("expected_power_mw", "power", [_at(cfg, alpha=a) for a in alphas])
     return {
         "fig6_power_vs_m.csv": _grid_table("M_elements", _M_GRID, m_columns),

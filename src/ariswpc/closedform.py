@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,6 +99,18 @@ class _LinkModel:
     log_base: np.ndarray | None  # log terms of the outage integral without their -c/t_u^2
 
 
+@lru_cache(maxsize=16)
+def _nodes(U: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The U-node Gauss-Chebyshev geometry, read-only: tan(ang), sqrt(1 - x^2) and cos^2(ang), ang = (pi/2) x."""
+    u = np.arange(1, U + 1)
+    x = np.cos((2 * u - 1) * np.pi / (2 * U))
+    ang = (np.pi / 2.0) * x
+    table = (np.tan(ang), np.sqrt(1.0 - x**2), np.cos(ang) ** 2)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def _build_link_model(cfg: SystemConfig) -> _LinkModel:
     """The aggregates t1..t6, the Gamma fit of X and the outage quadrature's nodes and log terms.
 
@@ -114,11 +126,11 @@ def _build_link_model(cfg: SystemConfig) -> _LinkModel:
     t1 = zp * zf
     t2 = zp * math.sqrt(math.pi * zf)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        t3 = float(np.sum(c1 * rho * np.sqrt(zg * zh)))
-        t4 = float(np.sum(rho**2 * zp * zg * zh * (1.0 - c1**2)))
-        t5 = float(np.sum(c1 * rho * np.sqrt(zp * zg * zh)) ** 2)
-        t6 = cfg.sigma_v2_mw * float(np.sum(rho**2 * zg)) + cfg.sigma_n2_mw
-        var_x = zf * (1.0 - math.pi / 4.0) + float(np.sum(rho**2 * zg * zh * (stats.e_cos2 - c1**2)))
+        t3 = float((c1 * rho * np.sqrt(zg * zh)).sum())
+        t4 = float((rho**2 * zp * zg * zh * (1.0 - c1**2)).sum())
+        t5 = float((c1 * rho * np.sqrt(zp * zg * zh)).sum() ** 2)
+        t6 = cfg.sigma_v2_mw * float((rho**2 * zg).sum()) + cfg.sigma_n2_mw
+        var_x = zf * (1.0 - math.pi / 4.0) + float((rho**2 * zg * zh * (stats.e_cos2 - c1**2)).sum())
     signal = t1 + t2 * t3 + t4 + t5
     if not all(map(math.isfinite, (t1, t2, t3, t4, t5, t6, signal, var_x))):
         raise ConfigValidationError("rho, d_h, d_g", "the channel-moment aggregates overflow; they must be finite")
@@ -129,16 +141,14 @@ def _build_link_model(cfg: SystemConfig) -> _LinkModel:
     # Gamma fit of X = |f| + sum rho|g||h| cos(phase error) by its mean and variance
     mean_x = math.sqrt(math.pi * zf) / 2.0 + t3
     s, r = mean_x * mean_x / var_x, var_x / mean_x
-    # Gauss-Chebyshev nodes under log t = log(mean_x) + tan((pi/2) x) / sqrt(s)
+    # Gauss-Chebyshev nodes under log t = log(mean_x) + tan(ang) / sqrt(s)
     U = cfg.quadrature_points
-    u = np.arange(1, U + 1)
-    x = np.cos((2 * u - 1) * np.pi / (2 * U))
-    ang = (np.pi / 2.0) * x
+    tan_ang, chebyshev, cos2_ang = _nodes(U)
     root_s = math.sqrt(s)
-    log_t = math.log(mean_x) + np.tan(ang) / root_s
+    log_t = math.log(mean_x) + tan_ang / root_s
     # Chebyshev weight times dt/dx = t (pi/2) / (sqrt(s) cos^2(ang)); the factor t
     # of the Jacobian is folded into t^s below
-    log_weights = np.log((np.pi**2 / (2.0 * U * root_s)) * np.sqrt(1.0 - x**2) / np.cos(ang) ** 2)
+    log_weights = np.log((np.pi**2 / (2.0 * U * root_s)) * chebyshev / cos2_ang)
     # the outermost nodes overflow t and t / r to inf; their terms are exp(-inf) = 0
     with np.errstate(over="ignore"):
         t_over_r = np.exp(log_t) / r
@@ -205,10 +215,11 @@ class _Run:
             return None
         self.mean_sinrs  # nu1, K and the mean SINR are checked first
         gamma_fit(self.cfg)  # raises where X has no Gamma fit, hence no nodes
-        model = _link_model(self.cfg)
+        model, r_v, zeta_p = _link_model(self.cfg), self.cfg.r_v, self.cfg.zeta_p
+        log_t6 = math.log(model.t6)
         # exponent scale of the hub-link exponential CDF: exp(-c / t^2); c is +inf where nu1 zeta_p underflows to 0
-        log_c = [_log_outage_threshold(self.cfg.r_v, alpha) + math.log(model.t6) - math.log(nu1 * self.cfg.zeta_p)
-                 if nu1 * self.cfg.zeta_p > 0.0 else math.inf for alpha, nu1 in zip(self.alphas, self.nu1s)]
+        log_c = [_log_outage_threshold(r_v, alpha) + log_t6 - math.log(nu1 * zeta_p)
+                 if nu1 * zeta_p > 0.0 else math.inf for alpha, nu1 in zip(self.alphas, self.nu1s)]
         # the outermost nodes overflow c / t^2 to inf; their terms are exp(-inf) = 0
         with np.errstate(over="ignore"):
             suppression = np.exp(np.array(log_c)[:, None] - 2.0 * model.log_t)  # c / t^2
@@ -282,11 +293,17 @@ def effective_rate_derivative(cfg: SystemConfig, alpha: float) -> float:
     grows. With c = kappa/nu1 up to alpha-free factors and x = r_v ln 2/(1-alpha),
     it is -r_v sum_u I_u c/t_u^2 times d ln c/d alpha = (x/(1 - e^-x) - 1/alpha)/(1-alpha).
     """
-    quadrature = _Run(cfg, (alpha,), (cfg.P_p_dbm,)).quadrature
+    return _effective_slope(_Run(cfg, (alpha,), (cfg.P_p_dbm,)))
+
+
+def _effective_slope(run: _Run) -> float:
+    """effective_rate_derivative at the one point of `run`, from its outage quadrature."""
+    quadrature = run.quadrature
     if quadrature is None:
         return 0.0
+    [alpha], r_v = run.alphas, run.cfg.r_v
     terms, exponents = quadrature[0][0], quadrature[1][0]
-    x = cfg.r_v * _LN2 / (1.0 - alpha)
+    x = r_v * _LN2 / (1.0 - alpha)
     d_log_c = (x / -math.expm1(-x) - 1.0 / alpha) / (1.0 - alpha)
     # a node whose exponent overflowed to inf has a term of 0, and adds 0
-    return -cfg.r_v * float(terms @ np.where(terms > 0.0, exponents, 0.0)) * d_log_c
+    return -r_v * float(terms @ np.where(terms > 0.0, exponents, 0.0)) * d_log_c

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -61,7 +61,7 @@ def dbm_to_linear(x_dbm: float) -> float:
 def path_loss(d, epsilon: float):
     """Path-loss coefficient zeta = d^(-epsilon) for distance d > 0 (m)."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValueError("distance must be positive")
     out = d ** (-float(epsilon))
     return float(out) if out.ndim == 0 else out
@@ -97,6 +97,8 @@ def _finite_in_mw(x_dbm: float) -> bool:
 
 # Fields that must hold whole numbers, in the order they are validated.
 _INT_KEYS = ("M", "b", "quadrature_points", "mc_samples")
+# Powers in dBm, each finite with a finite, positive mW value, in the order they are validated.
+_DBM_KEYS = ("P_p_dbm", "sigma_v2_dbm", "sigma_n2_dbm", "P1_dbm", "P2_dbm")
 
 
 def _as_tuple(value, M: int, default: float, name: str) -> tuple[float, ...]:
@@ -146,17 +148,19 @@ class SystemConfig:
     def __post_init__(self):
         for name in _INT_KEYS:
             v = getattr(self, name)
-            if not float(v).is_integer():
-                raise ConfigValidationError(name, f"must be an integer, got {v}")
-            object.__setattr__(self, name, int(v))
+            if type(v) is not int:
+                if not float(v).is_integer():
+                    raise ConfigValidationError(name, f"must be an integer, got {v}")
+                object.__setattr__(self, name, int(v))
 
-        if isinstance(self.ris_mode, str):
+        mode = self.ris_mode
+        if type(mode) is not RisMode:
+            if not isinstance(mode, str):
+                raise ConfigValidationError("ris_mode", f"must be 'active' or 'passive', got {mode!r}")
             try:
-                object.__setattr__(self, "ris_mode", RisMode(self.ris_mode.lower()))
+                object.__setattr__(self, "ris_mode", RisMode(mode.lower()))
             except ValueError:
-                raise ConfigValidationError(
-                    "ris_mode", f"must be 'active' or 'passive', got {self.ris_mode!r}"
-                ) from None
+                raise ConfigValidationError("ris_mode", f"must be 'active' or 'passive', got {mode!r}") from None
 
         if self.M < 0:
             raise ConfigValidationError("M", "must be >= 0")
@@ -167,42 +171,53 @@ class SystemConfig:
         self._check()
 
     def _check(self):
-        def require(cond: bool, name: str, msg: str):
-            if not cond:
-                raise ConfigValidationError(name, msg)
+        """Raise ConfigValidationError on the first field, in a fixed order, that breaks an invariant.
 
-        for name in ("P_p_dbm", "sigma_v2_dbm", "sigma_n2_dbm", "P1_dbm", "P2_dbm"):
-            require(
-                _finite_in_mw(getattr(self, name)), name, "must be finite in dBm, and finite and above 0 in mW"
-            )
-        require(0.0 < self.alpha < 1.0, "alpha", f"must lie in (0, 1), got {self.alpha}")
-        require(0.0 < self.eta <= 1.0, "eta", f"must lie in (0, 1], got {self.eta}")
-        require(self.epsilon > 0, "epsilon", "must be positive")
-        require(1 <= self.b <= MAX_PHASE_BITS, "b", f"must lie in [1, {MAX_PHASE_BITS}]")
-        require(0 <= self.rho_max < math.inf, "rho_max", "must be finite and >= 0")
-        require(self.d_p > 0, "d_p", "must be positive")
-        require(self.d_f > 0, "d_f", "must be positive")
-        require(all(d > 0 for d in self.d_h), "d_h", "all distances must be positive")
-        require(all(d > 0 for d in self.d_g), "d_g", "all distances must be positive")
+        A per-element tuple is checked over its distinct values; a NaN fails every comparison.
+        """
+        for name in _DBM_KEYS:
+            if not _finite_in_mw(getattr(self, name)):
+                raise ConfigValidationError(name, "must be finite in dBm, and finite and above 0 in mW")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigValidationError("alpha", f"must lie in (0, 1), got {self.alpha}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ConfigValidationError("eta", f"must lie in (0, 1], got {self.eta}")
+        if not self.epsilon > 0:
+            raise ConfigValidationError("epsilon", "must be positive")
+        if not 1 <= self.b <= MAX_PHASE_BITS:
+            raise ConfigValidationError("b", f"must lie in [1, {MAX_PHASE_BITS}]")
+        if not 0 <= self.rho_max < math.inf:
+            raise ConfigValidationError("rho_max", "must be finite and >= 0")
+        if not self.d_p > 0:
+            raise ConfigValidationError("d_p", "must be positive")
+        if not self.d_f > 0:
+            raise ConfigValidationError("d_f", "must be positive")
+        d_h, d_g = set(self.d_h), set(self.d_g)
+        if not all(d > 0 for d in d_h):
+            raise ConfigValidationError("d_h", "all distances must be positive")
+        if not all(d > 0 for d in d_g):
+            raise ConfigValidationError("d_g", "all distances must be positive")
         # d^-epsilon peaks at the nearest distance; an infinite d_f, d_h or d_g is a blocked link (zeta = 0)
-        nearest = {"d_p": self.d_p, "d_f": self.d_f, "d_h": min(self.d_h, default=1), "d_g": min(self.d_g, default=1)}
-        for name, d in nearest.items():
+        nearest = (("d_p", self.d_p), ("d_f", self.d_f), ("d_h", min(d_h, default=1)), ("d_g", min(d_g, default=1)))
+        for name, d in nearest:
             try:
                 math.pow(d, -self.epsilon)  # raises where numpy would warn and return inf
             except OverflowError:
                 raise ConfigValidationError(name, "path loss d^-epsilon must be finite") from None
-        require(math.pow(self.d_p, -self.epsilon) > 0.0, "d_p", "path loss d^-epsilon must be above 0")
-        require(
-            all(0.0 <= r <= self.rho_max for r in self.rho),
-            "rho",
-            f"each element must lie in [0, rho_max={self.rho_max}]",
-        )
-        require(0 <= self.r_v < math.inf, "r_v", "must be finite and >= 0")
+        if not math.pow(self.d_p, -self.epsilon) > 0.0:
+            raise ConfigValidationError("d_p", "path loss d^-epsilon must be above 0")
+        if not all(0.0 <= r <= self.rho_max for r in set(self.rho)):
+            raise ConfigValidationError("rho", f"each element must lie in [0, rho_max={self.rho_max}]")
+        if not 0 <= self.r_v < math.inf:
+            raise ConfigValidationError("r_v", "must be finite and >= 0")
         # With M = 0 the RIS draws nothing, so a budget of exactly 0 mW is met
-        require(self.P_R_mw > 0 or (self.P_R_mw == 0 and self.M == 0), "P_R_mw", "must be positive")
-        require(self.quadrature_points >= 2, "quadrature_points", "must be >= 2")
+        if not (self.P_R_mw > 0 or (self.P_R_mw == 0 and self.M == 0)):
+            raise ConfigValidationError("P_R_mw", "must be positive")
+        if not self.quadrature_points >= 2:
+            raise ConfigValidationError("quadrature_points", "must be >= 2")
         # mc_rate_and_outage's floor, checked here so that MC commands fail on the config
-        require(self.mc_samples >= 100, "mc_samples", f"must be >= 100, got {self.mc_samples}")
+        if not self.mc_samples >= 100:
+            raise ConfigValidationError("mc_samples", f"must be >= 100, got {self.mc_samples}")
 
     # ---- unit conversions and derived coefficients -------------------------
 
@@ -264,7 +279,8 @@ class SystemConfig:
 
 _LIST_KEYS = {"rho", "d_h", "d_g"}
 _STR_KEYS = {"ris_mode"}
-_KNOWN_KEYS = {f.name for f in fields(SystemConfig)}
+_FIELDS = tuple(f.name for f in fields(SystemConfig))
+_KNOWN_KEYS = set(_FIELDS)
 
 
 def _coerce(key: str, raw: str):
@@ -330,8 +346,10 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
     """Functional update that revalidates and rebroadcasts per-element fields.
 
     When M changes, uniform rho / d_h / d_g are rebroadcast to the new length;
-    non-uniform vectors cannot be resized implicitly. The new config takes
-    over each of cfg's cached properties (_HANDED_ON) whose inputs are not in `changes`.
+    non-uniform vectors cannot be resized implicitly. The new config is built
+    from cfg's field values and `changes`, and validated as any other. It takes
+    over each of cfg's cached properties (_HANDED_ON) whose inputs are not in
+    `changes`, and nothing else: models kept on cfg are built anew.
     """
     if "M" in changes and changes["M"] != cfg.M:
         for name in ("rho", "d_h", "d_g"):
@@ -344,7 +362,7 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
                     name, "cannot change M with a non-uniform per-element vector"
                 )
             changes[name] = uniq.pop() if uniq else None
-    new = replace(cfg, **changes)
+    new = SystemConfig(**{**{name: getattr(cfg, name) for name in _FIELDS}, **changes})
     for name, inputs in _HANDED_ON:
         if inputs.isdisjoint(changes):
             new.__dict__[name] = getattr(cfg, name)

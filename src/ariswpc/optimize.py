@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .closedform import _LN2, _Run, effective_rate, effective_rate_derivative, ergodic_rate, ergodic_terms
+from .closedform import _LN2, _Run, _effective_slope, effective_rate, ergodic_rate, ergodic_terms
 from .config import SystemConfig
 from .power import expected_power, inverse_power
 
@@ -180,7 +180,8 @@ def optimize_alpha_effective(cfg: SystemConfig) -> OptResult:
     """
     alpha = _effective_alpha(cfg.r_v) if cfg.r_v > 0.0 else 1.0  # its limit as r_v -> 0
     inside = _ALPHA_LO < alpha < _ALPHA_HI
-    value = effective_rate(cfg, alpha) if inside else 0.0
+    run = _Run(cfg, (alpha,), (cfg.P_p_dbm,))  # the value and the slope read its one quadrature
+    value = float(run.coverages[0]) * cfg.r_v if inside else 0.0
     if value == 0.0:
         reason = "and is 0 there, so at every alpha" if inside else f"outside ({_ALPHA_LO}, {_ALPHA_HI})"
         raise NoInteriorMaximumError(
@@ -191,7 +192,7 @@ def optimize_alpha_effective(cfg: SystemConfig) -> OptResult:
         objective_value=value,
         binding=Binding.INTERIOR,
         iterations=0,
-        residual=abs(effective_rate_derivative(cfg, alpha)),
+        residual=abs(_effective_slope(run)),
         alpha_closed_form=effective_alpha_closed_form(cfg.r_v),
     )
 

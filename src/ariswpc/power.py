@@ -50,16 +50,28 @@ class PowerModel:
 
 
 def power_model(cfg: SystemConfig, mode: str = "nominal") -> PowerModel:
-    """cfg's coefficients; ConfigValidationError on the fields of a term, or of the floor, that overflows."""
+    """cfg's coefficients in `mode`, built on first use and kept on cfg, which is immutable.
+
+    A config derived from cfg builds its own, as with closedform._link_model.
+    """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    models = cfg.__dict__.setdefault("_power_models", {})
+    model = models.get(mode)
+    if model is None:
+        model = models[mode] = _build_power_model(cfg, mode)
+    return model
+
+
+def _build_power_model(cfg: SystemConfig, mode: str) -> PowerModel:
+    """cfg's coefficients; ConfigValidationError on the fields of a term, or of the floor, that overflows."""
     static = cfg.M * (cfg.p1_mw + cfg.p2_mw)
     amp_signal = amp_noise = 0.0
     if cfg.ris_mode is RisMode.ACTIVE:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             rho2 = cfg.rho_effective**2
-            amp_signal = float(np.sum(rho2 * cfg.zeta_h)) * (cfg.zeta_p if mode == "physical" else 1.0)
-            amp_noise = cfg.sigma_v2_mw * float(np.sum(rho2))
+            amp_signal = float((rho2 * cfg.zeta_h).sum()) * (cfg.zeta_p if mode == "physical" else 1.0)
+            amp_noise = cfg.sigma_v2_mw * float(rho2.sum())
     for fields, term in (("rho, d_h, d_p" if mode == "physical" else "rho, d_h", amp_signal),
                          ("rho, sigma_v2_dbm", amp_noise), ("M, P1_dbm, P2_dbm", static),
                          ("rho, sigma_v2_dbm, M, P1_dbm, P2_dbm", amp_noise + static)):

@@ -920,14 +920,33 @@ class TestVariantEvaluation:
         assert calls == ["optimize_alpha_ergodic", "optimize_alpha_effective"]
 
     def test_optimize_builds_power_model_once_for_its_power_column(self, monkeypatch, capsys):
-        # one build for the four rows' power column; the others are the power constraint's
-        builds, build = [], power.power_model
-        monkeypatch.setattr(power, "power_model", lambda cfg, mode="nominal": builds.append(cfg) or build(cfg, mode))
-        for argv, most in ((["optimize", "--power-budget", "12"], 5), (["optimize"], 7)):
+        # one build per (config, mode): optimize's power column and power constraints read one model, and
+        # figure all builds one for each of its 28 configs (cfg, fig5's rho grid and fig6's M grid)
+        builds, build = [], power._build_power_model
+
+        def counting(cfg, mode):
+            builds.append((cfg, mode))
+            return build(cfg, mode)
+
+        monkeypatch.setattr(power, "_build_power_model", counting)
+        for argv, count in ((["optimize", "--power-budget", "12"], 1), (["optimize"], 1), (["figure", "all"], 28)):
             builds.clear()
             assert main(argv) == 0
             capsys.readouterr()
-            assert len(builds) <= most, argv
+            assert len({(id(cfg), mode) for cfg, mode in builds}) == len(builds) == count, argv
+
+    def test_optimize_builds_two_outage_quadratures(self, monkeypatch, capsys):
+        # optimize_alpha_effective reads its value and slope from one run; the budget-bound row builds the other
+        quadratures, quadrature = [], closedform._Run.quadrature.func
+        counted = functools.cached_property(lambda run: quadratures.append(run) or quadrature(run))
+        counted.__set_name__(closedform._Run, "quadrature")
+        monkeypatch.setattr(closedform._Run, "quadrature", counted)
+        for argv in (["optimize", "--power-budget", "12"], ["optimize"]):
+            quadratures.clear()
+            assert main(argv) == 0
+            header, rows = _parse(capsys.readouterr().out)
+            assert rows[3][:4:3] == ["effective_constrained", "power_constrained"], argv
+            assert len(quadratures) == 2, argv
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

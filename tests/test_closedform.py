@@ -306,6 +306,25 @@ class TestLinkModel:
         for evaluate in (ergodic_rate, outage_probability, effective_rate):
             assert evaluate(new, 0.3) == evaluate(fresh, 0.3)
 
+    @pytest.mark.parametrize("U", [2, 8, 100, 400])
+    def test_node_table_gives_the_inline_nodes(self, U):
+        # the U-only node geometry is one read-only table; log_t and log_base keep their bits
+        assert all(not arr.flags.writeable for arr in closedform._nodes(U))
+        for cfg in (SystemConfig(quadrature_points=U), SystemConfig(M=4, b=1, P_p_dbm=-20.0, quadrature_points=U)):
+            model = closedform._link_model(cfg)
+            s, r = model.fit.s, model.fit.r
+            u = np.arange(1, U + 1)
+            x = np.cos((2 * u - 1) * np.pi / (2 * U))
+            ang = (np.pi / 2.0) * x
+            root_s = math.sqrt(s)
+            log_t = math.log(model.fit.mean_x) + np.tan(ang) / root_s
+            log_weights = np.log((np.pi**2 / (2.0 * U * root_s)) * np.sqrt(1.0 - x**2) / np.cos(ang) ** 2)
+            with np.errstate(over="ignore"):
+                t_over_r = np.exp(log_t) / r
+            log_base = log_weights + s * log_t - t_over_r - s * math.log(r) - math.lgamma(s)
+            assert np.array_equal(model.log_t, log_t)
+            assert np.array_equal(model.log_base, log_base)
+
     def test_hub_power_is_checked_at_each_point(self):
         # the model holds no P_p, so K = eta P_p signal/t6 is checked wherever a closed form uses a hub power
         cfg = SystemConfig()

@@ -139,14 +139,44 @@ class TestValidation:
             ("d_g", 1e-300),
             ("d_p", float("inf")),
             ("d_p", 1e200),
+            # a NaN behind a valid first element, and a mode that is neither a RisMode nor a str
+            ("d_h", (20.0, 20.0, math.nan) + (20.0,) * 33),
+            ("d_g", (20.0, math.nan) + (20.0,) * 34),
+            ("rho", (6.0,) * 35 + (math.nan,)),
+            ("ris_mode", None),
+            ("ris_mode", 5),
+            ("ris_mode", 1.0),
+            ("ris_mode", True),
         ],
     )
     def test_invariant_violations(self, field, value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # rejected without numpy's overflow warning
+        # the same field and message whether the config is built or replaced
+        errors = []
+        for build in (lambda: SystemConfig(**{field: value}), lambda: replace_config(SystemConfig(), **{field: value})):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # rejected without numpy's overflow warning
+                with pytest.raises(ConfigValidationError) as err:
+                    build()
+            errors.append((err.value.field, str(err.value)))
+        assert errors[0][0] == field
+        assert errors[1] == errors[0]
+
+    @pytest.mark.parametrize(
+        "changes,first",
+        [
+            ({"eta": 2.0, "alpha": 0.0}, "alpha: must lie in (0, 1), got 0.0"),
+            ({"mc_samples": 0, "P2_dbm": math.inf}, "P2_dbm: must be finite in dBm, and finite and above 0 in mW"),
+            ({"d_g": (20.0, math.nan) + (20.0,) * 34, "d_h": 0.0}, "d_h: all distances must be positive"),
+            ({"rho": 7.0, "d_g": 1e-300}, "d_g: path loss d^-epsilon must be finite"),
+            ({"alpha": 2.0, "M": 1.5}, "M: must be an integer, got 1.5"),
+            ({"M": -1, "ris_mode": None}, "ris_mode: must be 'active' or 'passive', got None"),
+        ],
+    )
+    def test_first_checked_field_wins(self, changes, first):
+        for build in (lambda: SystemConfig(**changes), lambda: replace_config(SystemConfig(), **changes)):
             with pytest.raises(ConfigValidationError) as err:
-                SystemConfig(**{field: value})
-        assert err.value.field == field
+                build()
+            assert str(err.value) == first
 
     def test_epsilon_that_zeroes_the_hub_link_names_d_p(self):
         with pytest.raises(ConfigValidationError, match=r"^d_p: path loss d\^-epsilon must be above 0$"):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,6 +34,19 @@ def _bisect_inverse(cfg, P_R, lo=1e-9, hi=1 - 1e-9, tol=1e-13):
 
 
 class TestPowerModel:
+    def test_kept_per_mode_and_never_handed_on(self, default_cfg):
+        cfg = replace_config(default_cfg)
+        models = {mode: power_model(cfg, mode) for mode in ("nominal", "physical")}
+        assert all(power_model(cfg, mode) is model for mode, model in models.items())
+        # a replaced config builds its own, whether or not the changed field enters the model
+        for changes in ({}, {"alpha": 0.5}, {"P1_dbm": -5.0}, {"rho": 2.0}, {"ris_mode": RisMode.PASSIVE}):
+            new = replace_config(cfg, **changes)
+            assert "_power_models" not in new.__dict__
+            fresh = SystemConfig(**{field.name: getattr(new, field.name) for field in fields(SystemConfig)})
+            for mode, model in models.items():
+                assert power_model(new, mode) is not model
+                assert power_model(new, mode) == power_model(fresh, mode)
+
     def test_terms_at_defaults(self, default_cfg):
         model = power_model(default_cfg)
         assert model.amp_signal_term == pytest.approx(36 * 36 * 1.25e-4, rel=1e-12)
