@@ -110,11 +110,38 @@ def _fmt(value) -> str:
     return f"{float(value):.8e}"
 
 
+@functools.lru_cache(maxsize=64)
+def _row_template(types: tuple[type, ...]) -> str | None:
+    """The % template of a CSV row of these cell types, or None unless every cell is a float or a whole number."""
+    cells = []
+    for cell in types:
+        if cell is float or cell is np.float64:
+            cells.append("%.8e")
+        elif cell in (int, bool, np.bool_) or issubclass(cell, np.integer):
+            cells.append("%d")
+        else:
+            return None
+    return ",".join(cells) + "\n"
+
+
 def _csv_table(header: Sequence[str], rows) -> str:
+    """The CSV text of header and rows, each cell _fmt's; numbers only need no quoting.
+
+    A row of floats and whole numbers is one % format of its cached template; a nan or inf
+    formats with an "n", and that row, as any other, goes through _fmt and csv.writer.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    for row in rows:
+        row = tuple(row)
+        template = _row_template(tuple(map(type, row)))
+        if template is not None:
+            line = template % row
+            if "n" not in line:
+                buf.write(line)
+                continue
+        writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
 
 
@@ -135,25 +162,35 @@ def _evaluate(points: Sequence[tuple], outputs: Sequence[str], seed: int, labels
     Each output's function runs once per run of consecutive points on one config object,
     on the run's one record (closedform._Run), so those points share its link model, nu1,
     K, outage quadrature and Monte Carlo draws (root seed `seed`). Should a run fail, each of
-    its points is evaluated on a record of its own (earlier runs passed): the error is the first
-    failing point's first failing output, and a ValueError or NoInteriorMaximumError at point i is labelled labels[i].
+    its points is evaluated on a record of its own (earlier runs passed), but for what the run
+    settled: the outputs before the failing one, and Monte Carlo estimates up to their failing
+    point, are not evaluated again. The error is the first failing point's first failing output,
+    and a ValueError or NoInteriorMaximumError at point i is labelled labels[i].
     """
-    functions = dict.fromkeys(_OUTPUTS[o][1] for o in outputs)
+    functions = list(dict.fromkeys(_OUTPUTS[o][1] for o in outputs))
     columns: dict[str, list] = {}
     for _, run in itertools.groupby(zip(points, labels or itertools.repeat(None)), key=lambda item: id(item[0][0])):
         run_points, run_labels = zip(*run)
         run_configs, alphas, hub_powers = zip(*run_points)
+        record = _Run(run_configs[0], alphas, hub_powers)
         try:
-            record = _Run(run_configs[0], alphas, hub_powers)
             for function in functions:
                 for header, cells in function(record, seed).items():
                     columns.setdefault(header, []).extend(cells)
-        except Exception:
-            for label, (cfg, alpha, hub_power) in zip(run_labels, run_points):
+        except Exception as exc:
+            # The outputs before `function` passed at every point. A Monte Carlo error names its failing
+            # point (exc.point): the run's one pass fixed each point's estimate, each equal to its one-point
+            # call's, so the points before it passed and it fails with this very error
+            failed_at = getattr(exc, "point", None)
+            unknown = functions[functions.index(function) + (failed_at is not None):]
+            for i, (label, (cfg, alpha, hub_power)) in enumerate(zip(run_labels, run_points)):
                 with _labelled(label):
+                    if i == failed_at:
+                        exc.point = 0  # the point's own error: its one-point run fails at its point 0
+                        raise
                     record = _Run(cfg, (alpha,), (hub_power,))
-                    for function in functions:
-                        function(record, seed)
+                    for later in unknown:
+                        later(record, seed)
             raise
     return list(zip(*(columns[header] for header in _columns(outputs))))
 
@@ -282,14 +319,18 @@ def _fig5(cfg: SystemConfig) -> dict[str, str]:
 
 def _fig6(cfg: SystemConfig) -> dict[str, str]:
     m_configs = [replace_config(cfg, M=m) for m in _M_GRID]
-    m_columns = [
-        (f"expected_power_alpha_{label}_mw", "power", [_at(c, alpha=a) for c in m_configs])
-        for label, a in (("0p1", 0.1), ("0p9", 0.9))
-    ]
+    m_points = [_at(c, alpha=a) for c in m_configs for a in (0.1, 0.9)]  # one run of both alphas per M
+    try:
+        powers = [power for [power] in _evaluate(m_points, ("power",), seed=0)]
+    except Exception:
+        # the error of the figure's column order: every M at alpha=0.1 first, then at alpha=0.9
+        _evaluate(m_points[::2] + m_points[1::2], ("power",), seed=0)
+        raise
+    m_header = ["M_elements", "expected_power_alpha_0p1_mw", "expected_power_alpha_0p9_mw"]
     alphas = np.linspace(0.1, 0.9, 17).tolist()
     alpha_column = ("expected_power_mw", "power", [_at(cfg, alpha=a) for a in alphas])
     return {
-        "fig6_power_vs_m.csv": _grid_table("M_elements", _M_GRID, m_columns),
+        "fig6_power_vs_m.csv": _csv_table(m_header, zip(_M_GRID, powers[::2], powers[1::2])),
         "fig6_power_vs_alpha.csv": _grid_table("alpha", alphas, [alpha_column]),
     }
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .config import ConfigValidationError, SystemConfig, dbm_to_linear, harvested_power_coefficient
+from .config import ConfigValidationError, SystemConfig, _cached, dbm_to_linear, harvested_power_coefficient
 from .ris import phase_error_stats
 
 __all__ = [
@@ -178,11 +178,11 @@ class _Run:
     def __init__(self, cfg: SystemConfig, alphas, P_p_dbms):
         self.cfg, self.alphas, self.P_p_dbms = cfg, alphas, P_p_dbms
 
-    @cached_property
+    @_cached
     def nu1s(self) -> list[float]:
         return [harvested_power_coefficient(self.cfg, alpha, P_p) for alpha, P_p in zip(self.alphas, self.P_p_dbms)]
 
-    @cached_property
+    @_cached
     def ks(self) -> list[float]:
         """K = eta*P_p*signal/t6 at each hub power, which must be finite."""
         model = _link_model(self.cfg)
@@ -191,7 +191,7 @@ class _Run:
             raise ConfigValidationError("P_p_dbm", "K = eta*P_p*(t1 + t2 t3 + t4 + t5)/t6 overflows; it must be finite")
         return ks
 
-    @cached_property
+    @_cached
     def mean_sinrs(self) -> list[float]:
         """nu1*signal/t6 at each point, after the nu1 and K checks; each must be finite."""
         nu1s, model = self.nu1s, _link_model(self.cfg)
@@ -203,11 +203,11 @@ class _Run:
                                                        f"at alpha={alpha}; it must be finite")
         return sinrs
 
-    @cached_property
+    @_cached
     def rates(self) -> list[float]:
         return [(1.0 - alpha) * math.log2(1.0 + sinr) for alpha, sinr in zip(self.alphas, self.mean_sinrs)]
 
-    @cached_property
+    @_cached
     def quadrature(self):
         """Terms exp(... - c/t_u^2) of 1 - outage and their c/t_u^2, a row per point; None where r_v = 0."""
         if self.cfg.r_v == 0.0:
@@ -225,7 +225,7 @@ class _Run:
             suppression = np.exp(np.array(log_c)[:, None] - 2.0 * model.log_t)  # c / t^2
         return np.exp(model.log_base - suppression), suppression
 
-    @cached_property
+    @_cached
     def coverages(self) -> np.ndarray:
         """I = 1 - P_O at each point: the quadrature's row sum clamped to at most 1; 1 where kappa == 0."""
         return np.ones(len(self.alphas)) if self.quadrature is None else np.minimum(self.quadrature[0].sum(axis=1), 1.0)

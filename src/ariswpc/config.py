@@ -10,7 +10,6 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +114,26 @@ def _as_tuple(value, M: int, default: float, name: str) -> tuple[float, ...]:
     return vals
 
 
+class _cached:
+    """functools.cached_property without the lock that Python 3.11's takes on every first read.
+
+    The value goes to the instance's __dict__, where every later read finds it. Two threads
+    reading a value first may both compute it; they get equal values.
+    """
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Immutable parameter set for one link configuration.
@@ -146,15 +165,20 @@ class SystemConfig:
     mc_samples: int = 10**5
 
     def __post_init__(self):
+        self._coerce(_KNOWN_KEYS)
+        self._check(_KNOWN_KEYS)
+
+    def _coerce(self, names):
+        """Coerce the fields in `names` in place: whole numbers, the mode, and rho / d_h / d_g broadcast to length M."""
         for name in _INT_KEYS:
             v = getattr(self, name)
-            if type(v) is not int:
+            if name in names and type(v) is not int:
                 if not float(v).is_integer():
                     raise ConfigValidationError(name, f"must be an integer, got {v}")
                 object.__setattr__(self, name, int(v))
 
         mode = self.ris_mode
-        if type(mode) is not RisMode:
+        if "ris_mode" in names and type(mode) is not RisMode:
             if not isinstance(mode, str):
                 raise ConfigValidationError("ris_mode", f"must be 'active' or 'passive', got {mode!r}")
             try:
@@ -162,61 +186,61 @@ class SystemConfig:
             except ValueError:
                 raise ConfigValidationError("ris_mode", f"must be 'active' or 'passive', got {mode!r}") from None
 
-        if self.M < 0:
+        if "M" in names and self.M < 0:
             raise ConfigValidationError("M", "must be >= 0")
-        object.__setattr__(self, "rho", _as_tuple(self.rho, self.M, self.rho_max, "rho"))
-        object.__setattr__(self, "d_h", _as_tuple(self.d_h, self.M, 20.0, "d_h"))
-        object.__setattr__(self, "d_g", _as_tuple(self.d_g, self.M, 20.0, "d_g"))
+        for name, default in (("rho", self.rho_max), ("d_h", 20.0), ("d_g", 20.0)):
+            if name in names:
+                object.__setattr__(self, name, _as_tuple(getattr(self, name), self.M, default, name))
 
-        self._check()
-
-    def _check(self):
+    def _check(self, names):
         """Raise ConfigValidationError on the first field, in a fixed order, that breaks an invariant.
 
-        A per-element tuple is checked over its distinct values; a NaN fails every comparison.
+        Runs each check that reads a field in `names`: the others passed when the config these
+        values come from was built. A per-element tuple is checked over its distinct values; a NaN
+        fails every comparison.
         """
         for name in _DBM_KEYS:
-            if not _finite_in_mw(getattr(self, name)):
+            if name in names and not _finite_in_mw(getattr(self, name)):
                 raise ConfigValidationError(name, "must be finite in dBm, and finite and above 0 in mW")
-        if not 0.0 < self.alpha < 1.0:
+        if "alpha" in names and not 0.0 < self.alpha < 1.0:
             raise ConfigValidationError("alpha", f"must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.eta <= 1.0:
+        if "eta" in names and not 0.0 < self.eta <= 1.0:
             raise ConfigValidationError("eta", f"must lie in (0, 1], got {self.eta}")
-        if not self.epsilon > 0:
+        if "epsilon" in names and not self.epsilon > 0:
             raise ConfigValidationError("epsilon", "must be positive")
-        if not 1 <= self.b <= MAX_PHASE_BITS:
+        if "b" in names and not 1 <= self.b <= MAX_PHASE_BITS:
             raise ConfigValidationError("b", f"must lie in [1, {MAX_PHASE_BITS}]")
-        if not 0 <= self.rho_max < math.inf:
+        if "rho_max" in names and not 0 <= self.rho_max < math.inf:
             raise ConfigValidationError("rho_max", "must be finite and >= 0")
-        if not self.d_p > 0:
+        if "d_p" in names and not self.d_p > 0:
             raise ConfigValidationError("d_p", "must be positive")
-        if not self.d_f > 0:
+        if "d_f" in names and not self.d_f > 0:
             raise ConfigValidationError("d_f", "must be positive")
-        d_h, d_g = set(self.d_h), set(self.d_g)
-        if not all(d > 0 for d in d_h):
+        if "d_h" in names and not all(d > 0 for d in set(self.d_h)):
             raise ConfigValidationError("d_h", "all distances must be positive")
-        if not all(d > 0 for d in d_g):
+        if "d_g" in names and not all(d > 0 for d in set(self.d_g)):
             raise ConfigValidationError("d_g", "all distances must be positive")
         # d^-epsilon peaks at the nearest distance; an infinite d_f, d_h or d_g is a blocked link (zeta = 0)
-        nearest = (("d_p", self.d_p), ("d_f", self.d_f), ("d_h", min(d_h, default=1)), ("d_g", min(d_g, default=1)))
-        for name, d in nearest:
-            try:
-                math.pow(d, -self.epsilon)  # raises where numpy would warn and return inf
-            except OverflowError:
-                raise ConfigValidationError(name, "path loss d^-epsilon must be finite") from None
-        if not math.pow(self.d_p, -self.epsilon) > 0.0:
+        for name in ("d_p", "d_f", "d_h", "d_g"):
+            if name in names or "epsilon" in names:
+                d = getattr(self, name)
+                try:
+                    math.pow(d if name in ("d_p", "d_f") else min(d, default=1), -self.epsilon)
+                except OverflowError:  # where numpy would warn and return inf
+                    raise ConfigValidationError(name, "path loss d^-epsilon must be finite") from None
+        if ("d_p" in names or "epsilon" in names) and not math.pow(self.d_p, -self.epsilon) > 0.0:
             raise ConfigValidationError("d_p", "path loss d^-epsilon must be above 0")
-        if not all(0.0 <= r <= self.rho_max for r in set(self.rho)):
+        if ("rho" in names or "rho_max" in names) and not all(0.0 <= r <= self.rho_max for r in set(self.rho)):
             raise ConfigValidationError("rho", f"each element must lie in [0, rho_max={self.rho_max}]")
-        if not 0 <= self.r_v < math.inf:
+        if "r_v" in names and not 0 <= self.r_v < math.inf:
             raise ConfigValidationError("r_v", "must be finite and >= 0")
         # With M = 0 the RIS draws nothing, so a budget of exactly 0 mW is met
-        if not (self.P_R_mw > 0 or (self.P_R_mw == 0 and self.M == 0)):
+        if ("P_R_mw" in names or "M" in names) and not (self.P_R_mw > 0 or (self.P_R_mw == 0 and self.M == 0)):
             raise ConfigValidationError("P_R_mw", "must be positive")
-        if not self.quadrature_points >= 2:
+        if "quadrature_points" in names and not self.quadrature_points >= 2:
             raise ConfigValidationError("quadrature_points", "must be >= 2")
         # mc_rate_and_outage's floor, checked here so that MC commands fail on the config
-        if not self.mc_samples >= 100:
+        if "mc_samples" in names and not self.mc_samples >= 100:
             raise ConfigValidationError("mc_samples", f"must be >= 100, got {self.mc_samples}")
 
     # ---- unit conversions and derived coefficients -------------------------
@@ -244,7 +268,7 @@ class SystemConfig:
     def p2_mw(self) -> float:
         return dbm_to_linear(self.P2_dbm)
 
-    @cached_property
+    @_cached
     def rho_effective(self) -> np.ndarray:
         """Per-element amplification actually applied (all ones in passive mode)."""
         if self.ris_mode is RisMode.PASSIVE:
@@ -254,21 +278,21 @@ class SystemConfig:
         arr.setflags(write=False)
         return arr
 
-    @cached_property
+    @_cached
     def zeta_p(self) -> float:
         return path_loss(self.d_p, self.epsilon)
 
-    @cached_property
+    @_cached
     def zeta_f(self) -> float:
         return path_loss(self.d_f, self.epsilon)
 
-    @cached_property
+    @_cached
     def zeta_h(self) -> np.ndarray:
         arr = np.atleast_1d(path_loss(np.asarray(self.d_h), self.epsilon))
         arr.setflags(write=False)
         return arr
 
-    @cached_property
+    @_cached
     def zeta_g(self) -> np.ndarray:
         arr = np.atleast_1d(path_loss(np.asarray(self.d_g), self.epsilon))
         arr.setflags(write=False)
@@ -280,7 +304,7 @@ class SystemConfig:
 _LIST_KEYS = {"rho", "d_h", "d_g"}
 _STR_KEYS = {"ris_mode"}
 _FIELDS = tuple(f.name for f in fields(SystemConfig))
-_KNOWN_KEYS = set(_FIELDS)
+_KNOWN_KEYS = frozenset(_FIELDS)
 
 
 def _coerce(key: str, raw: str):
@@ -346,10 +370,13 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
     """Functional update that revalidates and rebroadcasts per-element fields.
 
     When M changes, uniform rho / d_h / d_g are rebroadcast to the new length;
-    non-uniform vectors cannot be resized implicitly. The new config is built
-    from cfg's field values and `changes`, and validated as any other. It takes
-    over each of cfg's cached properties (_HANDED_ON) whose inputs are not in
-    `changes`, and nothing else: models kept on cfg are built anew.
+    non-uniform vectors cannot be resized implicitly. The new config takes cfg's
+    coerced field values, then coerces and checks the fields in `changes` (and
+    rho / d_h / d_g when M changes) with SystemConfig's own checks, each check
+    that reads one of them, in the same order and with the same messages: it
+    equals SystemConfig(**{cfg's fields, **changes}), or raises its error. It
+    takes over each of cfg's cached properties (_HANDED_ON) whose inputs are
+    not in `changes`, and nothing else: models kept on cfg are built anew.
     """
     if "M" in changes and changes["M"] != cfg.M:
         for name in ("rho", "d_h", "d_g"):
@@ -362,8 +389,15 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
                     name, "cannot change M with a non-uniform per-element vector"
                 )
             changes[name] = uniq.pop() if uniq else None
-    new = SystemConfig(**{**{name: getattr(cfg, name) for name in _FIELDS}, **changes})
+    if not _KNOWN_KEYS.issuperset(changes):
+        SystemConfig(**changes)  # raises the TypeError of an unknown keyword argument
+    new = object.__new__(SystemConfig)
+    values, parent = new.__dict__, cfg.__dict__
+    values.update({name: parent[name] for name in _FIELDS})
+    values.update(changes)
+    new._coerce(changes)
+    new._check(changes)
     for name, inputs in _HANDED_ON:
         if inputs.isdisjoint(changes):
-            new.__dict__[name] = getattr(cfg, name)
+            values[name] = getattr(cfg, name)
     return new

@@ -218,7 +218,7 @@ def mc_rate_and_outage(
     mc_ergodic_rate / mc_outage at the same (cfg, alpha, n, seed) with cfg's
     hub power set to P_p_dbm, whatever the worker count. Raises
     ConfigValidationError on P_p_dbm at the first point whose rate estimate
-    is not finite (its SINR overflows).
+    is not finite (its SINR overflows); its `point` is that point's index.
     """
     nu1s = [harvested_power_coefficient(cfg, alpha, P_p_dbm) for alpha, P_p_dbm in zip(alphas, P_p_dbms, strict=True)]
     n = cfg.mc_samples if n is None else n
@@ -244,9 +244,11 @@ def mc_rate_and_outage(
         total, mean, m2 = _merge_mean_var([chunk[k][0] for chunk in chunks])
         rate = Estimate(value=mean, stderr=math.sqrt(m2 / (total - 1) / total), n=total, seed=seed)
         if not (math.isfinite(rate.value) and math.isfinite(rate.stderr)):
-            raise ConfigValidationError(
+            error = ConfigValidationError(
                 "P_p_dbm", f"the Monte Carlo rate (1-alpha) log2(1+SINR) overflows at alpha={alpha}; it must be finite"
             )
+            error.point = k  # the points before it passed
+            raise error
         p = sum(chunk[k][1] for chunk in chunks) / n
         outage = Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n, seed=seed)
         results.append(RateOutage(rate=rate, outage=outage))

@@ -104,6 +104,13 @@ class TestRunSweep:
 
 
 class TestFigures:
+    def test_fig6_error_follows_its_column_order(self, capsys):
+        # the power overflows from M=8 at alpha=0.9 and from M=56 at alpha=0.1: the alpha=0.1 column comes first
+        argv = ["figure", "fig6", "--set", "d_h=1", "--set", "P1_dbm=3064.77", "--set", "P_p_dbm=3049.7"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigValidationError: P_p_dbm: the expected RIS power overflows at alpha=0.1; it must be finite\n")
+
     def test_fig2_quantization_ordering(self):
         files = reproduce_figure("fig2")
         header, rows = _parse(files["fig2_ergodic_vs_pp.csv"])
@@ -147,6 +154,42 @@ class TestFigures:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             reproduce_figure("fig9")
+
+
+def _per_cell_csv(header, rows) -> str:
+    """The per-cell writer: each cell through cli._fmt, each row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cli._fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+class TestCsvTable:
+    _CELLS = (1.5, -0.0, 5e-324, 1.7976931348623157e308, np.float64(-2.25e-300), np.float32(0.1), 0, -7, 2**70,
+              np.int64(-9), np.uint8(255), np.int32(3), True, False, np.bool_(True), np.bool_(False), None, "",
+              "plain", 'a "quoted", cell', "two\nlines")
+
+    def test_bytes_equal_the_per_cell_writer(self):
+        rng = np.random.default_rng(11)
+        picks = [rng.integers(len(self._CELLS), size=rng.integers(0, 7)) for _ in range(300)]
+        rows = [[self._CELLS[i] for i in pick] for pick in picks]
+        # numbers only, and a row type seen twice, take the one-template path; the others fall back
+        rows += [[1.5, np.float64(2.0), 3, np.int64(4), True, np.bool_(False)]] * 2 + [[], [""], [None]]
+        header = ["x", "y,z", 'q"uote']
+        assert cli._csv_table(header, rows) == _per_cell_csv(header, rows)
+        assert cli._csv_table(header, iter(map(tuple, rows))) == _per_cell_csv(header, rows)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_raises_at_the_first(self, kind, bad):
+        for row in ([1.0, 2, kind(bad), kind(-bad)], [np.float64(1.0), kind(bad), math.nan], ["x", 1.0, kind(bad)],
+                    [np.float32(1.0), kind(bad), math.inf]):
+            with pytest.raises(ValueError) as expected:
+                _per_cell_csv(["h"], [[0.5, 1], row])
+            with pytest.raises(ValueError) as raised:
+                cli._csv_table(["h"], [[0.5, 1], row])
+            assert str(raised.value) == str(expected.value) == f"non-finite value {float(bad)} in a CSV cell"
 
 
 class TestCompare:
@@ -613,15 +656,26 @@ class TestSharedDrawEngine:
         run_sweep(replace_config(SystemConfig(), mc_samples=2000), spec)
         assert sample_batch_sizes == [2000, 2000, 2000]
 
-    def test_failing_sweep_samples_only_its_failing_run_again(self, capsys, monkeypatch, sample_batch_sizes):
+    def test_failing_sweep_samples_each_run_once(self, capsys, monkeypatch, sample_batch_sizes):
         # one CPU: with more, the chunks' sample_batch calls may interleave in any order
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
         argv = ["sweep", "--variable", "rho", "--values", "1,2,4,6", "--outputs", "ergodic_mc", "--samples", "20000",
                 "--set", "P_p_dbm=3065", "--set", "alpha=0.5"]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: ConfigValidationError: sweep rho=6: {_MC_RATE_OVERFLOWS}\n"
-        # four runs of one point draw 2 chunks each; only the failing run at rho=6 is evaluated again
-        assert sample_batch_sizes == [16384, 3616] * 5
+        # four runs of one point draw 2 chunks each; the failing run at rho=6 is not sampled again
+        assert sample_batch_sizes == [16384, 3616] * 4
+
+    @pytest.mark.parametrize("outputs", ["ergodic_mc", "ergodic_mc,power", "power,ergodic_mc,outage_mc"])
+    def test_failing_run_is_sampled_once(self, outputs, capsys, monkeypatch, sample_batch_sizes):
+        # the run's one pass passed alpha=0.05 and failed at alpha=0.5 in the Monte Carlo engine; the
+        # point-by-point fallback evaluates only the outputs after the Monte Carlo one at alpha=0.05, and draws nothing
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        argv = ["sweep", "--variable", "alpha", "--values", "0.05,0.5", "--outputs", outputs, "--samples", "100000",
+                "--set", "P_p_dbm=3070"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: ConfigValidationError: sweep alpha=0.5: {_MC_RATE_OVERFLOWS}\n"
+        assert sample_batch_sizes == [16384] * 6 + [1696]
 
 
 _MC_ARGV = ["mc", "--samples", "40000", "--seed", "5", "--set", "M=16"]

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ariswpc import (
     path_loss,
     replace_config,
 )
+from ariswpc import config
 from ariswpc.ris import MAX_PHASE_BITS
 
 
@@ -222,6 +225,22 @@ class TestValidation:
     def test_eta_one_allowed(self):
         assert SystemConfig(eta=1.0).eta == 1.0
 
+    def test_cached_values_read_first_by_many_threads_agree(self):
+        # the cached values take no lock: threads that read one first may each compute it, and get equal arrays
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(20):
+                    cfg = SystemConfig(M=64, d_h=tuple(range(1, 65)))
+                    values = list(pool.map(lambda _: (cfg.zeta_h, cfg.rho_effective), range(32), timeout=30))
+                    for zeta_h, rho in values:
+                        assert np.array_equal(zeta_h, values[0][0]) and np.array_equal(rho, values[0][1])
+                        assert not zeta_h.flags.writeable and not rho.flags.writeable
+                    assert cfg.zeta_h is cfg.zeta_h
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_config_is_immutable(self):
         cfg = SystemConfig()
         with pytest.raises(Exception):
@@ -289,3 +308,76 @@ class TestReplaceConfig:
             np.testing.assert_array_equal(getattr(new, name), getattr(fresh, name))
             # an array whose inputs are untouched is the source's own, computed once
             assert (getattr(new, name) is getattr(cfg, name)) == inputs.isdisjoint(changes)
+
+    def test_unknown_field_raises_the_constructor_type_error(self):
+        message = "SystemConfig.__init__() got an unexpected keyword argument 'bogus'"
+        for changes in ({"bogus": 1}, {"alpha": 0.3, "bogus": 1, "other": 2}, {"M": 4, "bogus": 1}):
+            with pytest.raises(TypeError) as err:
+                replace_config(SystemConfig(), **changes)
+            assert str(err.value) == message
+
+    def test_derived_config_equals_a_full_build(self):
+        # replace_config coerces and checks only what changed: it raises what a full build of the same
+        # values raises, type and message, or returns a config equal to it, field types and handed-on arrays too
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        bases = [
+            SystemConfig(),
+            SystemConfig(M=0, P_R_mw=0.0),
+            SystemConfig(ris_mode="passive", b=1),
+            SystemConfig(M=3, rho=(1.0, 2.0, 3.0), d_h=(10.0, 20.0, 30.0), d_g=(5.0, 15.0, 25.0)),
+            SystemConfig(M=2, d_p=1e-90, d_f=math.inf, d_h=1e90, d_g=1e-90),
+        ]
+        odd = [math.nan, math.inf, -math.inf, -1.0, 0.0, 2.5, -2, "bogus", "Passive", RisMode.ACTIVE, None, [1.0]]
+        plausible = st.sampled_from([0.3, 0.5, 2.0, 4, 15.0, 100, 150, -20.0, 1e-300, 1e300, 3080.0])
+        scalars = st.one_of(plausible, plausible, plausible, st.sampled_from(odd), st.floats(), st.integers(-3, 300))
+        vectors = st.one_of(plausible, st.sampled_from(odd), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4).map(
+            tuple))
+        element_counts = st.sampled_from([0, 2, 3, 4, 36, 4.0, np.int64(3), 2.5, -1, math.nan, math.inf, "4", None, [4]])
+        # every field but M, those read by another field's checks twice as often
+        fields = [f for f in config._FIELDS if f != "M"] + ["epsilon", "rho_max", "P_R_mw", "rho", "d_p", "d_h", "d_g"]
+        field_changes = st.lists(
+            st.sampled_from(fields).flatmap(
+                lambda f: st.tuples(st.just(f), vectors if f in ("rho", "d_h", "d_g") else scalars)),
+            max_size=2, unique_by=lambda item: item[0]).map(dict)
+
+        def full_build(cfg, changes):
+            # SystemConfig of cfg's values and the changes, with replace_config's M-rebroadcast rule
+            changes = dict(changes)
+            if "M" in changes and changes["M"] != cfg.M:
+                for name in ("rho", "d_h", "d_g"):
+                    uniq = set(getattr(cfg, name))
+                    if name not in changes and len(uniq) > 1:
+                        raise ConfigValidationError(name, "cannot change M with a non-uniform per-element vector")
+                    changes.setdefault(name, uniq.pop() if uniq else None)
+            return SystemConfig(**{**{f: getattr(cfg, f) for f in config._FIELDS}, **changes})
+
+        def outcome(build):
+            try:
+                return build(), None
+            except Exception as exc:  # noqa: BLE001 - the property compares any error
+                return None, (type(exc), str(exc))
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(
+            cfg=st.sampled_from(bases),
+            changes=field_changes,
+            M=element_counts,
+            change_M=st.booleans(),
+        )
+        def check(cfg, changes, M, change_M):
+            if change_M or not changes:
+                changes = {"M": M, **changes}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                derived, derived_error = outcome(lambda: replace_config(cfg, **changes))
+                full, full_error = outcome(lambda: full_build(cfg, changes))
+            assert derived_error == full_error
+            if full is not None:
+                assert derived == full
+                assert [type(getattr(derived, f)) for f in config._FIELDS] == [
+                    type(getattr(full, f)) for f in config._FIELDS]
+                for name, _ in config._HANDED_ON:
+                    assert np.array_equal(getattr(derived, name), getattr(full, name)), name
+
+        check()

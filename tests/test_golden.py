@@ -67,6 +67,11 @@ _EXTRA = (
     ("sweep", "--variable", "P_p_dbm", "--values", "0,10", "--outputs", "outage_cf",
      "--set", "M=0", "--set", "d_f=inf"),
     *(("mc", "--alpha", alpha, "--samples", "3000") for alpha in ("0.1", "0.419", "0.9")),
+    # errors raised while deriving a figure's or a sweep's variant configs
+    ("figure", "all", "--set", "M=4", "--set", "rho=1,2,3,4"),
+    ("figure", "all", "--set", "M=2", "--set", "d_h=10,20"),
+    ("figure", "all", "--set", "M=0", "--set", "P_R_mw=0"),
+    ("sweep", "--variable", "M", "--values", "0,4", "--outputs", "power", "--set", "M=0", "--set", "P_R_mw=0"),
 )
 # Monte Carlo and closed-form sweeps over every variable, with every output
 _MC_SWEEP = ("sweep", "--samples", "2000", "--outputs",
