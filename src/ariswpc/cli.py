@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import _Run, effective_rate, ergodic_rate
-from .config import _KNOWN_KEYS, ConfigParseError, RisMode, SystemConfig, _coerce, load_config_file, replace_config
+from .config import _KNOWN_KEYS, ConfigParseError, RisMode, SystemConfig, load_config_file, replace_config
 from .montecarlo import mc_rate_and_outage
 from .optimize import (
     NoInteriorMaximumError,
@@ -375,7 +375,7 @@ def _build_config(args) -> SystemConfig:
         key = key.strip()
         if key not in _KNOWN_KEYS:
             raise ConfigParseError(f"unknown config key: {key!r}")
-        overrides[key] = _coerce(key, raw)
+        overrides[key] = raw
     dedicated = {"mc_samples": getattr(args, "samples", None), "quadrature_points": args.quadrature_points,
                  "P_R_mw": getattr(args, "power_budget", None)}  # --samples: mc, sweep; --power-budget: optimize
     overrides.update((key, value) for key, value in dedicated.items() if value is not None)
@@ -402,9 +402,15 @@ def _emit(files: dict[str, str], out_dir: str | None) -> None:
 
 
 def _sweep(cfg: SystemConfig, args) -> dict[str, str]:
+    values = []
+    for raw in args.values.split(","):  # each a number, validated below as a value of the field
+        try:
+            values.append(float(raw))
+        except ValueError:
+            raise ConfigParseError(f"cannot parse value for {args.variable!r}: {raw.strip()!r}") from None
     spec = SweepSpec(
         variable=args.variable,
-        values=tuple(float(v) for v in args.values.split(",")),
+        values=tuple(values),
         outputs=tuple(args.outputs.split(",")),
         seed=args.seed,
     )

@@ -96,6 +96,7 @@ def _finite_in_mw(x_dbm: float) -> bool:
 
 # Fields that must hold whole numbers, in the order they are validated.
 _INT_KEYS = ("M", "b", "quadrature_points", "mc_samples")
+_VECTOR_KEYS = ("rho", "d_h", "d_g")  # per-element fields, length-M tuples
 # Powers in dBm, each finite with a finite, positive mW value, in the order they are validated.
 _DBM_KEYS = ("P_p_dbm", "sigma_v2_dbm", "sigma_n2_dbm", "P1_dbm", "P2_dbm")
 
@@ -165,32 +166,51 @@ class SystemConfig:
     mc_samples: int = 10**5
 
     def __post_init__(self):
-        self._coerce(_KNOWN_KEYS)
+        self._coerce(_FIELDS)
         self._check(_KNOWN_KEYS)
 
     def _coerce(self, names):
-        """Coerce the fields in `names` in place: whole numbers, the mode, and rho / d_h / d_g broadcast to length M."""
+        """Coerce the fields in `names` in place: text (a str), stripped and parsed in the order of `names` by the
+        rule of --set, or a ConfigParseError; each rho / d_h / d_g not in `names` rebroadcast to a new M, if
+        uniform; whole numbers; the mode; and rho / d_h / d_g broadcast to length M."""
+        values = self.__dict__
+        for name in names:
+            if type(values[name]) is str:
+                raw = values[name].strip()
+                try:
+                    values[name] = (raw if name == "ris_mode" else int(raw) if name in _INT_KEYS else
+                                    tuple(map(float, raw.split(","))) if name in _VECTOR_KEYS else float(raw))
+                except ValueError:
+                    raise ConfigParseError(f"cannot parse value for {name!r}: {raw!r}") from None
+
+        # only a new M can leave a vector not in `names` at another length than M
+        resized = [n for n in _VECTOR_KEYS if n not in names and len(values[n]) != values["M"]] if "M" in names else ()
+        for name in resized:
+            if len(set(values[name])) > 1:
+                raise ConfigValidationError(name, "cannot change M with a non-uniform per-element vector")
+            values[name] = values[name][0] if values[name] else None
+
         for name in _INT_KEYS:
-            v = getattr(self, name)
+            v = values[name]
             if name in names and type(v) is not int:
                 if not float(v).is_integer():
                     raise ConfigValidationError(name, f"must be an integer, got {v}")
-                object.__setattr__(self, name, int(v))
+                values[name] = int(v)
 
         mode = self.ris_mode
         if "ris_mode" in names and type(mode) is not RisMode:
             if not isinstance(mode, str):
                 raise ConfigValidationError("ris_mode", f"must be 'active' or 'passive', got {mode!r}")
             try:
-                object.__setattr__(self, "ris_mode", RisMode(mode.lower()))
+                values["ris_mode"] = RisMode(mode.lower())
             except ValueError:
                 raise ConfigValidationError("ris_mode", f"must be 'active' or 'passive', got {mode!r}") from None
 
         if "M" in names and self.M < 0:
             raise ConfigValidationError("M", "must be >= 0")
         for name, default in (("rho", self.rho_max), ("d_h", 20.0), ("d_g", 20.0)):
-            if name in names:
-                object.__setattr__(self, name, _as_tuple(getattr(self, name), self.M, default, name))
+            if name in names or name in resized:
+                values[name] = _as_tuple(values[name], self.M, default, name)
 
     def _check(self, names):
         """Raise ConfigValidationError on the first field, in a fixed order, that breaks an invariant.
@@ -301,24 +321,8 @@ class SystemConfig:
 
 # ---- config document parsing ------------------------------------------------
 
-_LIST_KEYS = {"rho", "d_h", "d_g"}
-_STR_KEYS = {"ris_mode"}
-_FIELDS = tuple(f.name for f in fields(SystemConfig))
+_FIELDS = dict.fromkeys(f.name for f in fields(SystemConfig))  # the field names in order, with fast lookups
 _KNOWN_KEYS = frozenset(_FIELDS)
-
-
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS and "," in raw:
-            return tuple(float(v) for v in raw.split(","))
-        return float(raw)
-    except ValueError:
-        raise ConfigParseError(f"cannot parse value for {key!r}: {raw!r}") from None
 
 
 def load_config(text: str) -> SystemConfig:
@@ -347,7 +351,7 @@ def load_config(text: str) -> SystemConfig:
                 raise ConfigParseError(f"unknown config key: {key!r}")
             if key in data:
                 raise ConfigParseError(f"malformed config document: option {key!r} is set again in section {section!r}")
-            data[key] = _coerce(key, raw)
+            data[key] = raw
     return SystemConfig(**data)
 
 
@@ -369,26 +373,14 @@ _HANDED_ON = (("rho_effective", {"M", "rho", "ris_mode"}), ("zeta_p", {"d_p", "e
 def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
     """Functional update that revalidates and rebroadcasts per-element fields.
 
-    When M changes, uniform rho / d_h / d_g are rebroadcast to the new length;
-    non-uniform vectors cannot be resized implicitly. The new config takes cfg's
-    coerced field values, then coerces and checks the fields in `changes` (and
-    rho / d_h / d_g when M changes) with SystemConfig's own checks, each check
-    that reads one of them, in the same order and with the same messages: it
+    The new config takes cfg's coerced field values, then coerces and checks the
+    fields in `changes` with SystemConfig's own code, each check that reads one
+    of them, in the same order and with the same messages; a new M rebroadcasts
+    a uniform rho / d_h / d_g, whose values passed their checks in cfg. So it
     equals SystemConfig(**{cfg's fields, **changes}), or raises its error. It
     takes over each of cfg's cached properties (_HANDED_ON) whose inputs are
     not in `changes`, and nothing else: models kept on cfg are built anew.
     """
-    if "M" in changes and changes["M"] != cfg.M:
-        for name in ("rho", "d_h", "d_g"):
-            if name in changes:
-                continue
-            current = getattr(cfg, name)
-            uniq = set(current)
-            if len(uniq) > 1:
-                raise ConfigValidationError(
-                    name, "cannot change M with a non-uniform per-element vector"
-                )
-            changes[name] = uniq.pop() if uniq else None
     if not _KNOWN_KEYS.issuperset(changes):
         SystemConfig(**changes)  # raises the TypeError of an unknown keyword argument
     new = object.__new__(SystemConfig)

@@ -562,6 +562,16 @@ class TestErrorContract:
         assert caught.value.field == "M"
         assert str(caught.value) == "sweep M=-1: M: must be >= 0"
 
+    @pytest.mark.parametrize("values, raw", [("4,x", "x"), ("1,,2", "")], ids=["letter", "empty"])
+    def test_unparsable_sweep_value_is_a_parse_error(self, capsys, values, raw):
+        assert main(["sweep", "--variable", "M", "--values", values, "--outputs", "power"]) == 1
+        assert capsys.readouterr().err == f"error: ConfigParseError: cannot parse value for 'M': {raw!r}\n"
+
+    def test_fractional_sweep_value_of_a_whole_number_field_is_a_validation_error(self, capsys):
+        # a sweep value is a number, validated as a value of the field
+        assert main(["sweep", "--variable", "M", "--values", "4.5", "--outputs", "power"]) == 1
+        assert capsys.readouterr().err == "error: ConfigValidationError: sweep M=4.5: M: must be an integer, got 4.5\n"
+
     @pytest.mark.parametrize("item", ["M", "bogus=1"])
     def test_set_item_fails_as_the_same_line_of_a_config_file(self, capsys, item):
         with pytest.raises(config.ConfigError) as in_file:

@@ -19,8 +19,24 @@ from ariswpc import (
     path_loss,
     replace_config,
 )
-from ariswpc import config
+from ariswpc import cli, config
 from ariswpc.ris import MAX_PHASE_BITS
+
+
+def _parse_set_text(key: str, raw: str):
+    """The --set rule for text, the reference parser: whole numbers take an integer literal, the
+    per-element fields comma-separated numbers, the mode stays text, every other field a number."""
+    raw = raw.strip()
+    try:
+        if key == "ris_mode":
+            return raw
+        if key in ("M", "b", "quadrature_points", "mc_samples"):
+            return int(raw)
+        if key in ("rho", "d_h", "d_g") and "," in raw:
+            return tuple(float(v) for v in raw.split(","))
+        return float(raw)
+    except ValueError:
+        raise ConfigParseError(f"cannot parse value for {key!r}: {raw!r}") from None
 
 
 class TestLoadConfig:
@@ -101,6 +117,85 @@ class TestConfigFile:
 
     def test_a_lone_default_section_is_read(self):
         assert load_config("[DEFAULT]\nM = 4\n") == SystemConfig(M=4)
+
+
+# A valid text of each field, other than its default
+_VALID_TEXT = {
+    "P_p_dbm": "25", "eta": "0.5", "alpha": "0.3", "M": "4", "rho": "2", "rho_max": "7", "b": "2", "d_p": "15",
+    "d_f": "25", "d_h": "12", "d_g": "14", "epsilon": "2.5", "sigma_v2_dbm": "-70", "sigma_n2_dbm": "-75",
+    "r_v": "1", "P1_dbm": "-5", "P2_dbm": "-6", "P_R_mw": "20", "ris_mode": "passive", "quadrature_points": "50",
+    "mc_samples": "2000",
+}
+
+
+class TestText:
+    """SystemConfig parses text itself, by the --set rule, so every entrance gives the same config or error."""
+
+    def test_library_text_follows_the_set_rule(self):
+        with pytest.raises(ConfigValidationError, match=r"^rho: each element must lie in \[0, rho_max=6.0\]$"):
+            SystemConfig(M=2, rho="12")  # the number 12, not the characters 1 and 2
+        assert SystemConfig(M=2, rho="12", rho_max=12).rho == (12.0, 12.0)
+        assert SystemConfig(alpha="0.3") == SystemConfig(alpha=0.3)
+        with pytest.raises(ConfigValidationError, match="^rho: expected length 36, got 2$"):
+            SystemConfig(rho="1,2")
+        cfg = SystemConfig(M=3, rho=(1, 2, 3))
+        assert replace_config(cfg, M="3") == cfg
+        with pytest.raises(ConfigParseError, match="^cannot parse value for 'M': '4.0'$"):
+            SystemConfig(M="4.0")
+        assert SystemConfig(ris_mode=" Passive ").ris_mode is RisMode.PASSIVE
+
+    @pytest.mark.parametrize("field", list(_VALID_TEXT))
+    def test_three_entrances_agree(self, field, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "compare_active_passive", lambda cfg: built.append(cfg) or "")
+
+        def error_line(build):
+            try:
+                build()
+            except Exception as exc:  # noqa: BLE001 - main prints any error as one line
+                return f"error: {type(exc).__name__}: {exc}\n"
+
+        pool = [_VALID_TEXT[field], f"  {_VALID_TEXT[field]}  ", "0.3x", "4.0", "1e5", ",".join(["3"] * 36), "1,2",
+                "Passive", " bogus "]
+        for text in pool:
+            # rho is set too: a built config's default rho follows rho_max, a --set of rho_max keeps rho
+            settings = {"rho": "6", field: text}
+            library = error_line(lambda: built.append(SystemConfig(**settings)))
+            text_document = "".join(f"{k} = {v}\n" for k, v in settings.items())
+            document = error_line(lambda: built.append(load_config(text_document)))
+            argv = [item for k, v in settings.items() for item in ("--set", f"{k}={v}")]
+            assert cli.main(["compare", *argv]) == (library is not None)
+            assert (library, document, capsys.readouterr().err or None) == (library, library, library), text
+            if library is None:
+                assert built[0] == built[1] == built[2], text
+                assert [type(getattr(built[2], f)) for f in config._FIELDS] == [
+                    type(getattr(built[0], f)) for f in config._FIELDS]
+            built.clear()
+
+    def test_set_of_the_files_own_m_keeps_its_per_element_vector(self, tmp_path, capsys):
+        path = tmp_path / "three.cfg"
+        path.write_text("M = 3\nrho = 1,2,3\n", encoding="utf-8")
+        assert cli.main(["compare", "--config", str(path), "--set", "M=3"]) == 0
+        assert cli.main(["compare", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, second = captured.out.split("ris_mode,")[1:]
+        assert first == second
+
+    def test_unknown_set_key_is_named_before_any_value_is_parsed(self, capsys):
+        assert cli.main(["compare", "--set", "M=x", "--set", "bogus=1"]) == 1
+        assert capsys.readouterr().err == "error: ConfigParseError: unknown config key: 'bogus'\n"
+
+    def test_first_unparsable_value_in_field_order_is_named(self):
+        with pytest.raises(ConfigParseError, match="^cannot parse value for 'M': 'y'$"):
+            load_config("b = x\nM = y\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["--set", "M=x", "--set", "M=4"], ["--set", "quadrature_points=x", "--quadrature-points", "50"]],
+        ids=["set-again", "dedicated-flag"])
+    def test_a_replaced_set_value_is_not_parsed(self, argv, capsys):
+        assert cli.main(["compare", *argv]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestValidation:
@@ -312,9 +407,10 @@ class TestReplaceConfig:
     def test_unknown_field_raises_the_constructor_type_error(self):
         message = "SystemConfig.__init__() got an unexpected keyword argument 'bogus'"
         for changes in ({"bogus": 1}, {"alpha": 0.3, "bogus": 1, "other": 2}, {"M": 4, "bogus": 1}):
-            with pytest.raises(TypeError) as err:
-                replace_config(SystemConfig(), **changes)
-            assert str(err.value) == message
+            for cfg in (SystemConfig(), SystemConfig(M=3, rho=(1.0, 2.0, 3.0))):  # before the M-rebroadcast rule
+                with pytest.raises(TypeError) as err:
+                    replace_config(cfg, **changes)
+                assert str(err.value) == message
 
     def test_derived_config_equals_a_full_build(self):
         # replace_config coerces and checks only what changed: it raises what a full build of the same
@@ -342,8 +438,9 @@ class TestReplaceConfig:
             max_size=2, unique_by=lambda item: item[0]).map(dict)
 
         def full_build(cfg, changes):
-            # SystemConfig of cfg's values and the changes, with replace_config's M-rebroadcast rule
-            changes = dict(changes)
+            # SystemConfig of cfg's values and the changes, text parsed by the --set rule first, then the
+            # M-rebroadcast rule
+            changes = {k: _parse_set_text(k, v) if type(v) is str else v for k, v in changes.items()}
             if "M" in changes and changes["M"] != cfg.M:
                 for name in ("rho", "d_h", "d_g"):
                     uniq = set(getattr(cfg, name))

@@ -72,6 +72,16 @@ _EXTRA = (
     ("figure", "all", "--set", "M=2", "--set", "d_h=10,20"),
     ("figure", "all", "--set", "M=0", "--set", "P_R_mw=0"),
     ("sweep", "--variable", "M", "--values", "0,4", "--outputs", "power", "--set", "M=0", "--set", "P_R_mw=0"),
+    # --set text: whole-number fields take integer literals, text is stripped, lists are comma-separated,
+    # and a changed M rebroadcasts only a uniform vector
+    ("compare", "--set", "M=4.0"),
+    ("compare", "--set", "alpha=0.3x"),
+    ("compare", "--set", "mc_samples=1e5"),
+    ("compare", "--set", "ris_mode= bogus "),
+    ("optimize", "--set", "ris_mode= Passive "),
+    ("compare", "--set", "M=2", "--set", "rho=1, 5", "--set", "d_h= 10,30"),
+    ("compare", "--set", "M=3", "--set", "rho=1,2"),
+    ("sweep", "--variable", "M", "--values", "2,3", "--outputs", "power", "--set", "M=3", "--set", "rho=1,2,3"),
 )
 # Monte Carlo and closed-form sweeps over every variable, with every output
 _MC_SWEEP = ("sweep", "--samples", "2000", "--outputs",
