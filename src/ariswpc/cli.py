@@ -6,10 +6,11 @@ digits), so identical seeds and flags reproduce byte-identical files; a
 non-finite cell fails the command. Each per-config number, in a sweep, mc or
 compare row or a figure column, is an _OUTPUTS cell, Monte Carlo and
 alpha* included; a figure column or a sweep over P_p or alpha evaluates one
-config at all its points. Precedence of settings: built-in defaults <
---config file < --set KEY=VALUE < dedicated flags (--quadrature-points, and
---samples of mc and sweep, --power-budget of optimize). Monte Carlo runs on
-the engine's default threads; that never changes the output.
+config at all its points. One config is built from one set of field values:
+the --config file's, then each --set KEY=VALUE's, then the dedicated flags'
+(--quadrature-points, --samples, --power-budget, mc's --alpha); a value that
+a later one replaces, a file's too, is never parsed. Monte Carlo runs on the
+engine's default threads; that never changes the output.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import _Run, effective_rate, ergodic_rate
-from .config import _KNOWN_KEYS, ConfigParseError, RisMode, SystemConfig, load_config_file, replace_config
+from .config import _FIELDS, ConfigParseError, RisMode, SystemConfig, _file_fields, replace_config
 from .montecarlo import mc_rate_and_outage
 from .optimize import (
     NoInteriorMaximumError,
@@ -366,20 +367,19 @@ def compare_active_passive(cfg: SystemConfig) -> str:
 
 
 def _build_config(args) -> SystemConfig:
-    cfg = load_config_file(args.config) if args.config else SystemConfig()
-    overrides = {}
+    fields = _file_fields(args.config) if args.config else {}
     for item in args.set or []:
         if "=" not in item:
             raise ConfigParseError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ConfigParseError(f"unknown config key: {key!r}")
-        overrides[key] = raw
+        fields[key] = raw
     dedicated = {"mc_samples": getattr(args, "samples", None), "quadrature_points": args.quadrature_points,
-                 "P_R_mw": getattr(args, "power_budget", None)}  # --samples: mc, sweep; --power-budget: optimize
-    overrides.update((key, value) for key, value in dedicated.items() if value is not None)
-    return replace_config(cfg, **overrides) if overrides else cfg
+                 "P_R_mw": getattr(args, "power_budget", None), "alpha": getattr(args, "alpha", None)}
+    fields.update((key, value) for key, value in dedicated.items() if value is not None)
+    return SystemConfig(**fields)
 
 
 def _emit(files: dict[str, str], out_dir: str | None) -> None:
@@ -445,11 +445,10 @@ def _optimize(cfg: SystemConfig, args) -> dict[str, str]:
 
 def _mc(cfg: SystemConfig, args) -> dict[str, str]:
     """The sweep's ergodic and outage columns at one alpha, plus n and seed."""
-    point = replace_config(cfg, alpha=cfg.alpha if args.alpha is None else args.alpha)
     outputs = ("ergodic_cf", "ergodic_mc", "outage_cf", "outage_mc")
-    [row] = _evaluate([_at(point)], outputs, args.seed)
+    [row] = _evaluate([_at(cfg)], outputs, args.seed)
     header = ["alpha", *_columns(outputs), "n_samples", "seed"]
-    return {"mc.csv": _csv_table(header, [[point.alpha, *row, point.mc_samples, args.seed]])}
+    return {"mc.csv": _csv_table(header, [[cfg.alpha, *row, cfg.mc_samples, args.seed]])}
 
 
 @functools.cache  # argparse keeps no state between parse_args calls

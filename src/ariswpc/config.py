@@ -26,7 +26,6 @@ __all__ = [
     "path_loss",
     "harvested_power_coefficient",
     "load_config",
-    "load_config_file",
     "replace_config",
 ]
 
@@ -167,7 +166,7 @@ class SystemConfig:
 
     def __post_init__(self):
         self._coerce(_FIELDS)
-        self._check(_KNOWN_KEYS)
+        self._check(_FIELDS)
 
     def _coerce(self, names):
         """Coerce the fields in `names` in place: text (a str), stripped and parsed in the order of `names` by the
@@ -322,18 +321,16 @@ class SystemConfig:
 # ---- config document parsing ------------------------------------------------
 
 _FIELDS = dict.fromkeys(f.name for f in fields(SystemConfig))  # the field names in order, with fast lookups
-_KNOWN_KEYS = frozenset(_FIELDS)
 
 
-def load_config(text: str) -> SystemConfig:
-    """Parse a flat ``key = value`` document into a validated SystemConfig.
+def _document_fields(text: str) -> dict[str, str]:
+    """The field texts of a flat ``key = value`` document, by key; a ConfigParseError if it is malformed.
 
     Syntax: one assignment per line, ``#`` comments, an optional ``[config]``
     section header, and comma-separated lists for rho / d_h / d_g. Keys are
     the SystemConfig field names; unknown keys and keys set twice, in one
-    section or across sections, are rejected; absent keys take the defaults.
-    Every section, [DEFAULT] too, is read as written (no header is "[]").
-    An empty document yields the default configuration.
+    section or across sections, are rejected. Every section, [DEFAULT] too,
+    is read as written (no header is "[]").
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     parser.optionxform = str
@@ -347,22 +344,26 @@ def load_config(text: str) -> SystemConfig:
     data: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if key not in _KNOWN_KEYS:
+            if key not in _FIELDS:
                 raise ConfigParseError(f"unknown config key: {key!r}")
             if key in data:
                 raise ConfigParseError(f"malformed config document: option {key!r} is set again in section {section!r}")
             data[key] = raw
-    return SystemConfig(**data)
+    return data
 
 
-def load_config_file(path) -> SystemConfig:
-    """load_config of a UTF-8 file; other bytes are a ConfigParseError, a path that cannot be opened an OSError."""
+def _file_fields(path) -> dict[str, str]:
+    """_document_fields of a UTF-8 file; other bytes are a ConfigParseError, a path that cannot be opened an OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return _document_fields(fh.read())
         except UnicodeDecodeError as exc:
             raise ConfigParseError(f"malformed config document: not UTF-8 text: {exc}") from None
-    return load_config(text)
+
+
+def load_config(text: str) -> SystemConfig:
+    """The SystemConfig of a flat ``key = value`` document (see _document_fields); absent keys take the defaults."""
+    return SystemConfig(**_document_fields(text))
 
 
 # The cached properties of a config, with the fields each is computed from.
@@ -381,7 +382,7 @@ def replace_config(cfg: SystemConfig, **changes) -> SystemConfig:
     takes over each of cfg's cached properties (_HANDED_ON) whose inputs are
     not in `changes`, and nothing else: models kept on cfg are built anew.
     """
-    if not _KNOWN_KEYS.issuperset(changes):
+    if not _FIELDS.keys() >= changes.keys():
         SystemConfig(**changes)  # raises the TypeError of an unknown keyword argument
     new = object.__new__(SystemConfig)
     values, parent = new.__dict__, cfg.__dict__

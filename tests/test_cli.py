@@ -926,8 +926,8 @@ class TestVariantEvaluation:
         capsys.readouterr()
         # fig2's and fig3's four variants and fig4's config; fig5 and fig6 need no link model
         assert len(builds) == 9
-        # --set, the eight variants, and the rho and M grids of fig5 and fig6
-        assert len(replaces) == 1 + 8 + len(cli._RHO_GRID) + len(cli._M_GRID) <= 60
+        # the eight variants, and the rho and M grids of fig5 and fig6
+        assert len(replaces) == 8 + len(cli._RHO_GRID) + len(cli._M_GRID) <= 60
 
     def test_hub_power_sweep_builds_one_link_model(self, monkeypatch, sample_batch_sizes):
         # every output, Monte Carlo and alpha* included: one link model, and one draw per chunk for all points.

@@ -15,7 +15,6 @@ from ariswpc import (
     ergodic_terms,
     harvested_power_coefficient,
     load_config,
-    load_config_file,
     path_loss,
     replace_config,
 )
@@ -98,15 +97,18 @@ class TestLoadConfig:
 class TestConfigFile:
     """A malformed config document or file is a ConfigParseError; a path that cannot be opened is not."""
 
-    def test_non_utf8_file(self, tmp_path):
+    def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"M = 4\n\xff\n")
-        with pytest.raises(ConfigParseError, match="not UTF-8"):
-            load_config_file(path)
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigParseError: malformed config document: not UTF-8 text")
+        assert err.count("\n") == 1
 
-    def test_missing_file_stays_os_error(self, tmp_path):
-        with pytest.raises(OSError):
-            load_config_file(tmp_path / "absent.cfg")
+    def test_missing_file_stays_os_error(self, tmp_path, capsys):
+        assert cli.main(["compare", "--config", str(tmp_path / "absent.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text", ["[a]\nM = 4\n[b]\nM = 8\n", "M = 4\n[b]\nM = 8\n", "[DEFAULT]\nM = 4\n[config]\nM = 8\n"]
@@ -158,8 +160,7 @@ class TestText:
         pool = [_VALID_TEXT[field], f"  {_VALID_TEXT[field]}  ", "0.3x", "4.0", "1e5", ",".join(["3"] * 36), "1,2",
                 "Passive", " bogus "]
         for text in pool:
-            # rho is set too: a built config's default rho follows rho_max, a --set of rho_max keeps rho
-            settings = {"rho": "6", field: text}
+            settings = {field: text}
             library = error_line(lambda: built.append(SystemConfig(**settings)))
             text_document = "".join(f"{k} = {v}\n" for k, v in settings.items())
             document = error_line(lambda: built.append(load_config(text_document)))
@@ -191,11 +192,21 @@ class TestText:
             load_config("b = x\nM = y\n")
 
     @pytest.mark.parametrize(
-        "argv", [["--set", "M=x", "--set", "M=4"], ["--set", "quadrature_points=x", "--quadrature-points", "50"]],
-        ids=["set-again", "dedicated-flag"])
-    def test_a_replaced_set_value_is_not_parsed(self, argv, capsys):
+        "argv", [["--set", "M=x", "--set", "M=4"], ["--set", "quadrature_points=x", "--quadrature-points", "50"],
+                 ["--config", "M-x.cfg", "--set", "M=4"]],
+        ids=["set-again", "dedicated-flag", "file-value"])
+    def test_a_replaced_set_value_is_not_parsed(self, argv, tmp_path, capsys):
+        (tmp_path / "M-x.cfg").write_text("M = x\n", encoding="utf-8")
+        argv = [str(tmp_path / item) if item.endswith(".cfg") else item for item in argv]
         assert cli.main(["compare", *argv]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_mc_alpha_is_checked_in_field_order(self, capsys):
+        with pytest.raises(ConfigValidationError) as err:
+            SystemConfig(alpha=1.5, eta=2)
+        assert cli.main(["mc", "--alpha", "1.5", "--set", "eta=2"]) == 1
+        assert capsys.readouterr().err == f"error: ConfigValidationError: {err.value}\n"
+        assert err.value.field == "alpha"
 
 
 class TestValidation:

@@ -82,6 +82,12 @@ _EXTRA = (
     ("compare", "--set", "M=2", "--set", "rho=1, 5", "--set", "d_h= 10,30"),
     ("compare", "--set", "M=3", "--set", "rho=1,2"),
     ("sweep", "--variable", "M", "--values", "2,3", "--outputs", "power", "--set", "M=3", "--set", "rho=1,2,3"),
+    # one config build: rho follows a --set rho_max, and mc --alpha outranks --set alpha
+    ("compare", "--set", "rho_max=7"),
+    ("compare", "--set", "rho_max=3"),
+    ("sweep", "--variable", "rho", "--values", "1,2", "--outputs", "power", "--set", "rho_max=2"),
+    ("mc", "--alpha", "1.5", "--samples", "3000"),
+    ("mc", "--alpha", "0.419", "--set", "alpha=0.9", "--samples", "3000"),
 )
 # Monte Carlo and closed-form sweeps over every variable, with every output
 _MC_SWEEP = ("sweep", "--samples", "2000", "--outputs",
